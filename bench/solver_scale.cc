@@ -1,16 +1,16 @@
-// Solver at 1M-shard scale: warm-started incremental repair + large-neighborhood search
-// (DESIGN.md §14). Extends the Fig. 21/22 reproductions past the paper's 375K-shard ceiling.
+// Solver at 1M-shard scale: warm-started incremental repair (DESIGN.md §14). Extends the
+// Fig. 21/22 reproductions past the paper's 375K-shard ceiling.
 //
-// Three modes race to a fixed convergence target (violations <= max(1, shards/10000)) over a
+// Two modes race to a fixed convergence target (violations <= max(1, shards/10000)) over a
 // ladder of deterministic eval budgets:
-//   * cold      — Fig.21-style random initial assignment, full solve;
-//   * warm      — previous-round greedy-balanced assignment perturbed by server kills/drains
-//                 and load shifts, repaired with the warm-started incremental solver;
-//   * warm_lns  — same warm start plus one LNS portfolio member (starts=2, lns_starts=1).
+//   * cold — Fig.21-style random initial assignment, full solve;
+//   * warm — previous-round greedy-balanced assignment perturbed by server kills/drains and
+//            load shifts, repaired with the warm-started incremental solver.
 //
-// The headline number is evals-to-convergence per mode: the warm-started repair must reach the
-// target with at least 5x fewer evaluations than the cold full solve (when cold does not
-// converge at the ladder's top budget, its lower bound is used and flagged as such).
+// The headline number is ratio_cold_over_warm, the ratio of evals-to-convergence: the
+// warm-started repair must reach the target with at least 5x fewer evaluations than the cold
+// full solve (when cold does not converge at the ladder's top budget, its lower bound is used
+// and flagged as such).
 //
 // The second phase re-runs each mode at one budget across threads {1, 2, 8} and requires the
 // final assignment to be byte-identical at every thread count; any divergence exits nonzero.
@@ -120,7 +120,7 @@ bool ThreadIdentity(const std::string& mode, const SolverProblem& base, const Re
 }  // namespace
 
 int main() {
-  PrintHeader("Solver scale: 1M shards, warm-started incremental repair + LNS",
+  PrintHeader("Solver scale: 1M shards, warm-started incremental repair",
               "DESIGN.md §14 — beyond Fig. 21's 375K ceiling; >=5x fewer evals to convergence");
 
   const double scale = BenchScale();
@@ -165,11 +165,6 @@ int main() {
   SolveOptions warm_proto = BaseOptions();
   warm_proto.incremental = true;
 
-  SolveOptions lns_proto = BaseOptions();
-  lns_proto.incremental = true;
-  lns_proto.starts = 2;
-  lns_proto.lns_starts = 1;
-
   // Ascending eval-budget ladders, sized relative to the shard count. The warm ladders start
   // well below cold's: the dirty set after the perturbation is a few percent of the fleet.
   std::vector<int64_t> cold_budgets = {shards, 4 * shards, 12 * shards, 24 * shards};
@@ -179,34 +174,25 @@ int main() {
   std::cout << "-- convergence vs eval budget --\n";
   ModeResult cold = RunMode("cold", cold_base, rb, cold_proto, cold_budgets, target);
   ModeResult warm = RunMode("warm", warm_base, rb, warm_proto, warm_budgets, target);
-  ModeResult warm_lns = RunMode("warm_lns", warm_base, rb, lns_proto, warm_budgets, target);
 
-  // Headline ratio: cold evals-to-convergence over warm_lns's. A cold run that never converged
+  // Headline ratio: cold evals-to-convergence over warm's. A cold run that never converged
   // contributes its top-budget consumption as a lower bound (flagged in the JSON).
   bool ratio_is_lower_bound = cold.evals_to_convergence < 0;
   int64_t cold_evals = ratio_is_lower_bound ? cold.max_budget_evals : cold.evals_to_convergence;
   double ratio_warm = 0.0;
-  double ratio_lns = 0.0;
   if (warm.evals_to_convergence > 0) {
     ratio_warm = static_cast<double>(cold_evals) / static_cast<double>(warm.evals_to_convergence);
-  }
-  if (warm_lns.evals_to_convergence > 0) {
-    ratio_lns =
-        static_cast<double>(cold_evals) / static_cast<double>(warm_lns.evals_to_convergence);
   }
 
   std::cout << "\ncold evals-to-convergence" << (ratio_is_lower_bound ? " (lower bound)" : "")
             << ": " << cold_evals << "\n";
   std::cout << "warm evals-to-convergence: " << warm.evals_to_convergence
-            << "  (cold/warm = " << FormatDouble(ratio_warm, 1) << "x)\n";
-  std::cout << "warm+LNS evals-to-convergence: " << warm_lns.evals_to_convergence
-            << "  (cold/warm+LNS = " << FormatDouble(ratio_lns, 1) << "x)\n\n";
+            << "  (cold/warm = " << FormatDouble(ratio_warm, 1) << "x)\n\n";
 
   std::cout << "-- thread identity (threads 1/2/8, byte-identical assignments) --\n";
   bool deterministic = true;
   deterministic &= ThreadIdentity("cold", cold_base, rb, cold_proto, cold_budgets.front());
   deterministic &= ThreadIdentity("warm", warm_base, rb, warm_proto, warm_budgets[1]);
-  deterministic &= ThreadIdentity("warm_lns", warm_base, rb, lns_proto, warm_budgets[1]);
 
   const char* json_path = std::getenv("SM_BENCH_JSON_OUT");
   std::string out_path = json_path != nullptr ? json_path : "BENCH_solver_scale.json";
@@ -217,10 +203,9 @@ int main() {
      << ",\"warm_base_violations\":" << warm_base_violations
      << ",\"deterministic\":" << (deterministic ? "true" : "false")
      << ",\"ratio_cold_over_warm\":" << ratio_warm
-     << ",\"ratio_cold_over_warm_lns\":" << ratio_lns
      << ",\"ratio_is_lower_bound\":" << (ratio_is_lower_bound ? "true" : "false") << ",\"modes\":[";
-  const ModeResult* modes[] = {&cold, &warm, &warm_lns};
-  for (size_t m = 0; m < 3; ++m) {
+  const ModeResult* modes[] = {&cold, &warm};
+  for (size_t m = 0; m < 2; ++m) {
     const ModeResult& mode = *modes[m];
     os << (m > 0 ? "," : "") << "{\"mode\":\"" << mode.mode
        << "\",\"evals_to_convergence\":" << mode.evals_to_convergence << ",\"points\":[";

@@ -35,7 +35,7 @@ are recognised by their "bench" field:
 * solver_scale (BENCH_solver_scale.json): deterministic must be true — the
   byte-identity of assignments across thread counts is a correctness contract,
   so a false value FAILS the check (exit 1), the one non-advisory case. The
-  cold/warm+LNS evals-to-convergence ratio must stay above the 5x acceptance
+  cold/warm evals-to-convergence ratio must stay above the 5x acceptance
   floor and must not drop more than the threshold against a same-scale
   baseline (advisory).
 * solver_parallel (BENCH_solver_parallel.json): deterministic must be true
@@ -284,7 +284,7 @@ def check_obs_overhead(reference, fresh, threshold):
     return warnings
 
 
-SOLVER_RATIO_FLOOR = 5.0  # acceptance floor for cold/warm+LNS evals-to-convergence
+SOLVER_RATIO_FLOOR = 5.0  # acceptance floor for cold/warm evals-to-convergence
 
 
 def check_solver_scale(reference, fresh, threshold):
@@ -296,14 +296,14 @@ def check_solver_scale(reference, fresh, threshold):
         fatals.append("solver assignments diverged across thread counts — a "
                       "correctness bug, not noise")
 
-    ratio = fresh.get("ratio_cold_over_warm_lns")
+    ratio = fresh.get("ratio_cold_over_warm")
     bound = " (cold lower bound)" if fresh.get("ratio_is_lower_bound") else ""
     if ratio is not None:
         below = ratio < SOLVER_RATIO_FLOOR
-        print(f"{'WARN' if below else 'ok':4} ratio_cold_over_warm_lns: "
+        print(f"{'WARN' if below else 'ok':4} ratio_cold_over_warm: "
               f"{ratio:.1f}x{bound} (floor {SOLVER_RATIO_FLOOR:.0f}x)")
         if below:
-            warnings.append(f"cold/warm+LNS evals-to-convergence ratio is "
+            warnings.append(f"cold/warm evals-to-convergence ratio is "
                             f"{ratio:.1f}x, acceptance floor is "
                             f"{SOLVER_RATIO_FLOOR:.0f}x")
 
@@ -312,18 +312,15 @@ def check_solver_scale(reference, fresh, threshold):
         print(f"note: scales differ (baseline {reference.get('scale')}, fresh "
               f"{fresh.get('scale')}); skipping ratio/evals comparisons")
         return warnings, fatals
-    for key in ("ratio_cold_over_warm", "ratio_cold_over_warm_lns"):
-        base = reference.get(key)
-        now = fresh.get(key)
-        if not base or now is None:
-            continue
-        drop = (base - now) / base
+    base = reference.get("ratio_cold_over_warm")
+    if base and ratio is not None:
+        drop = (base - ratio) / base
         status = "WARN" if drop > threshold else "ok"
-        print(f"{status:4} {key}: baseline {base:,.1f}x fresh {now:,.1f}x "
-              f"({-drop:+.1%})")
+        print(f"{status:4} ratio_cold_over_warm: baseline {base:,.1f}x fresh "
+              f"{ratio:,.1f}x ({-drop:+.1%})")
         if drop > threshold:
-            warnings.append(f"{key} dropped {drop:.1%} "
-                            f"(baseline {base:.1f}x, fresh {now:.1f}x)")
+            warnings.append(f"ratio_cold_over_warm dropped {drop:.1%} "
+                            f"(baseline {base:.1f}x, fresh {ratio:.1f}x)")
     base_modes = {m.get("mode"): m for m in reference.get("modes", [])}
     for mode in fresh.get("modes", []):
         base = base_modes.get(mode.get("mode"))

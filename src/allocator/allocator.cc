@@ -1,11 +1,10 @@
 #include "src/allocator/allocator.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <unordered_map>
 
 #include "src/common/check.h"
+#include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 
 namespace shardman {
@@ -136,9 +135,7 @@ SolveOptions SmAllocator::BuildSolveOptions(AllocationMode mode) const {
   solve.enable_swaps = options_.enable_swaps;
   solve.trace_interval = options_.trace_interval;
   solve.emergency = mode == AllocationMode::kEmergency;
-  solve.incremental = options_.incremental_repair;
-  solve.dirty_fallback_fraction = options_.dirty_fallback_fraction;
-  solve.lns_starts = options_.solver_lns_starts;
+  solve.incremental = true;
   return solve;
 }
 
@@ -197,19 +194,17 @@ AllocationResult SmAllocator::Allocate(PartitionSnapshot& snapshot, AllocationMo
   Rebalancer rebalancer = BuildSpecs(snapshot);
   SolveOptions solve_options = BuildSolveOptions(mode);
 
-  if (options_.incremental_repair) {
-    int64_t seeded = SeedFromWarmCache(snapshot, &built);
-    int64_t live = 0;
-    for (int32_t bin : built.problem.assignment) {
-      if (bin >= 0 && built.problem.bin_alive[static_cast<size_t>(bin)] != 0) {
-        ++live;
-      }
+  int64_t seeded = SeedFromWarmCache(snapshot, &built);
+  int64_t live = 0;
+  for (int32_t bin : built.problem.assignment) {
+    if (bin >= 0 && built.problem.bin_alive[static_cast<size_t>(bin)] != 0) {
+      ++live;
     }
-    // Entities entering the solve already placed on a live server: the warm-start capital the
-    // incremental repair preserves (cache-seeded replicas are a subset).
-    SM_COUNTER_ADD("sm.solver.warm_start_reuse", live);
-    SM_COUNTER_ADD("sm.solver.warm_cache_seeded", seeded);
   }
+  // Entities entering the solve already placed on a live server: the warm-start capital the
+  // incremental repair preserves (cache-seeded replicas are a subset).
+  SM_COUNTER_ADD("sm.solver.warm_start_reuse", live);
+  SM_COUNTER_ADD("sm.solver.warm_cache_seeded", seeded);
 
   SolveResult solved = rebalancer.Solve(built.problem, solve_options);
 
@@ -248,9 +243,7 @@ AllocationResult SmAllocator::Allocate(PartitionSnapshot& snapshot, AllocationMo
             [](const AssignmentChange& a, const AssignmentChange& b) {
               return a.replica < b.replica;
             });
-  if (options_.incremental_repair) {
-    UpdateWarmCache(snapshot, built);
-  }
+  UpdateWarmCache(snapshot, built);
   return result;
 }
 
@@ -258,25 +251,13 @@ std::vector<AllocationResult> SmAllocator::AllocateParallel(
     std::vector<PartitionSnapshot*> snapshots, AllocationMode mode, int threads) const {
   SM_CHECK_GT(threads, 0);
   std::vector<AllocationResult> results(snapshots.size());
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    while (true) {
-      size_t i = next.fetch_add(1);
-      if (i >= snapshots.size()) {
-        return;
-      }
-      results[i] = Allocate(*snapshots[i], mode);
+  const auto n = static_cast<int64_t>(snapshots.size());
+  ThreadPool pool(static_cast<int>(std::min<int64_t>(threads, n)));
+  pool.ParallelFor(0, n, /*grain=*/1, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      results[static_cast<size_t>(i)] = Allocate(*snapshots[static_cast<size_t>(i)], mode);
     }
-  };
-  int n = std::min<int>(threads, static_cast<int>(snapshots.size()));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(n));
-  for (int t = 0; t < n; ++t) {
-    pool.emplace_back(worker);
-  }
-  for (auto& t : pool) {
-    t.join();
-  }
+  });
   return results;
 }
 

@@ -1,7 +1,11 @@
 // SmAllocator: Shard Manager's placement & load-balancing engine (§5).
 //
 // Translates a PartitionSnapshot into a Rebalancer problem, solves it with local search, and
-// returns the replica moves. Two modes (§5.1):
+// returns the replica moves. Every solve is a warm-started incremental repair (DESIGN.md §14):
+// unassigned replicas are re-seeded from the previous round's placement of the partition when
+// their last server is still alive, and periodic solves restrict refresh scans to the dirty
+// neighborhoods, falling back to a full scan when most of the partition is dirty. Two modes
+// (§5.1):
 //   * kEmergency — triggered on shard unavailability; places unassigned replicas as fast as
 //     possible subject to hard constraints, possibly deteriorating soft goals;
 //   * kPeriodic — the regular optimization pass over all shards, which must not leave soft goals
@@ -54,16 +58,6 @@ struct AllocatorOptions {
   bool enable_swaps = true;
   TimeMicros trace_interval = Millis(200);
 
-  // Warm-started incremental repair (DESIGN.md §14). When enabled, periodic solves reuse the
-  // previous round's assignment for this partition (unassigned replicas are re-seeded from the
-  // warm cache when their last server is still alive) and the solver restricts refresh scans to
-  // the dirty neighborhoods. Falls back to a full solve when more than
-  // `dirty_fallback_fraction` of the entities are dirty. `solver_lns_starts` portfolio members
-  // run the large-neighborhood-search backend instead of greedy local search.
-  bool incremental_repair = true;
-  double dirty_fallback_fraction = 0.35;
-  int solver_lns_starts = 0;
-
   // Soft-goal weight tiers realizing the §5.1 priority order (1 = highest priority).
   double weight_region_preference = 1.0e5;  // priority 1
   double weight_spread_region = 3.0e4;      // priority 2 (region level)
@@ -96,7 +90,8 @@ class SmAllocator {
   // returns the changes plus before/after violation counts.
   AllocationResult Allocate(PartitionSnapshot& snapshot, AllocationMode mode) const;
 
-  // Solves several partitions concurrently on up to `threads` OS threads (§5.3 technique 1).
+  // Solves several partitions concurrently on a ThreadPool of up to `threads` threads, one
+  // partition per task (§5.3 technique 1).
   std::vector<AllocationResult> AllocateParallel(std::vector<PartitionSnapshot*> snapshots,
                                                  AllocationMode mode, int threads) const;
 

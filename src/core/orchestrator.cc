@@ -2073,8 +2073,6 @@ void Orchestrator::TriggerEmergencyAllocation() {
     opts.emergency_eval_budget = config_.emergency_solver_evals;
     opts.solver_threads = config_.solver_threads;
     opts.solver_starts = config_.solver_starts;
-    opts.incremental_repair = config_.solver_incremental;
-    opts.solver_lns_starts = config_.solver_lns_starts;
     // Reuse the shared allocator (not a throwaway copy) so its warm-start cache carries the
     // previous round's placement into this solve. The sim thread serializes Trigger* calls.
     allocator_->set_options(opts);
@@ -2098,8 +2096,6 @@ void Orchestrator::TriggerPeriodicAllocation() {
   opts.periodic_eval_budget = config_.periodic_solver_evals;
   opts.solver_threads = config_.solver_threads;
   opts.solver_starts = config_.solver_starts;
-  opts.incremental_repair = config_.solver_incremental;
-  opts.solver_lns_starts = config_.solver_lns_starts;
   allocator_->set_options(opts);
   AllocationResult result = allocator_->Allocate(snapshot, AllocationMode::kPeriodic);
   SM_TRACE_END(alloc_trace, "allocator", "periodic_allocation",

@@ -82,12 +82,6 @@ struct OrchestratorConfig {
   // depend on solver_starts but never on solver_threads.
   int solver_threads = 1;
   int solver_starts = 1;
-  // Warm-started incremental repair for control-loop solves (DESIGN.md §14): the shared
-  // allocator's warm cache carries each round's placement into the next, and the solver
-  // restricts refresh scans to the dirty neighborhoods. `solver_lns_starts` portfolio members
-  // run large-neighborhood search instead of greedy local search.
-  bool solver_incremental = true;
-  int solver_lns_starts = 0;
   int max_op_attempts = 3;
   // Failed operations retry with capped exponential backoff: attempt n waits
   // min(retry_backoff_base * 2^(n-1), retry_backoff_max), scaled by a seeded jitter factor

@@ -9,6 +9,10 @@ namespace shardman {
 
 namespace {
 constexpr double kImproveEps = 1e-7;
+// Hot-bin list refresh cadence, in applied moves.
+constexpr int kHotRefreshMoves = 256;
+// Applied moves between the tracker's scheduled exact-objective snaps (see Run()).
+constexpr int64_t kObjectiveRecomputeMoves = 8192;
 }  // namespace
 
 LocalSearch::LocalSearch(SolverProblem* problem, const Rebalancer* specs,
@@ -78,12 +82,11 @@ SolveResult LocalSearch::Run() {
   start_ = Clock::now();
   problem_->Validate();
   tracker_.Init();
-  // Bound incremental-objective drift between refreshes: PlaceUnavailable and the incremental
-  // refresh path can apply long move runs without a full recompute. Objective-only (no average
-  // refresh) so the schedule can never alter move decisions — deltas and averages are
-  // untouched; only the reported objective snaps back to exact.
-  tracker_.SetAutoRecompute(options_.objective_recompute_moves, /*scope_averages_too=*/false);
-  tracker_.SetDriftCheck(options_.check_drift, /*tolerance=*/1e-4);
+  // Snap the tracked objective back to exact every kObjectiveRecomputeMoves applied moves:
+  // PlaceUnavailable and the incremental refresh path can apply long move runs without a full
+  // recompute. Objective-only (no average refresh) so the schedule can never alter move
+  // decisions — deltas and averages are untouched; only the reported objective snaps back.
+  tracker_.SetAutoRecompute(kObjectiveRecomputeMoves, /*scope_averages_too=*/false);
 
   // Dense equivalence classes over (quantized load vector, has-group, has-affinity).
   const int entities = problem_->num_entities();
@@ -260,8 +263,10 @@ void LocalSearch::RefreshStructures(uint32_t mask) {
     // dirty groups. Exact — every group with nonzero penalty is dirty (seeded from the initial
     // violations, grown on every applied move), and the ascending scatter order matches the
     // full scan's — so the hot-bin list comes out bit-identical to a full refresh. The
-    // O(entities + groups) exact-objective pass is skipped entirely; the tracker's scheduled
-    // recompute bounds its drift and Run() snaps it to exact at the end.
+    // O(entities + groups) exact-objective pass is skipped, so the tracked objective is not
+    // re-snapped when the averages move: until the next scheduled recompute it is off by the
+    // shift in averages as well as by FP drift. No decision reads it (moves read deltas only),
+    // and Run() snaps it to exact at the end.
     tracker_.RecomputeScopeAverages();
     scan_groups_.assign(dirty_groups_.items().begin(), dirty_groups_.items().end());
     std::sort(scan_groups_.begin(), scan_groups_.end());
@@ -335,7 +340,7 @@ void LocalSearch::RunBatch(uint32_t mask, const Deadline& deadline) {
         ++applied_this_round;
       }
       RecordTrace(/*force=*/false);
-      if (moves_since_refresh_ >= options_.hot_refresh_moves) {
+      if (moves_since_refresh_ >= kHotRefreshMoves) {
         break;
       }
     }

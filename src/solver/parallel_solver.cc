@@ -8,7 +8,6 @@
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
-#include "src/solver/lns.h"
 #include "src/solver/local_search.h"
 
 namespace shardman {
@@ -36,22 +35,12 @@ SolveResult ParallelSolver::Solve(SolverProblem& problem, const SolveOptions& op
   const int threads = std::max(1, options.threads);
   ThreadPool pool(threads);
 
-  // The last `lns_starts` members of the portfolio run the LNS backend instead of greedy
-  // local search; both consume the same per-start seed and deterministic eval budget, so the
-  // reduction below stays thread-count independent.
-  const int lns_starts = std::min(std::max(0, options.lns_starts), starts);
   SolveResult result;
   if (starts == 1) {
     // Single start: solve in place; the pool (if wider than one thread) shards the refresh
     // scans, which is bit-identical to the sequential scan by construction.
-    ThreadPool* shard_pool = threads > 1 ? &pool : nullptr;
-    if (lns_starts > 0) {
-      LnsSearch search(&problem, specs_, options, shard_pool);
-      result = search.Run();
-    } else {
-      LocalSearch search(&problem, specs_, options, shard_pool);
-      result = search.Run();
-    }
+    LocalSearch search(&problem, specs_, options, threads > 1 ? &pool : nullptr);
+    result = search.Run();
   } else {
     struct StartRun {
       SolverProblem clone;
@@ -65,19 +54,13 @@ SolveResult ParallelSolver::Solve(SolverProblem& problem, const SolveOptions& op
     // same bits — this is purely a scheduling decision.
     ThreadPool* shard_pool = threads > starts ? &pool : nullptr;
     for (int i = 0; i < starts; ++i) {
-      const bool use_lns = i >= starts - lns_starts;
-      tasks.push_back([this, i, use_lns, &runs, &problem, &options, shard_pool]() {
+      tasks.push_back([this, i, &runs, &problem, &options, shard_pool]() {
         StartRun& run = runs[static_cast<size_t>(i)];
         run.clone = problem;  // deep copy: each start mutates its own assignment
         SolveOptions per_start = options;
         per_start.seed = StartSeed(options.seed, i);
-        if (use_lns) {
-          LnsSearch search(&run.clone, specs_, per_start, shard_pool);
-          run.result = search.Run();
-        } else {
-          LocalSearch search(&run.clone, specs_, per_start, shard_pool);
-          run.result = search.Run();
-        }
+        LocalSearch search(&run.clone, specs_, per_start, shard_pool);
+        run.result = search.Run();
       });
     }
     pool.Run(std::move(tasks));
@@ -95,16 +78,13 @@ SolveResult ParallelSolver::Solve(SolverProblem& problem, const SolveOptions& op
       }
     }
     int64_t total_evaluations = 0;
-    int64_t total_lns_rebuilds = 0;
     for (const StartRun& run : runs) {
       total_evaluations += run.result.evaluations;
-      total_lns_rebuilds += run.result.lns_rebuilds;
     }
     problem.assignment = runs[static_cast<size_t>(winner)].clone.assignment;
     result = std::move(runs[static_cast<size_t>(winner)].result);
     result.winner_start = winner;
     result.evaluations = total_evaluations;
-    result.lns_rebuilds = total_lns_rebuilds;
   }
   result.starts = starts;
   result.wall_time = std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -

@@ -1,4 +1,5 @@
-// ParallelSolver: the parallel portfolio layer over LocalSearch.
+// ParallelSolver: the parallel portfolio layer over LocalSearch, and the one dispatch path
+// behind Rebalancer::Solve.
 //
 // Runs K independently-seeded local-search starts concurrently on a work-stealing ThreadPool
 // (each on its own clone of the problem + ViolationTracker), then reduces to a single winner
@@ -11,7 +12,7 @@
 //     reductions anywhere), and
 //   * the reduction order is fixed by start index,
 // the SolveResult (moves, objective, violations) is byte-identical for a given master seed at
-// any thread count, and threads=1/starts=1 reproduces the sequential solver exactly.
+// any thread count. threads=1/starts=1 runs one LocalSearch in place on the calling thread.
 //
 // This is the DREAMS-style lesson (PAPERS.md, arXiv:2509.07497) — parallel allocation decisions
 // need not cost solution quality — combined with the reproducibility requirement of
@@ -36,7 +37,7 @@ class ParallelSolver {
   SolveResult Solve(SolverProblem& problem, const SolveOptions& options) const;
 
   // Seed of start `start` under master seed `seed`: start 0 runs the master seed itself (so a
-  // 1-start portfolio reproduces the sequential solver), later starts get splitmix64-derived
+  // 1-start portfolio is one local search under `seed`), later starts get splitmix64-derived
   // independent streams. Exposed for tests.
   static uint64_t StartSeed(uint64_t seed, int start);
 

@@ -2,7 +2,6 @@
 
 #include "src/common/sim_time.h"
 #include "src/obs/metrics.h"
-#include "src/solver/local_search.h"
 #include "src/solver/parallel_solver.h"
 #include "src/solver/violation_tracker.h"
 
@@ -36,22 +35,13 @@ void Rebalancer::AddGoal(const DrainSpec& spec, double weight) {
 }
 
 SolveResult Rebalancer::Solve(SolverProblem& problem, const SolveOptions& options) const {
-  SolveResult result;
-  if (options.threads <= 1 && options.starts <= 1 && options.lns_starts <= 0) {
-    // Sequential path: byte-for-byte the pre-portfolio solver.
-    LocalSearch search(&problem, this, options);
-    result = search.Run();
-  } else {
-    ParallelSolver portfolio(this);
-    result = portfolio.Solve(problem, options);
-  }
+  SolveResult result = ParallelSolver(this).Solve(problem, options);
   // Wall-clock values go to metrics only, never into traces: trace output must stay
   // deterministic for a fixed seed, and solver wall time is host-dependent.
   SM_COUNTER_INC("sm.solver.solves");
   SM_COUNTER_ADD("sm.solver.moves_proposed", static_cast<int64_t>(result.moves.size()));
   SM_COUNTER_ADD("sm.solver.evaluations", result.evaluations);
   SM_COUNTER_ADD("sm.solver.dirty_entities", result.dirty_entities);
-  SM_COUNTER_ADD("sm.solver.lns_rebuilds", result.lns_rebuilds);
   if (result.incremental_used) {
     SM_COUNTER_INC("sm.solver.incremental_solves");
   }

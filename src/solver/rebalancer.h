@@ -15,6 +15,8 @@
 //   * large-shards-first move ordering;
 //   * optional two-way swaps when single moves stall.
 // Every optimization is individually switchable so the Fig. 22 ablation can disable them.
+// Solve() always runs this backend through ParallelSolver as one or more seeded starts, and
+// SolveOptions::incremental is the one switch for warm-started repair (DESIGN.md §14).
 
 #ifndef SRC_SOLVER_REBALANCER_H_
 #define SRC_SOLVER_REBALANCER_H_
@@ -93,7 +95,7 @@ struct SolveOptions {
   // Parallel portfolio (ParallelSolver): `starts` independently-seeded local searches race and
   // the best result wins a deterministic reduction (objective, then violations, then start
   // index), so the outcome depends only on `seed` and `starts` — never on `threads`.
-  // threads=1, starts=1 is exactly the sequential solver.
+  // threads=1, starts=1 runs one local search inline on the calling thread.
   int threads = 1;
   int starts = 1;
 
@@ -101,8 +103,6 @@ struct SolveOptions {
   int candidates_per_entity = 12;
   // Entities (largest-first) considered per visit to a hot bin.
   int entities_per_bin_visit = 8;
-  // Hot-bin list refresh cadence, in applied moves.
-  int hot_refresh_moves = 256;
 
   // §5.3 optimizations, individually switchable (Fig. 22 turns these off for the baseline).
   bool stratified_sampling = true;
@@ -123,20 +123,6 @@ struct SolveOptions {
   // (dead/draining/over-capacity bins, unassigned entities, violating groups): a mostly-dirty
   // problem gains nothing from the restricted scans.
   double dirty_fallback_fraction = 0.35;
-  // Incremental-objective drift bound: the tracker restores the exact objective every N applied
-  // moves between refreshes (full solves recompute at every refresh anyway). <=0 disables.
-  int64_t objective_recompute_moves = 8192;
-  // Debug flag: SM_CHECK that incremental-objective drift stays below tolerance at every
-  // scheduled recompute.
-  bool check_drift = false;
-
-  // Large-neighborhood-search portfolio members (DESIGN.md §14): the last `lns_starts` of
-  // `starts` run destroy/rebuild LNS instead of greedy local search, under the same seeds,
-  // eval budget and deterministic reduction. 0 keeps the portfolio pure local search.
-  int lns_starts = 0;
-  // Approximate entities destroyed per LNS round (rack / hot-percentile-band / violating-group
-  // neighborhoods are truncated to about this size).
-  int lns_neighborhood = 96;
 
   // Emergency mode (§5.1): place unassigned/dead-bin entities as fast as possible subject to
   // hard constraints only; soft goals may temporarily deteriorate.
@@ -187,8 +173,6 @@ struct SolveResult {
   bool incremental_used = false;       // restricted scans ran (no fallback, not emergency)
   int64_t dirty_entities = 0;          // entities in the initial dirty set
   int64_t dirty_bins = 0;              // bins in the initial dirty set (incl. rack closure)
-  // Accepted LNS destroy/rebuild rounds in the winning start (0 for local-search winners).
-  int64_t lns_rebuilds = 0;
 };
 
 // ---- Rebalancer -------------------------------------------------------------------------------
@@ -209,6 +193,7 @@ class Rebalancer {
   void AddGoal(const DrainSpec& spec, double weight);
 
   // Solves in place: applies moves to problem.assignment and reports them in the result.
+  // Dispatches through ParallelSolver at every thread/start count.
   SolveResult Solve(SolverProblem& problem, const SolveOptions& options) const;
 
   // Counts violations of the configured specs for the problem's current assignment, without

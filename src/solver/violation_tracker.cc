@@ -343,55 +343,6 @@ void ViolationTracker::ApplyMove(int entity, int to) {
   MaybeAutoRecompute();
 }
 
-double ViolationTracker::UnassignDelta(int entity) const {
-  int from = problem_->assignment[static_cast<size_t>(entity)];
-  if (from < 0) {
-    return 0.0;
-  }
-  double delta = 0.0;
-  if (BinLive(from)) {
-    for (int m = 0; m < metrics_; ++m) {
-      double l = problem_->load(entity, m);
-      if (l == 0.0) {
-        continue;
-      }
-      double cur = bin_load(from, m);
-      delta += BinMetricPenalty(from, m, cur - l, kGoalAll) -
-               BinMetricPenalty(from, m, cur, kGoalAll);
-    }
-    delta += kUnassignedWeight;
-    delta -= DrainPenaltyOf(from);
-  }
-  // from dead: the entity already pays kUnassignedWeight and its load is on a dead bin, which
-  // contributes nothing — only the group terms can change, and GroupPenalty skips dead bins,
-  // so they do not either. Keep the group delta unconditional for the live case.
-  int32_t group = problem_->entity_group[static_cast<size_t>(entity)];
-  if (group >= 0) {
-    delta += GroupPenalty(group, entity, -1) - GroupPenalty(group, -1, -1);
-  }
-  return delta;
-}
-
-void ViolationTracker::ApplyUnassign(int entity) {
-  int from = problem_->assignment[static_cast<size_t>(entity)];
-  SM_CHECK_GE(from, 0);
-  double delta = UnassignDelta(entity);
-  auto& list = bin_entities_[static_cast<size_t>(from)];
-  auto it = std::find(list.begin(), list.end(), entity);
-  SM_CHECK(it != list.end());
-  *it = list.back();
-  list.pop_back();
-  for (int m = 0; m < metrics_; ++m) {
-    bin_load_[static_cast<size_t>(from) * static_cast<size_t>(metrics_) +
-              static_cast<size_t>(m)] -= problem_->load(entity, m);
-  }
-  problem_->assignment[static_cast<size_t>(entity)] = -1;
-  objective_ += delta;
-  ++applied_moves_;
-  ++moves_since_recompute_;
-  MaybeAutoRecompute();
-}
-
 void ViolationTracker::SetAutoRecompute(int64_t every_moves, bool scope_averages_too) {
   auto_recompute_moves_ = every_moves;
   auto_recompute_averages_ = scope_averages_too;

@@ -47,15 +47,6 @@ class ViolationTracker {
   // Applies the move: updates the problem's assignment and all incremental state.
   void ApplyMove(int entity, int to);
 
-  // Objective change if `entity` were evicted to the unassigned state (bin -1). Mirrors
-  // MoveDelta with a dead destination: load/drain penalties vanish, the unassigned penalty
-  // appears, and the entity stops counting toward its group's affinity/spread terms.
-  double UnassignDelta(int entity) const;
-
-  // Evicts `entity` from its bin (assignment becomes -1). Used by the LNS destroy phase; the
-  // rebuild phase re-places through ApplyMove.
-  void ApplyUnassign(int entity);
-
   // Current (incrementally maintained) objective. Subject to small drift across cross-domain
   // moves between average refreshes; RecomputeAll() restores exactness.
   double objective() const { return objective_; }
@@ -84,7 +75,7 @@ class ViolationTracker {
   // for the drift regression test; does not mutate state.
   double MeasureDrift() const;
 
-  // Applied moves (ApplyMove + ApplyUnassign) since Init; drives the auto-recompute schedule.
+  // Applied moves (ApplyMove calls) since Init; drives the auto-recompute schedule.
   int64_t applied_moves() const { return applied_moves_; }
 
   // Exact discrete violation counts for the current assignment.
