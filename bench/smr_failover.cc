@@ -62,7 +62,6 @@ LevelResult RunLevel(double kill_interval_s, TimeMicros churn) {
   config.app.caps.max_unavailable_per_shard = 1;
   config.mini_sm.orchestrator.periodic_alloc_interval = Seconds(20);
   config.mini_sm.orchestrator.failover_grace = Seconds(8);
-  config.smr_control_plane = true;
   config.smr.num_replicas = 3;
   config.seed = 404;
   Testbed bed(config);

@@ -24,8 +24,6 @@ const char* FaultKindName(FaultKind kind) {
       return "watch-delay-spike";
     case FaultKind::kSessionExpiryStorm:
       return "session-expiry-storm";
-    case FaultKind::kControlPlaneFailover:
-      return "control-plane-failover";
     case FaultKind::kMapDeliveryLoss:
       return "map-delivery-loss";
     case FaultKind::kLeaderLoss:
@@ -50,7 +48,7 @@ FaultInjector::FaultInjector(Testbed* testbed, ChaosConfig config, InvariantChec
          {FaultKind::kServerCrash, FaultKind::kRackPowerLoss, FaultKind::kRegionPartition,
           FaultKind::kAsymmetricPartition, FaultKind::kLinkDegradation,
           FaultKind::kWatchDelaySpike, FaultKind::kSessionExpiryStorm,
-          FaultKind::kControlPlaneFailover, FaultKind::kMapDeliveryLoss}) {
+          FaultKind::kLeaderLoss, FaultKind::kMapDeliveryLoss}) {
       mix_.push_back(FaultWeight{kind, 1.0});
     }
   } else {
@@ -162,9 +160,6 @@ void FaultInjector::InjectOne() {
       break;
     case FaultKind::kSessionExpiryStorm:
       injected = InjectSessionExpiryStorm();
-      break;
-    case FaultKind::kControlPlaneFailover:
-      injected = InjectControlPlaneFailover();
       break;
     case FaultKind::kMapDeliveryLoss:
       injected = InjectMapDeliveryLoss(duration);
@@ -434,27 +429,9 @@ bool FaultInjector::InjectSessionExpiryStorm() {
   return true;
 }
 
-bool FaultInjector::InjectControlPlaneFailover() {
-  // The simulate shim only exists in single-instance mode; with the replicated control plane
-  // the equivalent (and stronger) fault is kLeaderLoss, which needs no quiescence.
-  if (bed_->replica_set() != nullptr) {
-    return false;
-  }
-  // Failover requires a quiescent orchestrator: in-flight operations hold callbacks into the
-  // instance about to be destroyed. Skipping here is fine — the arrival clock fires again.
-  if (bed_->orchestrator().pending_ops() != 0) {
-    return false;
-  }
-  int64_t id = RecordInject(FaultKind::kControlPlaneFailover, "orchestrator replaced");
-  bed_->mini_sm().SimulateControlPlaneFailover();
-  journal_.push_back(ChaosEvent{bed_->sim().Now(), id, FaultKind::kControlPlaneFailover, true,
-                                "recovered from coordination store"});
-  return true;
-}
-
 bool FaultInjector::InjectLeaderLoss() {
   ControlPlaneReplicaSet* set = bed_->replica_set();
-  if (set == nullptr || !set->has_leader()) {
+  if (!set->has_leader()) {
     return false;
   }
   std::ostringstream os;
@@ -462,8 +439,8 @@ bool FaultInjector::InjectLeaderLoss() {
      << " pending_ops=" << set->orchestrator().pending_ops();
   int64_t id = RecordInject(FaultKind::kLeaderLoss, os.str());
   set->KillLeader();
-  // Self-healing: the surviving replicas re-elect on their own; no heal action is needed, so
-  // the fault does not occupy a concurrency slot.
+  // Self-healing: the replicas (a lone one included) re-elect on their own; no heal action is
+  // needed, so the fault does not occupy a concurrency slot.
   journal_.push_back(
       ChaosEvent{bed_->sim().Now(), id, FaultKind::kLeaderLoss, true, "re-election under way"});
   return true;
@@ -471,7 +448,7 @@ bool FaultInjector::InjectLeaderLoss() {
 
 bool FaultInjector::InjectLeaderPartition(TimeMicros duration) {
   ControlPlaneReplicaSet* set = bed_->replica_set();
-  if (set == nullptr || !set->has_leader() || bed_->num_regions() < 2) {
+  if (!set->has_leader() || bed_->num_regions() < 2) {
     return false;
   }
   const int leader = set->leader_index();
@@ -516,9 +493,6 @@ bool FaultInjector::InjectLeaderPartition(TimeMicros duration) {
 
 bool FaultInjector::InjectSmrReconfigure() {
   ControlPlaneReplicaSet* set = bed_->replica_set();
-  if (set == nullptr) {
-    return false;
-  }
   // Draws are consumed unconditionally (action, replica slot, region) so the rng stream stays
   // aligned whether or not the chosen action applies.
   const int64_t action = rng_.UniformInt(0, 2);

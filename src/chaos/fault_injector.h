@@ -9,7 +9,8 @@
 //                  link degradation windows: elevated latency x loss x duplication;
 //   coordination   watch-notification delay spikes (slow ZooKeeper) and session-expiry storms
 //                  (several live servers lose their sessions within one notify window);
-//   control plane  mid-churn orchestrator failover (recovery from the coordination store).
+//   control plane  leader loss mid-churn: the leader's lease session expires with operations in
+//                  flight and the next term reconciles from the coordination store and op log.
 //
 // Every injected fault and heal is appended to a journal; the same seed against the same
 // testbed configuration reproduces the identical schedule, which the chaos tests assert
@@ -39,20 +40,20 @@ enum class FaultKind {
   kLinkDegradation,
   kWatchDelaySpike,
   kSessionExpiryStorm,
-  kControlPlaneFailover,
+  // The current control-plane leader's coordination-store session expires mid-term, operations
+  // in flight or not. With one replica (the default) it re-elects itself after the lease
+  // rejoin delay; with several a survivor takes over at once.
+  kLeaderLoss,
   // Shard-map dissemination loss: deliveries drop with a sampled probability for the fault's
   // duration. Delta-mode subscribers develop version gaps and must recover via snapshot
   // fallback (DESIGN.md §10); snapshot-mode subscribers just run staler until the next publish.
   kMapDeliveryLoss,
-  // Replicated control plane (DESIGN.md §11) faults. These require a Testbed running with
-  // smr_control_plane = true and are deliberately NOT part of the default mix so existing
-  // chaos journals stay byte-identical; SMR soak tests opt in with an explicit mix.
-  //   kLeaderLoss        the current leader's coordination-store session expires mid-term;
+  // Replica-set faults (DESIGN.md §11), not part of the default mix; SMR soak tests opt in
+  // with an explicit mix.
   //   kLeaderPartition   asymmetric partition: every outbound link from the leader's region is
   //                      cut, then its session times out — the classic gray leader;
   //   kSmrReconfigure    online reconfiguration under churn: add, remove, or relocate a
   //                      control-plane replica without stopping placement.
-  kLeaderLoss,
   kLeaderPartition,
   kSmrReconfigure,
 };
@@ -136,7 +137,6 @@ class FaultInjector {
   bool InjectLinkDegradation(TimeMicros duration);
   bool InjectWatchDelaySpike(TimeMicros duration);
   bool InjectSessionExpiryStorm();
-  bool InjectControlPlaneFailover();
   bool InjectMapDeliveryLoss(TimeMicros duration);
   bool InjectLeaderLoss();
   bool InjectLeaderPartition(TimeMicros duration);

@@ -122,9 +122,6 @@ void InvariantChecker::CheckKeyClosure() {
 }
 
 void InvariantChecker::CheckSingleFencedWriter() {
-  if (bed_->replica_set() == nullptr) {
-    return;  // Single-instance control plane: the fence does not exist.
-  }
   const int writers = bed_->replica_set()->UnfencedWriters();
   if (writers > 1) {
     std::ostringstream os;
@@ -255,10 +252,10 @@ void InvariantChecker::CheckCoordConsistency() {
 
 bool InvariantChecker::AwaitReconvergence(TimeMicros timeout) {
   const TimeMicros deadline = bed_->sim().Now() + timeout;
-  while (bed_->sim().Now() < deadline && !bed_->orchestrator().AllReady()) {
+  while (bed_->sim().Now() < deadline && !bed_->AllReady()) {
     bed_->sim().RunFor(Millis(200));
   }
-  if (!bed_->orchestrator().AllReady()) {
+  if (!bed_->AllReady()) {
     Record("I4", "system did not re-converge to all-ready within " +
                      std::to_string(timeout / 1000000) + "s");
     return false;

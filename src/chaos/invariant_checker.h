@@ -20,11 +20,10 @@
 //       coordination store equals the orchestrator's in-memory binding. The orchestrator
 //       persists synchronously with every bind/role change, so strict equality holds between
 //       simulator events.
-//   I7  at most one fenced writer per app per epoch: with the replicated control plane
-//       (DESIGN.md §11), at most one orchestrator instance — across active and retired
-//       leaders — may hold a leadership epoch whose writes still pass the fence. Two unfenced
-//       writers means a deposed leader could still mutate coordination state. Skipped in
-//       single-instance mode.
+//   I7  at most one fenced writer per app per epoch (DESIGN.md §11): at most one
+//       orchestrator instance — across active and retired leaders — may hold a leadership
+//       epoch whose writes still pass the fence. Two unfenced writers means a deposed leader
+//       could still mutate coordination state.
 //   I8  key-space closure: in every published shard map that carries ranges (DESIGN.md §15),
 //       the non-empty ranges sorted by begin exactly partition [0, ~0ULL) — no key is ever
 //       unroutable or doubly owned, including the instant a split or merge commit publishes.

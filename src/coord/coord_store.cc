@@ -50,22 +50,22 @@ bool CoordStore::SessionAlive(SessionId session) const {
 
 Status CoordStore::Create(const std::string& path, std::string data, bool ephemeral,
                           SessionId owner) {
-  if (nodes_.count(path) > 0) {
+  auto [it, inserted] = nodes_.try_emplace(path);
+  if (!inserted) {
     return AlreadyExistsError("node exists: " + path);
   }
   if (ephemeral) {
     if (!SessionAlive(owner)) {
+      nodes_.erase(it);
       return FailedPreconditionError("ephemeral node requires live session: " + path);
     }
     session_nodes_[owner.value].push_back(path);
   }
-  Node node;
+  Node& node = it->second;
   node.data = std::move(data);
   node.ephemeral = ephemeral;
   node.owner = owner;
-  std::string data_copy = node.data;
-  nodes_.emplace(path, std::move(node));
-  FireEvent(WatchEventType::kCreated, path, data_copy);
+  FireEvent(WatchEventType::kCreated, path, node.data);  // copied before any callback runs
   return Status::Ok();
 }
 

@@ -55,8 +55,11 @@ Orchestrator::Orchestrator(Simulator* sim, Network* network, CoordStore* coord,
   SM_CHECK(discovery != nullptr);
   SM_CHECK(registry != nullptr);
   SM_CHECK(allocator != nullptr);
-  // The toggle lives in discovery so a replacement orchestrator (control-plane failover)
-  // re-applies it for its app before the first publish.
+  SM_CHECK(config_.write_fence != nullptr);
+  SM_CHECK(config_.op_log_append != nullptr);
+  SM_CHECK(config_.op_log_complete != nullptr);
+  // The toggle lives in discovery so every leadership term's orchestrator re-applies it for
+  // its app before the first publish.
   discovery_->SetDeltaDissemination(spec_.id, config_.delta_dissemination);
 }
 
@@ -79,25 +82,6 @@ void Orchestrator::Start() {
   InitShards();
   PersistRanges();  // recovery reads live ranges even before the first split/merge
   TriggerEmergencyAllocation();
-  StartTimersAndWatches();
-}
-
-void Orchestrator::StartRecovered() {
-  SM_CHECK(!started_);
-  started_ = true;
-  InitShards();
-  // Ranges must load before assignments: committed splits may have grown the shard table past
-  // the spec count, and their children's assignments only load into existing runtimes.
-  LoadRangesFromCoord();
-  LoadAssignmentsFromCoord();
-  CleanupInactiveShards();
-  // Resume the map version sequence monotonically from the persisted value.
-  Result<std::string> version = coord_->Get("/sm/" + spec_.name + "/map_version");
-  if (version.ok()) {
-    map_version_ = std::stoll(version.value());
-  }
-  MarkMapDirty(/*urgent=*/true);
-  TriggerEmergencyAllocation();  // re-place anything whose server is gone
   StartTimersAndWatches();
 }
 
@@ -137,13 +121,6 @@ void Orchestrator::LoadAssignmentsFromCoord() {
     // server would restore them — possibly as a second primary — when it returns.
     PersistServerAssignment(server);
   }
-}
-
-void Orchestrator::Shutdown() {
-  SM_CHECK_EQ(in_flight_ops_, 0);
-  SM_CHECK(op_queue_.empty());
-  shut_down_ = true;
-  CancelTimersAndDeferred();
 }
 
 void Orchestrator::CancelTimersAndDeferred() {
@@ -193,9 +170,6 @@ bool Orchestrator::MayWrite() {
   if (fenced_) {
     return false;
   }
-  if (!config_.write_fence) {
-    return true;  // standalone mode: no replicated control plane
-  }
   if (config_.write_fence(config_.leadership_epoch)) {
     return true;
   }
@@ -209,20 +183,11 @@ bool Orchestrator::MayWrite() {
 }
 
 bool Orchestrator::PassesWriteFence() const {
-  if (shut_down_ || fenced_) {
-    return false;
-  }
-  if (!config_.write_fence) {
-    return true;
-  }
-  return config_.write_fence(config_.leadership_epoch);
+  return !fenced_ && config_.write_fence(config_.leadership_epoch);
 }
 
 std::function<Status(ShardServerApi&)> Orchestrator::FenceWrapped(
     std::function<Status(ShardServerApi&)> fn) const {
-  if (!config_.write_fence) {
-    return fn;
-  }
   // Captures only the fence predicate and epoch — never `this` — so the wrapped body stays
   // safe even if it outlives the orchestrator (e.g. linger drops fired during hand-off).
   return [fence = config_.write_fence, epoch = config_.leadership_epoch,
@@ -261,7 +226,7 @@ void Orchestrator::MaybeFinishHandoff() {
 }
 
 void Orchestrator::BeginHandoff(std::function<void()> drained) {
-  if (handing_off_ || shut_down_) {
+  if (handing_off_) {
     if (drained) {
       drained();
     }
@@ -288,7 +253,7 @@ void Orchestrator::BeginHandoff(std::function<void()> drained) {
 }
 
 void Orchestrator::LogOpStart(Op& op) {
-  if (!config_.op_log_append || !MayWrite()) {
+  if (!MayWrite()) {
     return;  // a stale leader must not pollute the successor's log
   }
   PlacementOpRecord record;
@@ -302,7 +267,7 @@ void Orchestrator::LogOpStart(Op& op) {
 }
 
 void Orchestrator::LogOpComplete(const Op& op) {
-  if (op.log_seq == 0 || !config_.op_log_complete || !MayWrite()) {
+  if (op.log_seq == 0 || !MayWrite()) {
     return;  // leave the entry for the successor's reconciliation pass
   }
   config_.op_log_complete(op.log_seq);
@@ -312,9 +277,12 @@ void Orchestrator::StartReconciled(const std::vector<PlacementOpRecord>& tail) {
   SM_CHECK(!started_);
   started_ = true;
   InitShards();
+  // Ranges must load before assignments: committed splits may have grown the shard table past
+  // the spec count, and their children's assignments only load into existing runtimes.
   LoadRangesFromCoord();
   LoadAssignmentsFromCoord();
   CleanupInactiveShards();
+  // Resume the map version sequence monotonically from the persisted value.
   Result<std::string> version = coord_->Get("/sm/" + spec_.name + "/map_version");
   if (version.ok()) {
     map_version_ = std::stoll(version.value());
@@ -1629,7 +1597,7 @@ ShardId Orchestrator::AllocateShardId() {
 }
 
 int64_t Orchestrator::LogStructuralOp(OpKind kind, ShardId shard, int replica, uint64_t aux) {
-  if (!config_.op_log_append || !MayWrite()) {
+  if (!MayWrite()) {
     return 0;
   }
   PlacementOpRecord record;
@@ -1642,7 +1610,7 @@ int64_t Orchestrator::LogStructuralOp(OpKind kind, ShardId shard, int replica, u
 }
 
 Status Orchestrator::SplitShard(ShardId shard, uint64_t split_key) {
-  if (!started_ || fenced_ || handing_off_ || shut_down_) {
+  if (!started_ || fenced_) {
     return FailedPreconditionError("orchestrator not serving");
   }
   if (!shard.valid() || shard.value >= static_cast<int32_t>(shards_.size())) {
@@ -1748,14 +1716,14 @@ void Orchestrator::CommitSplit(ShardId parent) {
                        obs::Arg("child", static_cast<int64_t>(child.value)));
   PersistRanges();
   MarkMapDirty(/*urgent=*/true);
-  if (parent_rt.split_log_seq != 0 && config_.op_log_complete && MayWrite()) {
+  if (parent_rt.split_log_seq != 0 && MayWrite()) {
     config_.op_log_complete(parent_rt.split_log_seq);
   }
   parent_rt.split_log_seq = 0;
 }
 
 Status Orchestrator::MergeShards(ShardId left, ShardId right) {
-  if (!started_ || fenced_ || handing_off_ || shut_down_) {
+  if (!started_ || fenced_) {
     return FailedPreconditionError("orchestrator not serving");
   }
   if (!left.valid() || left.value >= static_cast<int32_t>(shards_.size()) || !right.valid() ||
@@ -1829,7 +1797,7 @@ void Orchestrator::RetireShard(ShardId shard) {
   ShardRuntime& rt = shards_[static_cast<size_t>(shard.value)];
   SM_CHECK(!rt.active);
   SM_CHECK(rt.replicas.empty());
-  if (rt.merge_log_seq != 0 && config_.op_log_complete && MayWrite()) {
+  if (rt.merge_log_seq != 0 && MayWrite()) {
     config_.op_log_complete(rt.merge_log_seq);
   }
   rt.merge_log_seq = 0;

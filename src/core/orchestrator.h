@@ -91,15 +91,17 @@ struct OrchestratorConfig {
   double retry_jitter = 0.2;
   uint64_t retry_seed = 0x5eedbacc0ff;
   // -- Replicated control plane (DESIGN.md §11) -------------------------------------------------
-  // Leadership epoch this orchestrator instance writes under. Meaningful only with write_fence.
+  // The hosting ControlPlaneReplicaSet sets these per leadership term; the constructor
+  // SM_CHECKs that all three hooks are present.
+  // Leadership epoch this orchestrator instance writes under.
   int64_t leadership_epoch = 0;
   // Store-side fence: returns true while `leadership_epoch` is still the current leader epoch.
   // Evaluated before every coordination-store write and shard-map publish, and again at
   // delivery time inside every mutating control RPC; the first failure permanently fences this
-  // instance. Null (the default) means standalone mode: no fencing, current behavior.
+  // instance.
   std::function<bool(int64_t)> write_fence;
   // Replicated op-log hooks: append when an operation starts executing (returns its sequence
-  // number), complete when it finishes. Null means the op log is disabled.
+  // number), complete when it finishes.
   std::function<int64_t(const PlacementOpRecord&)> op_log_append;
   std::function<void(int64_t)> op_log_complete;
 };
@@ -126,44 +128,37 @@ class Orchestrator {
                ServerRegistry* registry, SmAllocator* allocator, AppSpec spec,
                RegionId home_region, OrchestratorConfig config);
 
-  // Places all shards onto the currently registered servers and starts the periodic timers.
+  // The first leadership term's start path: places all shards onto the currently registered
+  // servers and starts the periodic timers.
   void Start();
 
-  // Control-plane fault tolerance (§6.2): builds this orchestrator's state from the shard
-  // assignments a previous incarnation persisted in the coordination store, reconciles with
-  // server liveness, and resumes. Shards whose servers are gone are re-placed; the shard-map
-  // version continues monotonically from the persisted value.
-  void StartRecovered();
-
-  // Cancels every timer and deregisters watches so a replacement orchestrator can take over
-  // (the failover path of §6.2). Precondition: quiescent — no queued or in-flight operations,
-  // and at least drop_grace since the last completed migration.
-  void Shutdown();
-
   // -- Replicated control plane (DESIGN.md §11) -------------------------------------------------
-  // Leader-to-follower hand-off without the quiescence precondition: permanently fences this
-  // instance, cancels timers/watches/retries, executes pending linger drops (fence-guarded),
-  // discards queued-but-unstarted operations, and abandons in-flight operations as their
-  // callbacks arrive. `drained` fires once nothing is in flight. Idempotent.
+  // Leader-to-follower hand-off (and teardown) without a quiescence precondition: permanently
+  // fences this instance, cancels timers/watches/retries, executes pending linger drops
+  // (fence-guarded), discards queued-but-unstarted operations, and abandons in-flight
+  // operations as their callbacks arrive. `drained` fires once nothing is in flight. Idempotent.
   void BeginHandoff(std::function<void()> drained);
 
-  // A freshly elected leader's start path: rebuild from persisted assignments like
-  // StartRecovered, then reconcile the previous leader's in-flight operations from the op-log
-  // `tail` — dropping stray replica copies the dead leader may have created, re-asserting
-  // primaries mid-migration, and finishing interrupted promotions — before resuming placement.
+  // Every later leadership term's start path (control-plane fault tolerance, §6.2): builds
+  // state from the shard assignments a previous term persisted in the coordination store,
+  // reconciles with server liveness, then reconciles the previous leader's in-flight operations
+  // from the op-log `tail` — dropping stray replica copies the dead leader may have created,
+  // re-asserting primaries mid-migration, and finishing interrupted promotions — before
+  // resuming placement. Shards whose servers are gone are re-placed; the shard-map version
+  // continues monotonically from the persisted value.
   void StartReconciled(const std::vector<PlacementOpRecord>& tail);
 
   bool fenced() const { return fenced_; }
   int64_t leadership_epoch() const { return config_.leadership_epoch; }
   int64_t abandoned_ops() const { return abandoned_ops_; }
   int64_t reconciled_ops() const { return reconciled_ops_; }
-  // True while this instance's writes would pass the fence (standalone instances always pass
-  // until shutdown). Const: probes the fence without tripping the permanent fenced_ latch.
+  // True while this instance's writes would pass the fence. Const: probes the fence without
+  // tripping the permanent fenced_ latch.
   bool PassesWriteFence() const;
 
   const AppSpec& spec() const { return spec_; }
 
-  // -- Lifecycle events (wired from the cluster managers by MiniSm) ---------------------------
+  // -- Lifecycle events (routed from the cluster managers by ControlPlaneReplicaSet) -----------
   void OnServerUp(ServerId server);
   void OnServerDown(ServerId server, bool planned);
   void OnServerStopped(ServerId server);
@@ -315,9 +310,9 @@ class Orchestrator {
   // retrying, persisting, or publishing. Called at the top of completion callbacks.
   void AbandonOp(const Op& op);
   void MaybeFinishHandoff();
-  // Shared teardown between Shutdown and BeginHandoff: timers, watches, retries, linger drops.
+  // BeginHandoff's teardown: timers, watches, retries, linger drops.
   void CancelTimersAndDeferred();
-  // Appends `op` to the replicated op log (no-op without hooks / once fenced). Called by the
+  // Appends `op` to the replicated op log (no-op once fenced). Called by the
   // Execute* paths once the op's target server is resolved, so the record names real endpoints.
   void LogOpStart(Op& op);
   void LogOpComplete(const Op& op);
@@ -399,8 +394,8 @@ class Orchestrator {
   std::unordered_set<int32_t> busy_shards_;
   int in_flight_ops_ = 0;
 
-  // Deferred work that captures `this` and therefore must be cancelled on Shutdown so a
-  // replacement orchestrator can take over without dangling callbacks: op retries waiting out
+  // Deferred work that captures `this` and therefore must be cancelled on hand-off so a
+  // successor orchestrator can take over without dangling callbacks: op retries waiting out
   // their backoff, and the §4.3 step-5 delayed drops of lingering old primaries.
   struct PendingLingerDrop {
     EventId timer;
@@ -417,7 +412,6 @@ class Orchestrator {
   EventId publish_timer_;
   EventId emergency_timer_;
   int64_t liveness_watch_ = 0;
-  bool shut_down_ = false;
   bool fenced_ = false;       // permanently latched once the write fence rejects us
   bool handing_off_ = false;  // BeginHandoff in progress or finished
   std::function<void()> handoff_done_;

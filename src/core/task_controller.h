@@ -47,7 +47,7 @@ class SmTaskController : public TaskControlHandler {
   int64_t deferrals() const { return deferrals_; }
 
   // Registers an additional cluster manager so the global cap can count every region's
-  // containers (MiniSm wires this).
+  // containers (ControlPlaneReplicaSet wires every cluster manager in each leadership term).
   void TrackClusterManager(ClusterManager* cm) { cluster_managers_.push_back(cm); }
 
  private:

@@ -1,7 +1,7 @@
 #include "src/smr/op_log.h"
 
+#include <charconv>
 #include <cstdio>
-#include <sstream>
 
 #include "src/common/check.h"
 
@@ -12,20 +12,34 @@ PlacementOpLog::PlacementOpLog(CoordStore* coord, std::string app_name)
       prefix_("/sm/" + app_name + "/smr/oplog/"),
       next_path_("/sm/" + app_name + "/smr/oplog_next") {
   SM_CHECK(coord != nullptr);
+  // A successor's log continues the persisted sequence: numbers are never reused.
+  Result<std::string> next = coord_->Get(next_path_);
+  next_seq_ = next.ok() ? std::stoll(next.value()) : 1;
 }
 
+// The leader appends and completes one entry per placement operation (3,000 during a
+// 3,000-shard initial placement), so paths and payloads are formatted with std::to_chars.
 std::string PlacementOpLog::EntryPath(int64_t seq) const {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%012lld", static_cast<long long>(seq));
-  return prefix_ + buf;
+  char digits[20];
+  const size_t len = static_cast<size_t>(std::to_chars(digits, digits + sizeof(digits), seq).ptr -
+                                         digits);
+  std::string path = prefix_;
+  path.append(len < 12 ? 12 - len : 0, '0');  // zero-padded: List() order is append order
+  path.append(digits, len);
+  return path;
 }
 
 std::string PlacementOpLog::Serialize(const PlacementOpRecord& record) {
-  std::ostringstream os;
-  os << record.epoch << ":" << record.kind << ":" << record.shard.value << ":"
-     << record.replica << ":" << record.from.value << ":" << record.to.value << ":"
-     << record.aux;
-  return os.str();
+  const int64_t fields[] = {record.epoch,   record.kind,       record.shard.value,
+                            record.replica, record.from.value, record.to.value};
+  char buf[160];  // 6 x 20 digits + 20 for aux + 6 separators
+  char* out = buf;
+  for (int64_t field : fields) {
+    out = std::to_chars(out, buf + sizeof(buf) - 1, field).ptr;  // leaves room for the ':'
+    *out++ = ':';
+  }
+  out = std::to_chars(out, buf + sizeof(buf), record.aux).ptr;
+  return std::string(buf, out);
 }
 
 bool PlacementOpLog::Parse(const std::string& data, PlacementOpRecord* record) {
@@ -54,15 +68,11 @@ bool PlacementOpLog::Parse(const std::string& data, PlacementOpRecord* record) {
 }
 
 int64_t PlacementOpLog::Append(const PlacementOpRecord& record) {
-  int64_t seq = 1;
-  Result<std::string> next = coord_->Get(next_path_);
-  if (next.ok()) {
-    seq = std::stoll(next.value());
-  }
+  const int64_t seq = next_seq_++;
   PlacementOpRecord entry = record;
   entry.seq = seq;
   SM_CHECK_OK(coord_->Set(EntryPath(seq), Serialize(entry)));
-  SM_CHECK_OK(coord_->Set(next_path_, std::to_string(seq + 1)));
+  SM_CHECK_OK(coord_->Set(next_path_, std::to_string(next_seq_)));
   ++appended_;
   return seq;
 }

@@ -55,6 +55,7 @@ class PlacementOpLog {
   CoordStore* coord_;
   std::string prefix_;     // /sm/<app>/smr/oplog/
   std::string next_path_;  // /sm/<app>/smr/oplog_next
+  int64_t next_seq_ = 1;  // mirrors next_path_, read once at construction
   int64_t appended_ = 0;
   int64_t completed_ = 0;
 };

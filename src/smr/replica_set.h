@@ -1,18 +1,21 @@
-// ControlPlaneReplicaSet: the replicated, reconfigurable orchestrator control plane
-// (DESIGN.md §11).
+// ControlPlaneReplicaSet: the one control-plane host of a mini-SM (§6.1/§6.2, DESIGN.md §11).
 //
-// A mini-SM's orchestrator becomes a small replicated state machine: N control-plane replicas,
+// A mini-SM's orchestrator runs as a small replicated state machine: N >= 1 control-plane replicas,
 // each holding a LeaderLease over the coordination store, with exactly one — the lease holder —
 // running a live Orchestrator instance. Every externally visible write of that instance
-// (coordination-store mutations, shard-map publishes, and mutating control RPCs at delivery
-// time) is fenced by the leadership epoch, so a deposed leader can never corrupt state no
-// matter how stale its view is. Placement decisions stream through the replicated
-// PlacementOpLog; a follower that wins the lease reconciles from the log tail plus the
-// persisted assignments and resumes placement mid-operation — no quiescence required.
+// (coordination-store mutations, shard-map publishes, and mutating control RPCs at delivery time)
+// is fenced by the leadership epoch, so a deposed leader can never corrupt state no matter how
+// stale its view is. Placement decisions stream through the replicated PlacementOpLog; a follower
+// that wins the lease reconciles from the log tail plus the persisted assignments and resumes
+// placement mid-operation — no quiescence required.
 //
 // Replica sites are chosen by quorum-latency ranking (see quorum_placement.h) unless pinned
 // explicitly, and the set reconfigures online: replicas can be added, removed, or relocated
 // while placement continues; removing the leader simply forces the next election.
+//
+// N = 1 is the default deployment: one replica in region 0 holding the lease. A crash-restart
+// of that replica is a leader kill followed by its own re-election one rejoin delay later,
+// through the same StartReconciled path a multi-replica failover takes.
 
 #ifndef SRC_SMR_REPLICA_SET_H_
 #define SRC_SMR_REPLICA_SET_H_
@@ -24,7 +27,6 @@
 #include "src/allocator/allocator.h"
 #include "src/cluster/cluster_manager.h"
 #include "src/coord/coord_store.h"
-#include "src/core/mini_sm.h"
 #include "src/core/orchestrator.h"
 #include "src/core/task_controller.h"
 #include "src/discovery/service_discovery.h"
@@ -35,10 +37,21 @@
 
 namespace shardman {
 
+// What every leadership term's orchestrator and TaskController are built from.
+struct MiniSmConfig {
+  OrchestratorConfig orchestrator;
+  AllocatorOptions allocator;
+  // The Fig. 17 "no TaskController" ablation disables this: container operations then execute
+  // without negotiation, bounded only by the cluster manager's own parallelism limit.
+  bool register_task_controller = true;
+};
+
 struct SmrConfig {
   // Number of control-plane replicas when `replica_regions` is empty; sites are then the
   // top-ranked quorum placement over the network's latency model (clamped to the region count).
-  int num_replicas = 3;
+  // With the symmetric latency model a single replica lands in region 0 (the ranking's
+  // tie-break), the region that hosts the probe clients and is kept out of chaos partitions.
+  int num_replicas = 1;
   // Explicit replica sites; overrides num_replicas when non-empty.
   std::vector<RegionId> replica_regions;
   LeaderLeaseConfig lease;

@@ -194,8 +194,8 @@ void Testbed::Start() {
     for (ContainerId container : containers.value()) {
       CreateServer(*cm, container);
     }
-    // Application-side lifecycle glue must run before the mini-SM's listener: on restart, the
-    // server reloads its shards from the coordination store before SM flips availability.
+    // Application-side lifecycle glue must run before the control plane's listener: on restart,
+    // the server reloads its shards from the coordination store before SM flips availability.
     ContainerLifecycleListener glue;
     glue.on_down = [this](ContainerId container, bool planned) {
       auto it = server_slots_.find(container.value);
@@ -227,29 +227,21 @@ void Testbed::Start() {
   for (auto& cm : cluster_managers_) {
     cms.push_back(cm.get());
   }
-  if (config_.smr_control_plane) {
-    replica_set_ = std::make_unique<ControlPlaneReplicaSet>(
-        &sim_, network_.get(), coord_.get(), discovery_.get(), &registry_, std::move(cms),
-        config_.app, config_.mini_sm, config_.smr);
-    replica_set_->Start();
-  } else {
-    mini_sm_ = std::make_unique<MiniSm>(&sim_, network_.get(), coord_.get(), discovery_.get(),
-                                        &registry_, std::move(cms), config_.app, RegionId(0),
-                                        config_.mini_sm);
-    mini_sm_->Start();
-  }
-}
-
-MiniSm& Testbed::mini_sm() {
-  SM_CHECK(mini_sm_ != nullptr);
-  return *mini_sm_;
+  replica_set_ = std::make_unique<ControlPlaneReplicaSet>(
+      &sim_, network_.get(), coord_.get(), discovery_.get(), &registry_, std::move(cms),
+      config_.app, config_.mini_sm, config_.smr);
+  replica_set_->Start();
 }
 
 Orchestrator& Testbed::orchestrator() {
-  if (replica_set_ != nullptr) {
-    return replica_set_->orchestrator();
-  }
-  return mini_sm().orchestrator();
+  SM_CHECK(replica_set_ != nullptr);
+  return replica_set_->orchestrator();
+}
+
+bool Testbed::AllReady() {
+  // During a leaderless gap orchestrator() is the deposed, fenced instance: its view can read
+  // all-ready while nobody is placing shards.
+  return orchestrator().AllReady() && replica_set_->has_leader();
 }
 
 bool Testbed::RunUntilAllReady(TimeMicros timeout) {
@@ -257,12 +249,12 @@ bool Testbed::RunUntilAllReady(TimeMicros timeout) {
   // sim_shards > 1; with one shard this is exactly the historical sim_.RunFor loop.
   TimeMicros deadline = sharded_sim_.Now() + timeout;
   while (sharded_sim_.Now() < deadline) {
-    if (orchestrator().AllReady()) {
+    if (AllReady()) {
       return true;
     }
     sharded_sim_.RunFor(Millis(100));
   }
-  return orchestrator().AllReady();
+  return AllReady();
 }
 
 ShardHostBase* Testbed::app_server(ServerId id) {

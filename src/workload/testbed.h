@@ -1,7 +1,8 @@
 // Testbed: assembles the full simulated stack for one application deployment —
 // topology -> regional cluster managers -> application servers (with SM library glue) ->
-// coordination store / discovery -> mini-SM — plus client-side probe drivers that measure
-// request success rate and latency through the real routing path.
+// coordination store / discovery -> mini-SM (a ControlPlaneReplicaSet, one replica by
+// default) — plus client-side probe drivers that measure request success rate and latency
+// through the real routing path.
 //
 // Every integration test, example and experiment builds on this.
 
@@ -24,7 +25,6 @@
 #include "src/cluster/cluster_manager.h"
 #include "src/common/clock.h"
 #include "src/coord/coord_store.h"
-#include "src/core/mini_sm.h"
 #include "src/core/sm_library.h"
 #include "src/obs/request_accounting.h"
 #include "src/routing/gray_health.h"
@@ -61,10 +61,9 @@ struct TestbedConfig {
 
   MiniSmConfig mini_sm;
 
-  // Replicated control plane (DESIGN.md §11): run the orchestrator as a ControlPlaneReplicaSet
-  // (leased leader election + fenced writes + op-log reconciliation) instead of a single
-  // MiniSm. `smr` configures replica count/sites and lease behavior.
-  bool smr_control_plane = false;
+  // The control plane always runs as a ControlPlaneReplicaSet (DESIGN.md §11): leased leader
+  // election, fenced writes and op-log reconciliation. `smr` sets the replica count and sites
+  // (one replica in region 0 by default) and the lease behaviour.
   SmrConfig smr;
 
   TimeMicros local_latency = Millis(1);
@@ -124,11 +123,12 @@ class Testbed {
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
-  // Creates the jobs and servers and starts the mini-SM (initial placement begins).
+  // Creates the jobs and servers and starts the control plane (initial placement begins).
   void Start();
 
-  // Runs the simulator until every replica is ready, or `timeout` elapses.
-  // Returns true on full readiness.
+  // True when a control-plane leader is elected and its orchestrator has every replica ready.
+  bool AllReady();
+  // Runs the simulator until AllReady(), or `timeout` elapses. Returns true on full readiness.
   bool RunUntilAllReady(TimeMicros timeout);
 
   // -- Component access ---------------------------------------------------------------------
@@ -143,11 +143,9 @@ class Testbed {
   ServiceDiscovery& discovery() { return *discovery_; }
   ServerRegistry& registry() { return registry_; }
   ClusterManager& cluster_manager(RegionId region);
-  // Only valid in single-instance mode (smr_control_plane == false).
-  MiniSm& mini_sm();
-  // Null unless the testbed runs the replicated control plane.
+  // The control plane; null before Start().
   ControlPlaneReplicaSet* replica_set() { return replica_set_.get(); }
-  // The control plane's (current) orchestrator, whichever mode is active.
+  // The current leader's orchestrator (during a leaderless gap, the deposed and fenced one).
   Orchestrator& orchestrator();
   const AppSpec& spec() const { return config_.app; }
   const TestbedConfig& config() const { return config_; }
@@ -213,7 +211,6 @@ class Testbed {
   std::unique_ptr<ServiceDiscovery> discovery_;
   ServerRegistry registry_;
   std::vector<std::unique_ptr<ClusterManager>> cluster_managers_;
-  std::unique_ptr<MiniSm> mini_sm_;
   std::unique_ptr<ControlPlaneReplicaSet> replica_set_;
   std::unordered_map<int32_t, ServerSlot> server_slots_;
   ReplicaPeerDirectory peer_directory_;

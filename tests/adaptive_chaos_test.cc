@@ -44,7 +44,6 @@ TestbedConfig AdaptiveBedConfig(uint64_t seed, bool smr) {
   config.delta_dissemination = true;
   config.mini_sm.orchestrator.failover_grace = Seconds(8);
   if (smr) {
-    config.smr_control_plane = true;
     config.smr.num_replicas = 3;
   }
   config.seed = seed;

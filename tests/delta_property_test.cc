@@ -12,8 +12,10 @@
 //      injected gaps. The chaos engine's map-delivery-loss fault composes with real churn.
 //   4. Router equivalence: incremental cache patching yields identical PickTarget decisions
 //      to full rebuilds across failover publishes (cache_rebuilds flat, cache_patches rising).
-//   5. Regression: MiniSm::SimulateControlPlaneFailover refuses (SM_CHECK) to run with
-//      orchestrator ops in flight instead of silently corrupting state.
+//   5. Leader kill mid-operation: killing the single control-plane replica while a drain has
+//      placement operations in flight converges again — the re-elected term reconciles exactly
+//      the logged tail, at most one orchestrator passes the write fence, and the delta
+//      follower stays byte-identical to the snapshot subscriber across the kill.
 
 #include <gtest/gtest.h>
 
@@ -528,33 +530,55 @@ TEST(RouterEquivalence, PatchedCacheMatchesFullRebuildAcrossFailover) {
   EXPECT_EQ(delta.cache_rebuilds + delta.cache_patches, snapshot.cache_rebuilds);
 }
 
-// -- 5. Control-plane failover quiescence ------------------------------------------------------
+// -- 5. Leader kill with operations in flight -----------------------------------------------------
 
-TEST(MiniSmFailoverDeathTest, RefusesFailoverWithOpsInFlight) {
-  TestbedConfig config;
-  config.regions = {"r0"};
-  config.servers_per_region = 4;
-  config.app = MakeUniformAppSpec(AppId(1), "failover-check", 8,
-                                  ReplicationStrategy::kPrimarySecondary, 2);
-  config.app.placement.metrics = MetricSet({"cpu"});
-  config.seed = 717;
-  Testbed bed(config);
+TEST(LeaderKillProperty, SingleReplicaKillMidDrainReconcilesTailAndKeepsDeltasExact) {
+  Testbed bed(PropertyBedConfig(717, 1));
   bed.Start();
-  ASSERT_TRUE(bed.RunUntilAllReady(Minutes(3)));
-  ASSERT_EQ(bed.orchestrator().pending_ops(), 0);
+  ASSERT_TRUE(bed.RunUntilAllReady(Minutes(5)));
+  ControlPlaneReplicaSet* set = bed.replica_set();
+  ASSERT_EQ(set->num_replicas(), 1);
 
-  // A quiescent failover is legal (the documented precondition holds)...
-  bed.mini_sm().SimulateControlPlaneFailover();
-  ASSERT_TRUE(bed.RunUntilAllReady(Minutes(3)));
+  DeltaFollower follower;
+  std::map<int64_t, std::string> snapshot_history;
+  bed.discovery().SubscribeDelta(AppId(1), follower.SnapshotCb(), follower.DeltaCb());
+  bed.discovery().Subscribe(AppId(1), [&](const std::shared_ptr<const ShardMap>& map) {
+    snapshot_history[map->version] = SerializeShardMap(*map);
+  });
 
-  // ...but with operations queued/in flight it must die loudly instead of destroying the
-  // orchestrator that owns their completion callbacks.
-  EXPECT_DEATH(
-      {
-        bed.orchestrator().DrainServer(bed.servers().front(), true, true, []() {});
-        bed.mini_sm().SimulateControlPlaneFailover();
-      },
-      "SM_CHECK");
+  // Start a drain and step until its operations are logged as in flight.
+  bed.orchestrator().DrainServer(bed.servers().front(), true, true, []() {});
+  const TimeMicros deadline = bed.sim().Now() + Seconds(10);
+  while (bed.sim().Now() < deadline && set->op_log().IncompleteTail().empty()) {
+    bed.sim().RunFor(Millis(5));
+  }
+  const size_t tail = set->op_log().IncompleteTail().size();
+  ASSERT_GT(tail, 0u) << "the drain never put an operation in flight";
+  const int64_t version_at_kill = bed.discovery().Current(AppId(1))->version;
+
+  set->KillLeader();
+  ASSERT_TRUE(bed.RunUntilAllReady(Minutes(5)));
+  EXPECT_EQ(set->leadership_epoch(), 2);
+  EXPECT_EQ(set->failovers(), 1);
+  EXPECT_EQ(bed.orchestrator().reconciled_ops(), static_cast<int64_t>(tail));
+  EXPECT_LE(set->UnfencedWriters(), 1);
+  bed.sim().RunFor(Minutes(2));  // the drain finishes and the last publish propagates
+  EXPECT_LE(set->UnfencedWriters(), 1);
+
+  // Byte-identity at every version both subscribers delivered, on both sides of the kill.
+  EXPECT_GT(follower.deltas, 0);
+  int compared_after_kill = 0;
+  for (const auto& [version, bytes] : follower.history) {
+    auto it = snapshot_history.find(version);
+    if (it != snapshot_history.end()) {
+      EXPECT_EQ(bytes, it->second) << "divergence at version " << version;
+      compared_after_kill += version > version_at_kill ? 1 : 0;
+    }
+  }
+  EXPECT_GT(compared_after_kill, 0);
+  const ShardMap* current = bed.discovery().Current(AppId(1));
+  ASSERT_NE(current, nullptr);
+  EXPECT_EQ(SerializeShardMap(follower.own), SerializeShardMap(*current));
 }
 
 }  // namespace

@@ -8,9 +8,9 @@
 #include <memory>
 
 #include "src/apps/kv_store_app.h"
-#include "src/core/mini_sm.h"
 #include "src/core/sm_library.h"
 #include "src/routing/service_router.h"
+#include "src/smr/replica_set.h"
 #include "src/workload/testbed.h"
 
 namespace shardman {
@@ -61,10 +61,9 @@ struct TwoAppFixture {
       };
       cm->AddLifecycleListener(specs[a].id, std::move(glue));
 
-      MiniSmConfig config;
-      mini_sms[a] = std::make_unique<MiniSm>(&sim, network.get(), coord.get(), discovery.get(),
-                                             &registry, std::vector<ClusterManager*>{cm.get()},
-                                             specs[a], RegionId(0), config);
+      mini_sms[a] = std::make_unique<ControlPlaneReplicaSet>(
+          &sim, network.get(), coord.get(), discovery.get(), &registry,
+          std::vector<ClusterManager*>{cm.get()}, specs[a], MiniSmConfig{}, SmrConfig{});
       mini_sms[a]->Start();
     }
   }
@@ -116,7 +115,7 @@ struct TwoAppFixture {
   std::unique_ptr<ClusterManager> cm;
   ServerRegistry registry;
   AppSpec specs[2];
-  std::unique_ptr<MiniSm> mini_sms[2];
+  std::unique_ptr<ControlPlaneReplicaSet> mini_sms[2];
   std::unordered_map<int32_t, Slot> slots;
 };
 

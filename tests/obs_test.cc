@@ -431,8 +431,8 @@ TEST(LifecycleTrace, AllLifecycleStagesAreRecorded) {
 }
 
 // A fig17-style rolling upgrade at small scale: this exercises the TaskController (container
-// restarts are what get negotiated) and — unlike the chaos run, whose control-plane-failover
-// fault replaces the orchestrator instance mid-run — keeps one orchestrator alive end to end,
+// restarts are what get negotiated) and — unlike the chaos run, whose leader-loss fault
+// replaces the orchestrator instance mid-run — keeps one orchestrator alive end to end,
 // so its accessors and the global registry must agree exactly.
 ObsRunResult RunInstrumentedUpgrade(uint64_t seed) {
   obs::DefaultMetrics().ResetValues();
@@ -607,7 +607,6 @@ TEST(CounterAudit, SmrControlPlaneCountersAreExercised) {
   obs::DefaultMetrics().ResetValues();
   {
     TestbedConfig config = ObsBedConfig(9011);
-    config.smr_control_plane = true;
     config.smr.num_replicas = 3;
     Testbed bed(config);
     bed.Start();

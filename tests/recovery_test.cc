@@ -35,7 +35,7 @@ TEST(ControlPlaneRecoveryTest, FailoverPreservesAssignmentsAndVersions) {
   }
   int64_t version_before = bed.orchestrator().published_versions();
 
-  bed.mini_sm().SimulateControlPlaneFailover();
+  bed.replica_set()->KillLeader();
   bed.sim().RunFor(Seconds(5));
 
   // The replacement recovered the same assignment — zero shard moves from the failover.
@@ -56,13 +56,13 @@ TEST(ControlPlaneRecoveryTest, FailoverRePlacesShardsOfDeadServers) {
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(2)));
   bed.sim().RunFor(Seconds(10));
 
-  // A server dies while the control plane is "down": fail it, then immediately fail over the
-  // control plane (before the old orchestrator's grace timer would have acted).
+  // A server dies while the control plane is "down": fail it, then immediately kill the leader
+  // (before the old orchestrator's grace timer would have acted).
   ServerId victim = bed.servers().front();
   auto victim_shards = bed.orchestrator().ReplicasOn(victim);
   ASSERT_FALSE(victim_shards.empty());
   bed.cluster_manager(RegionId(0)).FailContainer(ContainerId(victim.value), /*downtime=*/-1);
-  bed.mini_sm().SimulateControlPlaneFailover();
+  bed.replica_set()->KillLeader();
 
   // The recovered orchestrator re-places the dead server's shards.
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(3)));
@@ -73,6 +73,36 @@ TEST(ControlPlaneRecoveryTest, FailoverRePlacesShardsOfDeadServers) {
   }
 }
 
+TEST(ControlPlaneRecoveryTest, DefaultBedRunsOneReplicaInRegionZero) {
+  // No SmrConfig is set: the control plane is a one-replica set, sited in region 0 (the quorum
+  // ranking's tie-break under the symmetric latency model) and elected once.
+  Testbed bed(BaseConfig(12, /*regions=*/3, /*servers=*/4));
+  bed.Start();
+  ControlPlaneReplicaSet* set = bed.replica_set();
+  ASSERT_NE(set, nullptr);
+  EXPECT_EQ(set->num_replicas(), 1);
+  EXPECT_EQ(set->replica_region(0), RegionId(0));
+  EXPECT_TRUE(set->has_leader());
+  EXPECT_EQ(set->leadership_epoch(), 1);
+  EXPECT_EQ(set->failovers(), 0);
+}
+
+TEST(ControlPlaneRecoveryTest, RunUntilAllReadyWaitsOutTheLeaderlessGap) {
+  Testbed bed(BaseConfig());
+  bed.Start();
+  ASSERT_TRUE(bed.RunUntilAllReady(Minutes(2)));
+
+  // The lone replica loses its lease and may race again only after the rejoin delay, so 20 ms
+  // later nobody leads while the deposed orchestrator still reads all-ready.
+  bed.replica_set()->KillLeader();
+  bed.sim().RunFor(Millis(20));
+  ASSERT_FALSE(bed.replica_set()->has_leader());
+
+  ASSERT_TRUE(bed.RunUntilAllReady(Minutes(1)));
+  EXPECT_TRUE(bed.replica_set()->has_leader());
+  EXPECT_EQ(bed.replica_set()->leadership_epoch(), 2);
+}
+
 TEST(ControlPlaneRecoveryTest, RequestsFlowWhileControlPlaneIsDown) {
   // §6.2: "Even if all SM control-plane components are down, application clients can continue
   // to send requests to application servers."  Model: stop feeding the orchestrator (no
@@ -81,7 +111,7 @@ TEST(ControlPlaneRecoveryTest, RequestsFlowWhileControlPlaneIsDown) {
   bed.Start();
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(2)));
   bed.sim().RunFor(Seconds(10));
-  bed.orchestrator().Shutdown();  // control plane gone; servers and maps remain
+  bed.replica_set()->Stop();  // control plane gone; servers and maps remain
 
   auto router = bed.CreateRouter(RegionId(0));
   bed.sim().RunFor(Seconds(2));

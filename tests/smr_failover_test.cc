@@ -28,7 +28,6 @@ TestbedConfig SmrBedConfig(uint64_t seed, int solver_threads = 1) {
   config.mini_sm.orchestrator.periodic_alloc_interval = Seconds(20);
   config.mini_sm.orchestrator.failover_grace = Seconds(8);
   config.mini_sm.allocator.solver_threads = solver_threads;
-  config.smr_control_plane = true;
   config.smr.num_replicas = 3;
   config.seed = seed;
   return config;

@@ -44,7 +44,7 @@ TEST(TaskControllerTest, GlobalCapLimitsConcurrentRestarts) {
   bed.sim().RunFor(Minutes(20));
   EXPECT_FALSE(bed.UpgradeInProgress());
   EXPECT_LE(max_down, 2);
-  EXPECT_GT(bed.mini_sm().task_controller()->approvals(), 0);
+  EXPECT_GT(bed.replica_set()->task_controller()->approvals(), 0);
 }
 
 TEST(TaskControllerTest, PerShardCapPreventsCrossRegionDoubleRestart) {
