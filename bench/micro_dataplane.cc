@@ -6,7 +6,8 @@
 //      hands every subscriber the same immutable map.
 //   3. Router target selection — PickTarget against the per-version routing cache, with the
 //      binary-wide allocation counter asserting the fast path stays heap-free.
-//   4. End-to-end Route through loopback servers (two simulated network hops per attempt).
+//   4. End-to-end Route through loopback servers (two simulated network hops per attempt), with
+//      the same allocation counter reporting heap allocations per routed round trip.
 //   5. Delta dissemination (DESIGN.md §10) — a 100k-shard app under steady rebalancing,
 //      published to router subscribers in snapshot mode vs delta mode. Reports disseminated
 //      entries and per-publish apply cost for both, the reduction factors, and verifies the
@@ -14,10 +15,11 @@
 //
 // Emits one flat JSON object (stdout + SM_DATAPLANE_OUT, default BENCH_dataplane.json in the
 // working directory) plus the delta comparison (SM_DELTA_OUT, default BENCH_delta.json). The
-// committed BENCH_dataplane.json pairs a frozen pre-optimization run ("before") with a current
-// run ("after"); scripts/check_bench_regression.py compares fresh CI numbers against both
-// baselines advisorily. SM_BENCH_SCALE (e.g. 0.1) shrinks iteration counts for smoke runs; the
-// throughput rates and reduction factors stay comparable, the absolute counts do not.
+// committed BENCH_dataplane.json keeps a frozen pre-optimization run ("before"), the previous
+// commit's run ("parent") and a current run ("after", with "parent" from the same host);
+// scripts/check_bench_regression.py compares fresh CI numbers against "after" advisorily.
+// SM_BENCH_SCALE (e.g. 0.1) shrinks iteration counts for smoke runs; the throughput rates and
+// reduction factors stay comparable, the absolute counts do not.
 
 #include <atomic>
 #include <chrono>
@@ -133,6 +135,7 @@ struct BenchResult {
   double allocs_per_pick = 0.0;
   double route_end_to_end_per_sec = 0.0;
   long long route_ok = 0;
+  double allocs_per_route = 0.0;
 };
 
 // 1. Event-loop throughput: 64 interleaved chains of tiny callbacks, each firing re-schedules.
@@ -238,6 +241,7 @@ void BenchRouting(double scale, BenchResult* out) {
   long long ok = 0;
   long long issued = 0;
   double t1 = NowSeconds();
+  const long long route_allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
   std::function<void()> pump = [&]() {
     for (int b = 0; b < 200 && issued < kRoutes; ++b, ++issued) {
       router.Route(static_cast<uint64_t>(issued) * 2654435761ULL, RequestType::kRead,
@@ -250,6 +254,9 @@ void BenchRouting(double scale, BenchResult* out) {
   pump();
   sim.RunAll();
   double dt1 = NowSeconds() - t1;
+  out->allocs_per_route =
+      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) - route_allocs_before) /
+      static_cast<double>(kRoutes);
   out->route_ok = ok;
   out->route_end_to_end_per_sec = static_cast<double>(kRoutes) / dt1;
 }
@@ -403,11 +410,12 @@ void WriteJson(const BenchResult& r, double scale, std::ostream& os) {
                 "  \"routed_requests_per_sec\": %.0f,\n"
                 "  \"allocs_per_pick\": %.4f,\n"
                 "  \"route_end_to_end_per_sec\": %.0f,\n"
-                "  \"route_ok\": %lld\n"
+                "  \"route_ok\": %lld,\n"
+                "  \"allocs_per_route\": %.2f\n"
                 "}\n",
                 scale, r.events_per_sec, r.events_executed, r.publishes_per_sec, r.publishes,
                 r.routed_requests_per_sec, r.allocs_per_pick, r.route_end_to_end_per_sec,
-                r.route_ok);
+                r.route_ok, r.allocs_per_route);
   os << buffer;
 }
 

@@ -169,7 +169,7 @@ void ShardHostBase::HandleRequest(const Request& request, ReplyCallback done) {
         done(reply);
         return;
       }
-      Serve(request.shard, request, std::move(done));
+      Serve(request, std::move(done));
       return;
     }
     case LocalShardState::kForwarding: {
@@ -186,13 +186,13 @@ void ShardHostBase::HandleRequest(const Request& request, ReplyCallback done) {
         done(reply);
         return;
       }
-      Serve(request.shard, request, std::move(done));
+      Serve(request, std::move(done));
       return;
     }
   }
 }
 
-void ShardHostBase::Serve(ShardId shard_id, const Request& request, ReplyCallback done) {
+void ShardHostBase::Serve(const Request& request, ReplyCallback done) {
   TimeMicros delay = processing_delay_;
   if (service_rate_ > 0.0) {
     // Finite-capacity FIFO: this request starts when the server frees up and holds it for one
@@ -215,22 +215,36 @@ void ShardHostBase::Serve(ShardId shard_id, const Request& request, ReplyCallbac
     busy_until_ = start + service_time;
     delay = std::max(processing_delay_, busy_until_ - now);
   }
-  sim_->Schedule(delay, [this, shard_id, request, done = std::move(done)]() {
-    LocalShard* state = FindShard(shard_id);
-    if (state == nullptr) {
-      // Dropped while queued (e.g. crash): the request is lost.
-      Reply reply;
-      reply.status = UnavailableError("shard dropped mid-request");
-      reply.served_by = self_;
-      done(reply);
-      return;
-    }
-    ++state->requests_since_report;
-    ++served_;
-    Reply reply = ApplyRequest(*state, request);
+  uint32_t slot;
+  if (!free_queued_.empty()) {
+    slot = free_queued_.back();
+    free_queued_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(queued_.size());
+    queued_.emplace_back();
+  }
+  queued_[slot] = QueuedRequest{request, std::move(done)};
+  sim_->Schedule(delay, [this, slot]() { Complete(slot); });
+}
+
+void ShardHostBase::Complete(uint32_t slot) {
+  const Request request = queued_[slot].request;
+  ReplyCallback done = std::move(queued_[slot].done);
+  free_queued_.push_back(slot);
+  LocalShard* state = FindShard(request.shard);
+  if (state == nullptr) {
+    // Dropped while queued (e.g. crash): the request is lost.
+    Reply reply;
+    reply.status = UnavailableError("shard dropped mid-request");
     reply.served_by = self_;
     done(reply);
-  });
+    return;
+  }
+  ++state->requests_since_report;
+  ++served_;
+  Reply reply = ApplyRequest(*state, request);
+  reply.served_by = self_;
+  done(reply);
 }
 
 void ShardHostBase::Forward(const LocalShard& shard, const Request& request, ReplyCallback done) {

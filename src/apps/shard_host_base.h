@@ -18,6 +18,7 @@
 
 #include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/server_api.h"
@@ -126,11 +127,21 @@ class ShardHostBase : public ShardServerApi {
   int metric_dims_;
 
  private:
-  void Serve(ShardId shard_id, const Request& request, ReplyCallback done);
+  // A request accepted for service, waiting out its processing delay in queued_.
+  struct QueuedRequest {
+    Request request;
+    ReplyCallback done;
+  };
+
+  void Serve(const Request& request, ReplyCallback done);
+  void Complete(uint32_t slot);
   void Forward(const LocalShard& shard, const Request& request, ReplyCallback done);
 
   std::unordered_map<int32_t, LocalShard> shards_;
   std::unordered_map<int32_t, ResourceVector> pending_base_loads_;  // set before shard added
+  // Pooled so the completion event carries only {this, slot} inline.
+  std::vector<QueuedRequest> queued_;
+  std::vector<uint32_t> free_queued_;
   std::function<ResourceVector(ShardId)> base_load_fn_;
   TimeMicros processing_delay_ = Millis(1);
   double service_rate_ = 0.0;

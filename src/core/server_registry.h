@@ -6,6 +6,7 @@
 #define SRC_CORE_SERVER_REGISTRY_H_
 
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -30,9 +31,14 @@ struct ServerHandle {
   bool alive = true;
 };
 
+class RpcCalls;
+
 class ServerRegistry {
  public:
-  ServerRegistry() = default;
+  ServerRegistry();
+  ~ServerRegistry();
+  ServerRegistry(const ServerRegistry&) = delete;
+  ServerRegistry& operator=(const ServerRegistry&) = delete;
 
   // Registers a server; the id must be unused. The registry does not own `handle.api`.
   void Register(ServerHandle handle);
@@ -47,14 +53,27 @@ class ServerRegistry {
   std::vector<ServerId> ServersOf(AppId app) const;
   size_t size() const { return servers_.size(); }
 
+  // Caller-side records of the CallControl/CallData RPCs in flight against this registry.
+  RpcCalls& rpc_calls() { return *rpc_calls_; }
+  // Records currently held: calls awaiting a reply or timeout, plus resolved calls whose
+  // request is still on the wire (tests: a finished round trip holds none).
+  size_t RpcCallsInFlight() const;
+
  private:
   std::unordered_map<int32_t, ServerHandle> servers_;
   std::unordered_map<int32_t, ServerId> by_container_;
+  std::unique_ptr<RpcCalls> rpc_calls_;
 };
 
 // Invokes `fn` against the target server's API after one network hop, delivering the Status back
 // to the caller's region after a second hop. If the server is dead at delivery time (or dies in
 // between), `done` receives UnavailableError after `timeout` instead — modeling an RPC timeout.
+//
+// Each call keeps one pooled record on the caller's engine (network.sim()): `done`, the armed
+// timeout and a resolved flag. The first of {reply, timeout} resolves it, cancels the other
+// and runs `done` exactly once; a late or duplicated reply is a no-op. The request still
+// reaches the server after a timeout, as on a real network. Callers must run on
+// network.sim()'s engine (SM_CHECK enforced).
 void CallControl(Network& network, RegionId caller_region, ServerRegistry& registry,
                  ServerId target, std::function<Status(ShardServerApi&)> fn,
                  std::function<void(const Status&)> done, TimeMicros timeout = Seconds(1));

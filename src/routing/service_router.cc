@@ -284,7 +284,16 @@ void ServiceRouter::Route(uint64_t key, RequestType type,
 
 void ServiceRouter::Route(uint64_t key, RequestType type, uint64_t payload,
                           std::function<void(const RequestOutcome&)> done) {
-  Attempt attempt;
+  uint32_t slot;
+  if (!free_attempts_.empty()) {
+    slot = free_attempts_.back();
+    free_attempts_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(attempts_.size());
+    attempts_.emplace_back();
+  }
+  Attempt& attempt = attempts_[slot];
+  attempt = Attempt{};
   attempt.request.app = spec_->id;
   attempt.request.key = key;
   attempt.request.shard = ResolveShard(key);
@@ -294,30 +303,27 @@ void ServiceRouter::Route(uint64_t key, RequestType type, uint64_t payload,
   attempt.request.sent_at = sim_->Now();
   attempt.started_at = sim_->Now();
   attempt.done = std::move(done);
-  Send(std::move(attempt));
+  Send(slot);
 }
 
-void ServiceRouter::Send(Attempt attempt) {
+void ServiceRouter::Send(uint32_t slot) {
+  Attempt& attempt = attempts_[slot];
   ServerId target = PickTarget(attempt.request, attempt.attempt, attempt.exclude);
   if (!target.valid()) {
     Reply reply;
     reply.status = UnavailableError("no routable replica");
-    Finish(attempt, reply);
+    Finish(slot, reply);
     return;
   }
   attempt.target = target;
   attempt.sent_at = sim_->Now();
   ++requests_sent_;
-  Request request = attempt.request;
-  auto self = this;
-  CallData(*network_, client_region_, *registry_, target, request,
-           [self, attempt = std::move(attempt)](const Reply& reply) mutable {
-             self->Finish(attempt, reply);
-           },
-           config_.request_timeout);
+  CallData(*network_, client_region_, *registry_, target, attempt.request,
+           [this, slot](const Reply& reply) { Finish(slot, reply); }, config_.request_timeout);
 }
 
-void ServiceRouter::Finish(const Attempt& attempt, const Reply& reply) {
+void ServiceRouter::Finish(uint32_t slot, const Reply& reply) {
+  Attempt& attempt = attempts_[slot];
 #if SHARDMAN_OBS_ENABLED
   // Per-attempt RED accounting: the replica/link signal the gray-failure scorer consumes.
   // Timeouts carry no failure detail from the server, so classify by elapsed time — an
@@ -339,15 +345,13 @@ void ServiceRouter::Finish(const Attempt& attempt, const Reply& reply) {
   }
 #endif
   if (!reply.status.ok() && attempt.attempt < config_.max_attempts) {
-    Attempt retry = attempt;
-    ++retry.attempt;
+    ++attempt.attempt;
     // Avoid the server that just failed. A timed-out attempt carries no served_by, so fall
     // back to the server we actually sent to — otherwise the retry could re-pick it while
     // still consuming an attempt slot.
-    retry.exclude = reply.served_by.valid() ? reply.served_by : attempt.target;
+    attempt.exclude = reply.served_by.valid() ? reply.served_by : attempt.target;
     SM_COUNTER_INC("sm.router.retries");
-    sim_->Schedule(config_.retry_backoff,
-                   [this, retry = std::move(retry)]() mutable { Send(std::move(retry)); });
+    sim_->Schedule(config_.retry_backoff, [this, slot]() { Send(slot); });
     return;
   }
   RequestOutcome outcome;
@@ -367,7 +371,10 @@ void ServiceRouter::Finish(const Attempt& attempt, const Reply& reply) {
                         static_cast<int64_t>(attempt.request.shard.value), outcome.latency,
                         outcome.success);
   }
-  attempt.done(outcome);
+  // Free the slot before running `done`: it may route again and reuse it.
+  std::function<void(const RequestOutcome&)> done = std::move(attempt.done);
+  free_attempts_.push_back(slot);
+  done(outcome);
 }
 
 }  // namespace shardman

@@ -106,6 +106,8 @@ class ServiceRouter {
   }
 
  private:
+  // One routed request across its attempts, pooled in attempts_: in-flight closures carry
+  // only {this, slot}, which std::function and SmallFunction store inline.
   struct Attempt {
     Request request;
     int attempt = 1;
@@ -165,8 +167,9 @@ class ServiceRouter {
                                       static_cast<uint32_t>(demoted_count_) &&
            demoted_[server.value] != 0;
   }
-  void Send(Attempt attempt);
-  void Finish(const Attempt& attempt, const Reply& reply);
+  // Sends the attempt in attempts_[slot]; Finish retries it in place or completes it.
+  void Send(uint32_t slot);
+  void Finish(uint32_t slot, const Reply& reply);
 
   Simulator* sim_;
   Network* network_;
@@ -205,6 +208,10 @@ class ServiceRouter {
   int64_t cache_rebuilds_ = 0;
   int64_t cache_patches_ = 0;
   int64_t cache_compactions_ = 0;
+
+  // Requests in flight (a slot is owned from Route until its outcome is delivered).
+  std::vector<Attempt> attempts_;
+  std::vector<uint32_t> free_attempts_;
 };
 
 }  // namespace shardman

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "src/obs/flight_recorder.h"
@@ -123,7 +124,17 @@ void Network::EnableShardedMode(ShardedSimulator* sharded, std::vector<int> regi
   }
 }
 
-void Network::ShardedSend(RegionId from, RegionId to, std::function<void()> deliver) {
+namespace {
+
+// A duplicated message runs one callback from two events: the copies share it.
+struct SharedDelivery {
+  std::shared_ptr<SmallFunction> deliver;
+  void operator()() const { (*deliver)(); }
+};
+
+}  // namespace
+
+int Network::ShardedSend(RegionId from, RegionId to, SmallFunction deliver) {
   Lane& lane = CurrentLane();
   const int src_shard = sharded_->current_shard();
   const bool link_known = from.valid() && from.value < model_.num_regions() && to.valid() &&
@@ -154,7 +165,7 @@ void Network::ShardedSend(RegionId from, RegionId to, std::function<void()> deli
     if (to_stats != nullptr) {
       ++to_stats->dropped_in;
     }
-    return;
+    return 0;
   }
 
   TimeMicros base = model_.Latency(from, to);
@@ -172,8 +183,9 @@ void Network::ShardedSend(RegionId from, RegionId to, std::function<void()> deli
   bool duplicate = quality != nullptr && quality->duplicate_probability > 0.0 &&
                    lane.rng.Bernoulli(quality->duplicate_probability);
   if (duplicate) {
-    std::function<void()> copy = deliver;
-    sharded_->Send(dest_shard, jittered(), std::move(copy));
+    SharedDelivery shared{std::make_shared<SmallFunction>(std::move(deliver))};
+    sharded_->Send(dest_shard, jittered(), shared);
+    deliver = std::move(shared);
     ++lane.duplicated;
     if (from_stats != nullptr) {
       ++from_stats->duplicated;
@@ -186,14 +198,14 @@ void Network::ShardedSend(RegionId from, RegionId to, std::function<void()> deli
   if (to_stats != nullptr) {
     ++to_stats->delivered_in;
   }
+  return duplicate ? 2 : 1;
 }
 
-void Network::Send(RegionId from, RegionId to, std::function<void()> deliver) {
+int Network::Send(RegionId from, RegionId to, SmallFunction deliver) {
   if (sharded_ != nullptr) {
     // Parallel-safe path: per-lane state only, and no global SM_COUNTER/SM_FLIGHT (the
     // metrics registry and flight recorder are not thread-safe).
-    ShardedSend(from, to, std::move(deliver));
-    return;
+    return ShardedSend(from, to, std::move(deliver));
   }
   ++messages_sent_;
   SM_COUNTER_INC("sm.net.sent");
@@ -220,7 +232,7 @@ void Network::Send(RegionId from, RegionId to, std::function<void()> deliver) {
     if (to_stats != nullptr) {
       ++to_stats->dropped_in;
     }
-    return;
+    return 0;
   }
 
   TimeMicros base = model_.Latency(from, to);
@@ -237,8 +249,9 @@ void Network::Send(RegionId from, RegionId to, std::function<void()> deliver) {
                    rng_.Bernoulli(quality->duplicate_probability);
   if (duplicate) {
     // Both copies race with independent jitter, like a retransmit-induced duplicate.
-    std::function<void()> copy = deliver;
-    sim_->Schedule(jittered(), std::move(copy));
+    SharedDelivery shared{std::make_shared<SmallFunction>(std::move(deliver))};
+    sim_->Schedule(jittered(), shared);
+    deliver = std::move(shared);
     ++messages_duplicated_;
     SM_COUNTER_INC("sm.net.duplicated");
     if (from_stats != nullptr) {
@@ -252,6 +265,7 @@ void Network::Send(RegionId from, RegionId to, std::function<void()> deliver) {
   if (to_stats != nullptr) {
     ++to_stats->delivered_in;
   }
+  return duplicate ? 2 : 1;
 }
 
 void Network::PartitionRegion(RegionId region) {

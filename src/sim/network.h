@@ -14,13 +14,13 @@
 #define SRC_SIM_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
+#include "src/common/small_function.h"
 #include "src/sim/sharded_simulator.h"
 #include "src/sim/simulator.h"
 
@@ -99,10 +99,12 @@ class Network {
                                           const std::vector<int>& region_to_shard,
                                           double jitter_fraction);
 
-  // Schedules `deliver` after the (jittered) one-way latency from `from` to `to`.
+  // Schedules `deliver` after the (jittered) one-way latency from `from` to `to`, and returns
+  // how many copies were scheduled: 0 when the message was dropped, 2 when it was duplicated.
   // Partitioned, blocked or lossy links drop the message (like a real network: silently for
-  // the sender, but accounted in the drop statistics).
-  void Send(RegionId from, RegionId to, std::function<void()> deliver);
+  // the receiver, but accounted in the drop statistics). Both copies of a duplicated message
+  // invoke the one `deliver`, so it must tolerate running twice.
+  int Send(RegionId from, RegionId to, SmallFunction deliver);
 
   // Returns the expected one-way latency (no jitter) for latency accounting.
   TimeMicros ExpectedLatency(RegionId from, RegionId to) const { return model_.Latency(from, to); }
@@ -151,7 +153,7 @@ class Network {
 
   size_t LinkIndex(RegionId from, RegionId to) const;
   RegionNetStats* StatsFor(RegionId region, std::vector<RegionNetStats>& stats) const;
-  void ShardedSend(RegionId from, RegionId to, std::function<void()> deliver);
+  int ShardedSend(RegionId from, RegionId to, SmallFunction deliver);
   Lane& CurrentLane();
   // SM_CHECKs that no shard window is executing (mutators/stat reads in sharded mode).
   void CheckExclusivePhase() const;

@@ -125,7 +125,7 @@ void ShardedSimulator::FireTracked(int dest, uint64_t ticket) {
   auto& pending = pending_[static_cast<size_t>(dest)];
   auto it = pending.find(ticket);
   if (it == pending.end()) {
-    return;  // cancelled; the engine-level Cancel normally also reaps the trampoline
+    return;  // cancelled (ApplyCancel removes the trampoline event along with the entry)
   }
   SmallFunction cb = std::move(it->second.cb);
   pending.erase(it);
@@ -195,9 +195,9 @@ TimeMicros ShardedSimulator::NextBarrierTaskTime() const {
   return barrier_heap_.empty() ? Simulator::kNoPendingEvent : barrier_heap_.front().when;
 }
 
-TimeMicros ShardedSimulator::NextActionTime() {
+TimeMicros ShardedSimulator::NextActionTime() const {
   TimeMicros next = NextBarrierTaskTime();
-  for (auto& shard : shards_) {
+  for (const auto& shard : shards_) {
     next = std::min(next, shard->NextEventTime());
   }
   return next;
@@ -283,12 +283,16 @@ void ShardedSimulator::RunUntil(TimeMicros t) {
     if (next > t) {
       break;
     }
-    // Skip-ahead: nothing happens in (now_, next), so the window starts at the next action.
-    const TimeMicros wstart = std::max(now_, next);
-    TimeMicros wend = std::min(wstart + lookahead_, t);
-    // A pending barrier task caps the window so shared-state mutation happens at (or before,
-    // never after by more than a window) its scheduled time. NextBarrierTaskTime() >= wstart
-    // here: due tasks already ran and next <= any pending task's time.
+    // Windows live on the absolute grid: cell k covers (kL, (k+1)L], and skip-ahead jumps to
+    // the cell holding the next action. Barrier times are then a function of which cells hold
+    // real work, not of every shard's pending-event population, so a no-op event can never
+    // shift a barrier and with it the sequence numbers drained mailbox records receive.
+    // Safety: every event in the window runs at >= next > (k+1)L - L, so a cross-shard send
+    // (delay >= L) lands strictly after the cell's end.
+    const TimeMicros cell_end = next + (lookahead_ - next % lookahead_) % lookahead_;
+    TimeMicros wend = std::min(cell_end, t);
+    // A pending barrier task caps the window so shared-state mutation happens at its scheduled
+    // time. NextBarrierTaskTime() >= next here: due tasks already ran.
     wend = std::min(wend, NextBarrierTaskTime());
     RunWindow(wend);
     now_ = wend;

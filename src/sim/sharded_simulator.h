@@ -5,12 +5,12 @@
 // wrapping its own Simulator (own event slab, own heap, own SmallFunction callbacks), and runs
 // them under a conservative time-window protocol:
 //
-//   * Windows. Virtual time advances in windows [W, W + L] where L (the *lookahead*) is a
-//     lower bound on every cross-shard delivery latency — in practice the inter-region latency
-//     floor from the LatencyModel, shrunk by the jitter band (Network::ShardedLookaheadBound).
-//     Within a window each shard executes its own events independently: any cross-shard send
-//     issued at t >= W arrives at t + L >= W + L, past the window's end, so no shard can
-//     observe another shard's activity mid-window.
+//   * Windows. Virtual time advances in windows on a fixed grid: cell k covers (kL, (k+1)L],
+//     where L (the *lookahead*) is a lower bound on every cross-shard delivery latency — in
+//     practice the inter-region latency floor from the LatencyModel, shrunk by the jitter band
+//     (Network::ShardedLookaheadBound). Within a window each shard executes its own events
+//     independently: any cross-shard send issued at t > kL arrives at t + L > (k+1)L, past the
+//     window's end, so no shard can observe another shard's activity mid-window.
 //   * Mailboxes. Cross-shard sends append to a single-writer per-source outbox during the
 //     window and are drained at the barrier in fixed source-shard order, so destination
 //     sequence numbers — and therefore same-instant tie-breaks — are identical whether the
@@ -19,8 +19,10 @@
 //   * Barrier tasks. Mutations of state shared across shards (network partitions, chaos
 //     faults, metric export) run in the exclusive phase between windows, in deterministic
 //     (time, sequence) order.
-//   * Skip-ahead. When every shard is idle until some future time E, the next window starts at
-//     E rather than grinding through empty windows, so sparse phases cost nothing.
+//   * Skip-ahead. When every shard is idle until some future time E, the next window is the
+//     grid cell holding E rather than a grind through empty cells, so sparse phases cost
+//     nothing. Because cells are fixed, which barriers happen depends only on which cells hold
+//     work: adding or removing no-op events never moves a barrier (DESIGN.md §13).
 //
 // Execution uses the work-stealing ThreadPool (DESIGN.md §8): one task per shard per window.
 // The pool only decides *where* a shard's window runs, never *what* it computes, so results
@@ -154,7 +156,7 @@ class ShardedSimulator {
   void ApplyCancel(int dest, uint64_t ticket, bool draining);
   void RunDueBarrierTasks();
   TimeMicros NextBarrierTaskTime() const;
-  TimeMicros NextActionTime();
+  TimeMicros NextActionTime() const;
   void RunWindow(TimeMicros wend);
   void DrainMailboxes();
 

@@ -5,6 +5,31 @@
 
 namespace shardman {
 
+namespace {
+
+// The engine whose run loop the calling thread is executing (see IsCallerEngine).
+thread_local const Simulator* t_running_engine = nullptr;
+
+// Marks `engine` as the calling thread's running engine for one RunUntil/RunAll.
+class RunningEngineScope {
+ public:
+  explicit RunningEngineScope(const Simulator* engine) : previous_(t_running_engine) {
+    t_running_engine = engine;
+  }
+  ~RunningEngineScope() { t_running_engine = previous_; }
+  RunningEngineScope(const RunningEngineScope&) = delete;
+  RunningEngineScope& operator=(const RunningEngineScope&) = delete;
+
+ private:
+  const Simulator* previous_;
+};
+
+}  // namespace
+
+bool Simulator::IsCallerEngine() const {
+  return t_running_engine == nullptr || t_running_engine == this;
+}
+
 uint32_t Simulator::AcquireSlot() {
   if (!free_slots_.empty()) {
     uint32_t slot = free_slots_.back();
@@ -12,16 +37,66 @@ uint32_t Simulator::AcquireSlot() {
     return slot;
   }
   pool_.emplace_back();
+  heap_pos_.push_back(kNotQueued);
   return static_cast<uint32_t>(pool_.size() - 1);
 }
 
 void Simulator::ReleaseSlot(uint32_t slot) {
   Event& ev = pool_[slot];
   ev.generation = (ev.generation + 1) & 0x7FFFFFFFU;  // invalidates outstanding EventIds
-  ev.in_heap = false;
-  ev.cancelled = false;
   ev.cb.reset();
+  heap_pos_[slot] = kNotQueued;
   free_slots_.push_back(slot);
+}
+
+void Simulator::SiftUp(size_t pos, HeapItem item) {
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / kArity;
+    if (!Before(item, heap_[parent])) {
+      break;
+    }
+    Place(pos, heap_[parent]);
+    pos = parent;
+  }
+  Place(pos, item);
+}
+
+void Simulator::SiftDown(size_t pos, HeapItem item) {
+  const size_t n = heap_.size();
+  while (true) {
+    const size_t first = pos * kArity + 1;
+    if (first >= n) {
+      break;
+    }
+    const size_t last = std::min(first + kArity, n);
+    size_t best = first;
+    for (size_t child = first + 1; child < last; ++child) {
+      if (Before(heap_[child], heap_[best])) {
+        best = child;
+      }
+    }
+    if (!Before(heap_[best], item)) {
+      break;
+    }
+    Place(pos, heap_[best]);
+    pos = best;
+  }
+  Place(pos, item);
+}
+
+Simulator::HeapItem Simulator::RemoveAt(size_t pos) {
+  const HeapItem removed = heap_[pos];
+  const HeapItem last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    // Refill the hole with the last item, then restore order in whichever direction it broke.
+    if (pos > 0 && Before(last, heap_[(pos - 1) / kArity])) {
+      SiftUp(pos, last);
+    } else {
+      SiftDown(pos, last);
+    }
+  }
+  return removed;
 }
 
 EventId Simulator::ScheduleAt(TimeMicros when, Callback cb) {
@@ -29,11 +104,9 @@ EventId Simulator::ScheduleAt(TimeMicros when, Callback cb) {
   uint32_t slot = AcquireSlot();
   Event& ev = pool_[slot];
   ev.cb = std::move(cb);
-  ev.in_heap = true;
-  ev.cancelled = false;
   uint64_t id = MakeEventId(ev.generation, slot);
-  heap_.push_back(HeapItem{when, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), HeapAfter{});
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, HeapItem{when, next_seq_++, slot});
   return EventId{id};
 }
 
@@ -77,13 +150,12 @@ void Simulator::Cancel(EventId id) {
   if (slot >= pool_.size()) {
     return;  // never issued
   }
-  Event& ev = pool_[slot];
-  if (!ev.in_heap || ev.cancelled || ev.generation != GenerationOf(id.value)) {
+  const uint32_t pos = heap_pos_[slot];
+  if (pos == kNotQueued || pool_[slot].generation != GenerationOf(id.value)) {
     return;  // already fired, already cancelled, or a recycled slot — nothing to do
   }
-  ev.cancelled = true;
-  ev.cb.reset();  // release captures eagerly; the heap entry is reaped when it surfaces
-  ++cancelled_pending_;
+  RemoveAt(pos);
+  ReleaseSlot(slot);
 }
 
 void Simulator::CancelChain(uint64_t chain_id) {
@@ -99,33 +171,11 @@ void Simulator::CancelChain(uint64_t chain_id) {
   }
 }
 
-void Simulator::DropCancelledHead() {
-  while (!heap_.empty()) {
-    const HeapItem& top = heap_.front();
-    if (!pool_[top.slot].cancelled) {
-      return;
-    }
-    uint32_t slot = top.slot;
-    std::pop_heap(heap_.begin(), heap_.end(), HeapAfter{});
-    heap_.pop_back();
-    ReleaseSlot(slot);
-    --cancelled_pending_;
-  }
-}
-
-TimeMicros Simulator::NextEventTime() {
-  DropCancelledHead();
-  return heap_.empty() ? kNoPendingEvent : heap_.front().when;
-}
-
 bool Simulator::Step() {
-  DropCancelledHead();
   if (heap_.empty()) {
     return false;
   }
-  HeapItem top = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), HeapAfter{});
-  heap_.pop_back();
+  const HeapItem top = RemoveAt(0);
   SM_CHECK_GE(top.when, now_);
   now_ = top.when;
   ++executed_;
@@ -139,17 +189,15 @@ bool Simulator::Step() {
 
 void Simulator::RunUntil(TimeMicros t) {
   SM_CHECK_GE(t, now_);
-  while (true) {
-    DropCancelledHead();
-    if (heap_.empty() || heap_.front().when > t) {
-      break;
-    }
+  RunningEngineScope running(this);
+  while (!heap_.empty() && heap_.front().when <= t) {
     Step();
   }
   now_ = t;
 }
 
 void Simulator::RunAll() {
+  RunningEngineScope running(this);
   while (Step()) {
   }
 }

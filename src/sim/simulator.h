@@ -8,9 +8,11 @@
 // Hot-path design (DESIGN.md §9): the event loop is allocation-free in steady state. Callbacks
 // are SmallFunction (captures ≤ 48 bytes stored inline, no malloc per Schedule), events live in
 // a free-listed slab (`pool_`) that is recycled rather than reallocated, and the priority queue
-// orders lightweight {when, seq, slot} triples. EventId encodes {slot, generation}: cancelling
-// an already-executed, already-cancelled or never-issued id is an O(1) no-op that leaves no
-// residue behind (the old implementation grew an unordered_set forever on such calls).
+// is an indexed heap of lightweight {when, seq, slot} triples. Every pending event knows its
+// heap position, so Cancel removes it in O(log n) and frees its slot at once: the queue only
+// ever holds live events, and Step never meets a cancelled one. EventId encodes
+// {slot, generation}: cancelling an already-executed, already-cancelled or never-issued id is
+// an O(1) no-op that leaves no residue behind.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -58,8 +60,8 @@ class Simulator {
   // future firings.
   EventId SchedulePeriodic(TimeMicros first_delay, TimeMicros period, Callback cb);
 
-  // Cancels a pending event. Cancelling an already-fired, already-cancelled or invalid id is an
-  // O(1) no-op with no bookkeeping growth.
+  // Cancels a pending event: it leaves the queue and its slot is free for reuse before Cancel
+  // returns. Cancelling an already-fired, already-cancelled or invalid id is an O(1) no-op.
   void Cancel(EventId id);
 
   // Runs a single event. Returns false if the queue is empty.
@@ -77,13 +79,20 @@ class Simulator {
   // Sentinel returned by NextEventTime() when nothing is pending.
   static constexpr TimeMicros kNoPendingEvent = std::numeric_limits<TimeMicros>::max();
 
-  // Timestamp of the earliest pending (uncancelled) event, or kNoPendingEvent. Reaps cancelled
-  // events sitting at the queue head, so it is non-const; used by the sharded driver to size
-  // conservative windows and skip over idle gaps (DESIGN.md §13).
-  TimeMicros NextEventTime();
+  // Timestamp of the earliest pending event, or kNoPendingEvent; used by ShardedSimulator to
+  // skip over idle gaps (DESIGN.md §13).
+  TimeMicros NextEventTime() const {
+    return heap_.empty() ? kNoPendingEvent : heap_.front().when;
+  }
 
-  // Number of pending (uncancelled) events.
-  size_t PendingEvents() const { return heap_.size() - cancelled_pending_; }
+  // Number of pending events.
+  size_t PendingEvents() const { return heap_.size(); }
+
+  // True when the calling thread may touch state owned by this engine: it is inside this
+  // engine's RunUntil/RunAll, or outside every engine's run loop (setup code, ShardedSimulator's
+  // exclusive phase). State tied to one engine — RPC call records, timeouts —
+  // SM_CHECKs this so a caller moved onto another engine fails loudly instead of racing.
+  bool IsCallerEngine() const;
 
   // Total events executed since construction (diagnostics).
   uint64_t ExecutedEvents() const { return executed_; }
@@ -96,22 +105,20 @@ class Simulator {
   struct Event {
     Callback cb;
     uint32_t generation = 0;
-    bool in_heap = false;    // scheduled and not yet executed or reaped
-    bool cancelled = false;  // cancelled while still queued; reaped when it reaches the top
   };
   struct HeapItem {
     TimeMicros when;
     uint64_t seq;
     uint32_t slot;
   };
-  struct HeapAfter {
-    bool operator()(const HeapItem& a, const HeapItem& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
+  static bool Before(const HeapItem& a, const HeapItem& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+  // Children per heap node. A 4-ary heap is shallower than a binary one and its children are
+  // adjacent in memory; it measured faster than binary on smperf hotspot_flash (DESIGN.md §9).
+  static constexpr size_t kArity = 4;
+  // heap_pos_ value of a slot that is not queued (free, or its event is running).
+  static constexpr uint32_t kNotQueued = std::numeric_limits<uint32_t>::max();
   struct PeriodicChain {
     TimeMicros period = 0;
     Callback cb;
@@ -134,9 +141,15 @@ class Simulator {
 
   uint32_t AcquireSlot();
   void ReleaseSlot(uint32_t slot);
-  // Reaps cancelled events sitting at the queue head — the single cancelled-event handler
-  // shared by Step and RunUntil.
-  void DropCancelledHead();
+  // Indexed-heap primitives: every move of an item updates heap_pos_ for its slot.
+  void Place(size_t pos, const HeapItem& item) {
+    heap_[pos] = item;
+    heap_pos_[item.slot] = static_cast<uint32_t>(pos);
+  }
+  void SiftUp(size_t pos, HeapItem item);
+  void SiftDown(size_t pos, HeapItem item);
+  // Removes the item at `pos` and returns it, keeping the heap ordered.
+  HeapItem RemoveAt(size_t pos);
   void PeriodicFire(uint64_t chain_id);
   void CancelChain(uint64_t chain_id);
 
@@ -146,7 +159,9 @@ class Simulator {
   std::vector<Event> pool_;
   std::vector<uint32_t> free_slots_;
   std::vector<HeapItem> heap_;
-  size_t cancelled_pending_ = 0;
+  // Per slot: index of its item in heap_, or kNotQueued. Kept apart from pool_ so sifting
+  // writes a dense array instead of touching each moved event's callback cache lines.
+  std::vector<uint32_t> heap_pos_;
   std::unordered_map<uint64_t, PeriodicChain> chains_;
   uint64_t next_chain_id_ = 1;
 };

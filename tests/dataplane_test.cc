@@ -275,6 +275,88 @@ TEST(SimulatorFastPath, SmallCallbackScheduleAllocatesNothingInSteadyState) {
   EXPECT_EQ(fired, 512 + 100 * 256);
 }
 
+// A server that replies immediately: the round trip measures the RPC path, not an application.
+struct LoopbackServer : public ShardServerApi {
+  ServerId self;
+  Status AddShard(ShardId, ReplicaRole) override { return Status::Ok(); }
+  Status DropShard(ShardId) override { return Status::Ok(); }
+  Status ChangeRole(ShardId, ReplicaRole, ReplicaRole) override { return Status::Ok(); }
+  Status PrepareAddShard(ShardId, ServerId, ReplicaRole) override { return Status::Ok(); }
+  Status PrepareDropShard(ShardId, ServerId, ReplicaRole) override { return Status::Ok(); }
+  ShardLoadReport ReportLoads() override { return {}; }
+  void HandleRequest(const Request&, ReplyCallback done) override {
+    Reply reply;
+    reply.served_by = self;
+    done(reply);
+  }
+};
+
+TEST(RouterFastPath, RouteRoundTripAllocationBudget) {
+  // End-to-end Route over loopback servers in 3 regions: pick, request hop, server reply,
+  // reply hop, timeout cancel and outcome delivery. The call record, the router's attempt and
+  // every wire closure are pooled or inline; the one remaining allocation is the server-side
+  // reply callback (a std::function too large for its inline buffer).
+  Simulator sim;
+  Network net(&sim, LatencyModel(3, Millis(1), Millis(40)), 5);
+  ServiceDiscovery discovery(&sim, Millis(1), Millis(2), 7);
+  ServerRegistry registry;
+  constexpr int kServers = 48;
+  constexpr int kShards = 512;
+  std::vector<LoopbackServer> servers(kServers);
+  for (int i = 0; i < kServers; ++i) {
+    servers[static_cast<size_t>(i)].self = ServerId(i);
+    ServerHandle handle;
+    handle.id = ServerId(i);
+    handle.container = ContainerId(i);
+    handle.app = AppId(1);
+    handle.region = RegionId(i % 3);
+    handle.api = &servers[static_cast<size_t>(i)];
+    registry.Register(handle);
+  }
+  AppSpec spec =
+      MakeUniformAppSpec(AppId(1), "budget", kShards, ReplicationStrategy::kSecondaryOnly, 3);
+  ServiceRouter router(&sim, &net, &discovery, &registry, &spec, RegionId(0), RouterConfig{},
+                       11);
+  ShardMap map;
+  map.app = AppId(1);
+  map.version = 1;
+  map.entries.resize(kShards);
+  for (int s = 0; s < kShards; ++s) {
+    map.entries[static_cast<size_t>(s)].shard = ShardId(s);
+    for (int r = 0; r < 3; ++r) {
+      ShardMapReplica replica;
+      replica.server = ServerId((s + r * 17) % kServers);
+      replica.role = r == 0 ? ReplicaRole::kPrimary : ReplicaRole::kSecondary;
+      replica.region = RegionId(replica.server.value % 3);
+      map.entries[static_cast<size_t>(s)].replicas.push_back(replica);
+    }
+  }
+  discovery.Publish(map);
+  sim.RunFor(Seconds(1));
+
+  int64_t ok = 0;
+  auto route_batch = [&](int count, uint64_t salt) {
+    for (int i = 0; i < count; ++i) {
+      router.Route((static_cast<uint64_t>(i) + salt) * 2654435761ULL, RequestType::kRead,
+                   [&ok](const RequestOutcome& outcome) { ok += outcome.success ? 1 : 0; });
+    }
+    sim.RunAll();
+  };
+  route_batch(256, 0);  // warm-up: pools, event slab and heap reach steady-state capacity
+  constexpr int kRounds = 20;
+  constexpr int kBatch = 256;
+  const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int round = 0; round < kRounds; ++round) {
+    route_batch(kBatch, static_cast<uint64_t>(round + 1) * 7919);
+  }
+  const int64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(ok, 256 + kRounds * kBatch);
+  EXPECT_EQ(sim.PendingEvents(), 0u);  // every timeout was cancelled by its reply
+  EXPECT_EQ(registry.RpcCallsInFlight(), 0u);
+  const double per_route = static_cast<double>(allocs) / (kRounds * kBatch);
+  EXPECT_LE(per_route, 3.0) << "allocations per end-to-end Route";
+}
+
 // -- Retry accounting --------------------------------------------------------------------------
 
 TEST(RouterRetries, TimedOutAttemptExcludesItsTargetAndCountsRetry) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/core/server_registry.h"
 #include "src/core/sm_library.h"
 #include "src/apps/kv_store_app.h"
@@ -112,6 +115,134 @@ TEST(CallDataTest, DeliversRequestAndReply) {
   EXPECT_TRUE(reply.ok());
   EXPECT_EQ(reply.served_by, ServerId(1));
   EXPECT_EQ(app->ShardSize(ShardId(0)), 1u);
+}
+
+TEST(CallDataTest, RoundTripCancelsItsTimeout) {
+  RpcFixture fx;
+  KvStoreApp* app = fx.AddServer(ServerId(1), RegionId(1));
+  ASSERT_TRUE(app->AddShard(ShardId(0), ReplicaRole::kPrimary).ok());
+  Request request;
+  request.app = AppId(1);
+  request.shard = ShardId(0);
+  request.key = 5;
+  int replies = 0;
+  CallData(fx.network, RegionId(0), fx.registry, ServerId(1), request,
+           [&](const Reply& r) {
+             ++replies;
+             EXPECT_TRUE(r.ok());
+             // The reply wins: its timeout has already left the queue.
+             EXPECT_EQ(fx.sim.PendingEvents(), 0u);
+           });
+  EXPECT_EQ(fx.sim.PendingEvents(), 2u);  // the request hop and the armed timeout
+  fx.sim.RunAll();
+  EXPECT_EQ(replies, 1);
+  // Exactly two network hops plus the server's queued work — no no-op timeout event.
+  EXPECT_EQ(fx.network.messages_sent(), 2u);
+  EXPECT_EQ(fx.sim.ExecutedEvents(), 3u);
+  EXPECT_EQ(fx.sim.Now(), Millis(81));  // 40ms each way + 1ms processing
+  EXPECT_EQ(fx.registry.RpcCallsInFlight(), 0u);
+}
+
+TEST(CallControlTest, RoundTripCancelsItsTimeout) {
+  RpcFixture fx;
+  fx.AddServer(ServerId(1), RegionId(1));
+  int replies = 0;
+  CallControl(fx.network, RegionId(0), fx.registry, ServerId(1),
+              [](ShardServerApi& api) { return api.AddShard(ShardId(0), ReplicaRole::kPrimary); },
+              [&](const Status& s) {
+                ++replies;
+                EXPECT_TRUE(s.ok());
+              });
+  fx.sim.RunAll();
+  EXPECT_EQ(replies, 1);
+  EXPECT_EQ(fx.sim.ExecutedEvents(), 2u);  // request hop + reply hop
+  EXPECT_EQ(fx.sim.PendingEvents(), 0u);
+  EXPECT_EQ(fx.sim.Now(), Millis(80));
+  EXPECT_EQ(fx.registry.RpcCallsInFlight(), 0u);
+}
+
+TEST(CallControlTest, TimeoutThenLateReplyCallsDoneOnceWithTimeout) {
+  RpcFixture fx;
+  KvStoreApp* app = fx.AddServer(ServerId(1), RegionId(1));
+  int replies = 0;
+  Status status;
+  TimeMicros done_at = -1;
+  // The round trip takes 80ms; the caller gives up after 50ms.
+  CallControl(fx.network, RegionId(0), fx.registry, ServerId(1),
+              [](ShardServerApi& api) { return api.AddShard(ShardId(0), ReplicaRole::kPrimary); },
+              [&](const Status& s) {
+                ++replies;
+                status = s;
+                done_at = fx.sim.Now();
+              },
+              /*timeout=*/Millis(50));
+  fx.sim.RunAll();
+  EXPECT_EQ(replies, 1);
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(done_at, Millis(50));
+  // The server still executed the request and replied; the late reply was a no-op.
+  EXPECT_TRUE(app->Hosts(ShardId(0)));
+  EXPECT_EQ(fx.network.messages_sent(), 2u);
+  EXPECT_EQ(fx.registry.RpcCallsInFlight(), 0u);
+}
+
+TEST(CallDataTest, DuplicatedRequestAndReplyCallDoneOnce) {
+  RpcFixture fx;
+  KvStoreApp* app = fx.AddServer(ServerId(1), RegionId(1));
+  ASSERT_TRUE(app->AddShard(ShardId(0), ReplicaRole::kPrimary).ok());
+  LinkQuality dupey;
+  dupey.duplicate_probability = 1.0;
+  fx.network.SetLinkQuality(RegionId(0), RegionId(1), dupey);
+  fx.network.SetLinkQuality(RegionId(1), RegionId(0), dupey);
+  Request request;
+  request.app = AppId(1);
+  request.shard = ShardId(0);
+  request.key = 5;
+  request.type = RequestType::kWrite;
+  request.payload = 7;
+  int replies = 0;
+  CallData(fx.network, RegionId(0), fx.registry, ServerId(1), request, [&](const Reply& r) {
+    ++replies;
+    EXPECT_TRUE(r.ok());
+  });
+  fx.sim.RunAll();
+  EXPECT_EQ(replies, 1);
+  // Both request copies reached the server, and each of its two replies was duplicated.
+  EXPECT_EQ(app->served_requests(), 2);
+  EXPECT_EQ(fx.network.messages_duplicated(), 3u);
+  EXPECT_EQ(fx.sim.PendingEvents(), 0u);
+  EXPECT_EQ(fx.registry.RpcCallsInFlight(), 0u);
+}
+
+TEST(CallControlTest, StaleReplyAfterRecordReuseIsNoOp) {
+  RpcFixture fx;
+  fx.AddServer(ServerId(1), RegionId(1));
+  std::vector<std::string> log;
+  // Call A times out at 50ms; its request was delivered at 40ms, so its record is free again.
+  CallControl(fx.network, RegionId(0), fx.registry, ServerId(1),
+              [](ShardServerApi& api) { return api.AddShard(ShardId(0), ReplicaRole::kPrimary); },
+              [&](const Status& s) {
+                log.push_back("A " + std::string(StatusCodeName(s.code())) + " @" +
+                              std::to_string(fx.sim.Now()));
+              },
+              /*timeout=*/Millis(50));
+  // Call B reuses A's record at 60ms. A's reply lands at 80ms carrying A's stale handle and
+  // must not resolve B, whose own reply lands at 140ms.
+  fx.sim.Schedule(Millis(60), [&]() {
+    EXPECT_EQ(fx.registry.RpcCallsInFlight(), 0u);
+    CallControl(fx.network, RegionId(0), fx.registry, ServerId(1),
+                [](ShardServerApi& api) { return api.DropShard(ShardId(0)); },
+                [&](const Status& s) {
+                  log.push_back("B " + std::string(StatusCodeName(s.code())) + " @" +
+                                std::to_string(fx.sim.Now()));
+                });
+    EXPECT_EQ(fx.registry.RpcCallsInFlight(), 1u);
+  });
+  fx.sim.RunAll();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0], "A UNAVAILABLE @" + std::to_string(Millis(50)));
+  EXPECT_EQ(log[1], "B OK @" + std::to_string(Millis(140)));
+  EXPECT_EQ(fx.registry.RpcCallsInFlight(), 0u);
 }
 
 // ---- SmLibrary ----------------------------------------------------------------------------------

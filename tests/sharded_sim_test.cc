@@ -21,7 +21,7 @@ TEST(SimulatorPeek, NextEventTimeReportsEarliestPending) {
   EventId early = sim.Schedule(100, []() {});
   sim.Schedule(500, []() {});
   EXPECT_EQ(sim.NextEventTime(), 100);
-  // Cancelling the head reaps it: the peek must skip cancelled events.
+  // Cancelling the head removes it at once: the peek never sees a cancelled event.
   sim.Cancel(early);
   EXPECT_EQ(sim.NextEventTime(), 500);
   sim.RunUntil(1000);
@@ -320,6 +320,80 @@ TEST(ShardedSimDeterminism, ExecutedEventsPerShardAreThreadInvariant) {
   const auto t1 = run(1);
   EXPECT_EQ(t1, run(2));
   EXPECT_EQ(t1, run(8));
+}
+
+// -- Invariance to the pending no-op population (DESIGN.md §13) -------------------------------
+//
+// Barrier times decide the sequence numbers drained mailbox records receive, and with them
+// every same-instant tie between a cross-shard arrival and a local event. Windows therefore
+// sit on a fixed grid: a shard that merely holds extra no-op events (a cancelled-late timer,
+// an idle heartbeat) must not change anything the real events observe.
+
+struct TieContext {
+  ShardedSimulator* sim = nullptr;
+  std::vector<std::vector<std::string>>* logs = nullptr;
+  int shards = 0;
+  TimeMicros lookahead = 0;
+
+  void Log(int s, const std::string& what) {
+    (*logs)[static_cast<size_t>(s)].push_back(what + "@" + std::to_string(sim->shard(s).Now()));
+  }
+
+  // Every time is a multiple of 100 µs and every cross-shard delay a lookahead plus a multiple
+  // of 100 µs, so arrivals constantly tie with local events on the destination shard.
+  void Tick(int s, int n) {
+    Log(s, std::to_string(s) + "#" + std::to_string(n));
+    if (n >= 40) {
+      return;
+    }
+    const int to = (s + 1 + n % (shards - 1)) % shards;
+    sim->Send(to, lookahead + (n % 3) * 100, [this, to, s, n]() {
+      Log(to, "msg" + std::to_string(s) + "#" + std::to_string(n));
+    });
+    sim->Schedule(100 * (1 + n % 7), [this, s, n]() { Tick(s, n + 1); });
+  }
+};
+
+std::string RunTies(int threads, bool noops) {
+  constexpr int kShards = 4;
+  constexpr TimeMicros kLookahead = 1000;
+  ShardedSimulator sim(kShards, threads, kLookahead);
+  std::vector<std::vector<std::string>> logs(kShards);
+  TieContext ctx{&sim, &logs, kShards, kLookahead};
+  // A hand-built tie: shard 0's message and shard 1's local event both land on shard 1 at
+  // 1050. With windows started at the next pending event, the order flipped on whether some
+  // shard held an earlier no-op: [50, 1050] runs the local event before draining the message,
+  // [0, 1000] drains the message first.
+  sim.shard(0).ScheduleAt(50, [&ctx]() {
+    ctx.sim->Send(1, kLookahead, [&ctx]() { ctx.Log(1, "tie-msg"); });
+  });
+  sim.shard(1).ScheduleAt(1020, [&ctx]() {
+    ctx.sim->Schedule(30, [&ctx]() { ctx.Log(1, "tie-local"); });
+  });
+  for (int s = 0; s < kShards; ++s) {
+    sim.shard(s).ScheduleAt(2000 + 300 * s, [&ctx, s]() { ctx.Tick(s, 0); });
+    if (noops) {
+      sim.shard(s).SchedulePeriodic(7 * (s + 1), 333, []() {});
+    }
+  }
+  sim.RunUntil(Millis(30));
+  std::string trace;
+  for (const auto& shard_log : logs) {
+    for (const std::string& line : shard_log) {
+      trace += line;
+      trace += '\n';
+    }
+  }
+  return trace + "cross=" + std::to_string(sim.cross_shard_messages());
+}
+
+TEST(ShardedSimDeterminism, NoOpEventsDoNotChangeOutcomes) {
+  const std::string reference = RunTies(1, /*noops=*/false);
+  EXPECT_NE(reference.find("tie-msg@1050\ntie-local@1050"), std::string::npos) << reference;
+  for (int threads : {1, 2, 8}) {
+    EXPECT_EQ(RunTies(threads, /*noops=*/false), reference) << "threads " << threads;
+    EXPECT_EQ(RunTies(threads, /*noops=*/true), reference) << "threads " << threads << " +noops";
+  }
 }
 
 TEST(ShardedSim, LookaheadBoundMatchesLatencyFloor) {

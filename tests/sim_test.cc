@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 
@@ -53,14 +55,19 @@ TEST(SimulatorTest, CancelPreventsExecution) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(SimulatorTest, CancelledHeadDoesNotBlockRunUntil) {
+TEST(SimulatorTest, CancelRemovesEventFromQueueImmediately) {
   Simulator sim;
   int fired = 0;
   EventId id = sim.Schedule(Millis(5), [&]() { ++fired; });
   sim.Schedule(Millis(40), [&]() { ++fired; });
+  EXPECT_EQ(sim.PendingEvents(), 2u);
   sim.Cancel(id);
+  // Eager removal: the cancelled head is gone before any run loop touches the queue.
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  EXPECT_EQ(sim.NextEventTime(), Millis(40));
   sim.RunUntil(Millis(10));
   EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.ExecutedEvents(), 0u);
   sim.RunUntil(Millis(50));
   EXPECT_EQ(fired, 1);
 }
@@ -155,25 +162,88 @@ TEST(SimulatorTest, EventPoolBoundedByPeakPendingEvents) {
   EXPECT_EQ(sim.PendingEvents(), 0u);
 }
 
-TEST(SimulatorTest, CancelledEventsAreReapedAndSlotsReused) {
+TEST(SimulatorTest, CancelFreesSlotForImmediateReuse) {
   Simulator sim;
   std::vector<EventId> ids;
   for (int i = 0; i < 100; ++i) {
     ids.push_back(sim.Schedule(Millis(10), []() {}));
   }
   EXPECT_EQ(sim.PendingEvents(), 100u);
-  for (EventId id : ids) {
-    sim.Cancel(id);
-    sim.Cancel(id);  // double cancel: no-op
+  const size_t slots = sim.EventPoolSlots();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    sim.Cancel(ids[i]);
+    sim.Cancel(ids[i]);  // double cancel: no-op
+    EXPECT_EQ(sim.PendingEvents(), ids.size() - i - 1);
   }
-  EXPECT_EQ(sim.PendingEvents(), 0u);
-  sim.RunAll();
-  size_t slots_after_first_wave = sim.EventPoolSlots();
+  // Every slot is free again without running anything: new events reuse them at once.
   for (int i = 0; i < 100; ++i) {
     sim.Schedule(Millis(10), []() {});
   }
+  EXPECT_EQ(sim.EventPoolSlots(), slots);
+  // A stale id still names a reused slot, but its generation no longer matches.
+  sim.Cancel(ids.front());
+  EXPECT_EQ(sim.PendingEvents(), 100u);
   sim.RunAll();
-  EXPECT_EQ(sim.EventPoolSlots(), slots_after_first_wave);  // slots recycled, no new growth
+  EXPECT_EQ(sim.ExecutedEvents(), 100u);
+}
+
+TEST(SimulatorTest, RandomScheduleCancelMatchesSortedReference) {
+  // Property: whatever mix of schedules, cancels (of pending, fired and cancelled ids) and
+  // partial runs, the executed events are exactly the uncancelled ones in (when, seq) order.
+  struct Ref {
+    TimeMicros when = 0;
+    EventId id;
+    bool fired = false;
+    bool cancelled = false;
+  };
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Simulator sim;
+    Rng rng(seed);
+    std::vector<Ref> refs;
+    std::vector<size_t> fired_order;
+    size_t pending = 0;
+    for (int round = 0; round < 300; ++round) {
+      const int64_t schedules = rng.UniformInt(0, 12);
+      for (int64_t i = 0; i < schedules; ++i) {
+        const size_t seq = refs.size();
+        Ref ref;
+        ref.when = sim.Now() + rng.UniformInt(0, 40);  // narrow range: many same-instant ties
+        ref.id = sim.ScheduleAt(ref.when, [&fired_order, &refs, seq]() {
+          refs[seq].fired = true;
+          fired_order.push_back(seq);
+        });
+        refs.push_back(ref);
+        ++pending;
+      }
+      const int64_t cancels = refs.empty() ? 0 : rng.UniformInt(0, 6);
+      for (int64_t i = 0; i < cancels; ++i) {
+        Ref& ref = refs[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(refs.size()) - 1))];
+        sim.Cancel(ref.id);
+        if (!ref.fired && !ref.cancelled) {
+          ref.cancelled = true;
+          --pending;
+        }
+      }
+      ASSERT_EQ(sim.PendingEvents(), pending);
+      const size_t fired_before = fired_order.size();
+      sim.RunUntil(sim.Now() + rng.UniformInt(0, 25));
+      pending -= fired_order.size() - fired_before;
+      ASSERT_EQ(sim.PendingEvents(), pending);
+    }
+    sim.RunAll();
+    std::vector<size_t> expected;
+    for (size_t seq = 0; seq < refs.size(); ++seq) {
+      if (!refs[seq].cancelled) {
+        expected.push_back(seq);
+      }
+    }
+    std::stable_sort(expected.begin(), expected.end(), [&refs](size_t a, size_t b) {
+      return refs[a].when < refs[b].when;
+    });
+    EXPECT_EQ(fired_order, expected) << "seed " << seed;
+    EXPECT_EQ(sim.PendingEvents(), 0u);
+  }
 }
 
 TEST(SimulatorTest, PeriodicChainDoesNotGrowPool) {
@@ -305,7 +375,9 @@ TEST(NetworkTest, DuplicationDeliversTwice) {
   dupey.duplicate_probability = 1.0;
   net.SetLinkQuality(RegionId(0), RegionId(1), dupey);
   int delivered = 0;
-  net.Send(RegionId(0), RegionId(1), [&]() { ++delivered; });
+  // Both copies run the one callback; Send reports how many it scheduled.
+  EXPECT_EQ(net.Send(RegionId(0), RegionId(1), [&]() { ++delivered; }), 2);
+  EXPECT_EQ(net.Send(RegionId(1), RegionId(0), []() {}), 1);
   sim.RunAll();
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(net.messages_duplicated(), 1u);
