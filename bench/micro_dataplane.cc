@@ -9,9 +9,10 @@
 //   4. End-to-end Route through loopback servers (two simulated network hops per attempt), with
 //      the same allocation counter reporting heap allocations per routed round trip.
 //   5. Delta dissemination (DESIGN.md §10) — a 100k-shard app under steady rebalancing,
-//      published to router subscribers in snapshot mode vs delta mode. Reports disseminated
-//      entries and per-publish apply cost for both, the reduction factors, and verifies the
-//      two modes leave every subscriber byte-identical (nonzero exit on divergence).
+//      published to router subscribers that receive every version as a delta vs subscribers
+//      forced onto gap-recovery snapshots. Reports disseminated entries and per-publish apply
+//      cost for both, the reduction factors, and verifies both sides leave every subscriber
+//      byte-identical (nonzero exit on divergence).
 //
 // Emits one flat JSON object (stdout + SM_DATAPLANE_OUT, default BENCH_dataplane.json in the
 // working directory) plus the delta comparison (SM_DELTA_OUT, default BENCH_delta.json). The
@@ -263,10 +264,14 @@ void BenchRouting(double scale, BenchResult* out) {
 
 // 5. Delta dissemination: a 100k-shard map (the acceptance scenario) published to router
 // subscribers under steady rebalancing — every version rewrites a small set of rows, the way
-// a drain/failover publish does. Snapshot mode rebuilds each router's whole ranked cache per
-// version; delta mode ships only the changed rows and patches. Map construction happens
-// outside the timed window (it models the orchestrator's BuildMap, identical in both modes);
-// the timed window is publish -> diff (delta mode only) -> delivery -> cache apply.
+// a drain/failover publish does. Delta is the only publish mode, so the snapshot side is
+// measured through forced gaps: before each measured version an intermediate version is
+// published and dropped for every subscriber (SetDeliveryFilter), and the measured version then
+// reaches each router as a gap-recovery snapshot that rebuilds its whole ranked cache. The delta
+// side publishes the same measured versions with nothing dropped, so every one arrives as a
+// delta and is patched. Map construction and the dropped publishes happen outside the timed
+// window (map construction models the orchestrator's BuildMap, identical on both sides); the
+// timed window is publish -> diff -> delivery -> cache apply.
 struct DeltaModeStats {
   long long entries_shipped = 0;
   double apply_us_per_publish = 0.0;
@@ -274,7 +279,7 @@ struct DeltaModeStats {
   long long cache_patches = 0;
   long long delta_deliveries = 0;
   long long snapshot_fallbacks = 0;
-  std::string subscriber_maps;  // concatenated serializations, for cross-mode identity
+  std::string subscriber_maps;  // concatenated serializations, for cross-side identity
 };
 
 struct DeltaResult {
@@ -298,9 +303,9 @@ DeltaModeStats RunDeltaMode(bool delta_on, int shards, int versions, int touched
   const int kServers = 64;
   AppSpec spec =
       MakeUniformAppSpec(AppId(1), "delta", shards, ReplicationStrategy::kSecondaryOnly, 3);
-  if (delta_on) {
-    discovery.SetDeltaDissemination(AppId(1), true);
-  }
+  // Measured versions are odd; the even versions in between exist only on the snapshot side,
+  // where every delivery of them is lost.
+  discovery.SetDeliveryFilter([](int64_t, int64_t version) { return version % 2 == 1; });
   std::vector<std::unique_ptr<ServiceRouter>> routers;
   for (int i = 0; i < subscribers; ++i) {
     routers.push_back(std::make_unique<ServiceRouter>(&sim, &net, &discovery, &registry, &spec,
@@ -316,8 +321,13 @@ DeltaModeStats RunDeltaMode(bool delta_on, int shards, int versions, int touched
       discovery.delta_entries_shipped() + discovery.snapshot_entries_shipped();
   double apply_wall = 0.0;
   for (int v = 0; v < versions; ++v) {
-    // Steady rebalancing: rewrite `touched` rows (rotate their replicas to other servers).
     ++map.version;
+    if (!delta_on) {
+      discovery.Publish(map);  // lost for every subscriber: the next version finds a gap
+      sim.RunAll();
+    }
+    ++map.version;
+    // Steady rebalancing: rewrite `touched` rows (rotate their replicas to other servers).
     for (int i = 0; i < touched; ++i) {
       ShardMapEntry& entry =
           map.entries[static_cast<size_t>((map.version * 8191 + i * 131) % shards)];
@@ -373,7 +383,7 @@ void WriteDeltaJson(const DeltaResult& r, double scale, std::ostream& os) {
   char buffer[1024];
   std::snprintf(buffer, sizeof(buffer),
                 "{\n"
-                "  \"bench\": \"delta_dissemination\",\n"
+                "  \"bench\": \"delta\",\n"
                 "  \"scale\": %g,\n"
                 "  \"shards\": %d,\n"
                 "  \"publishes\": %d,\n"
@@ -441,9 +451,9 @@ int Run() {
     WriteDeltaJson(delta, scale, delta_file);
   }
   if (!delta.maps_identical) {
-    // The equivalence contract is the whole point of delta mode; a divergence here is a bug,
-    // not a perf regression — fail the run loudly.
-    std::fprintf(stderr, "FATAL: delta-mode subscriber maps diverged from snapshot mode\n");
+    // The equivalence contract is the whole point of delta dissemination; a divergence here is
+    // a bug, not a perf regression — fail the run loudly.
+    std::fprintf(stderr, "FATAL: delta-patched subscriber maps diverged from snapshot-fed ones\n");
     return 1;
   }
   return 0;

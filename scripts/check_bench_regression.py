@@ -6,10 +6,10 @@ are recognised by their "bench" field:
 
 * micro_dataplane (BENCH_dataplane.json, "after" block): throughput rates must
   not drop more than the threshold, and allocs_per_pick must be 0.
-* delta_dissemination (BENCH_delta.json): the snapshot-vs-delta reduction
-  factors must not drop more than the threshold, entries_reduction_x must stay
-  >= 5 (the acceptance floor — it is scale-independent), and maps_identical
-  must be true (delta mode must be byte-equivalent to snapshot mode).
+* delta (BENCH_delta.json): the snapshot-vs-delta reduction factors must not
+  drop more than the threshold, entries_reduction_x must stay >= 5 (the
+  acceptance floor — it is scale-independent), and maps_identical must be true
+  (delta-patched subscribers must be byte-equivalent to snapshot-fed ones).
   apply_reduction_x is compared only when baseline and fresh ran at the same
   SM_BENCH_SCALE: the one-time owned-map materialisation amortises over the
   publish count, so the factor is not comparable across scales.
@@ -130,8 +130,8 @@ def check_delta(reference, fresh, threshold):
     identical = fresh.get("maps_identical")
     print(f"{'ok' if identical else 'WARN':4} maps_identical: {identical}")
     if not identical:
-        warnings.append("delta-mode subscriber maps diverged from snapshot "
-                        "mode — a correctness bug, not noise")
+        warnings.append("delta-patched subscriber maps diverged from "
+                        "snapshot-fed ones — a correctness bug, not noise")
     return warnings
 
 
@@ -458,7 +458,7 @@ def main() -> int:
     reference = baseline.get("after", baseline)
 
     fatals = []
-    if fresh.get("bench") == "delta_dissemination":
+    if fresh.get("bench") == "delta":
         warnings = check_delta(reference, fresh, args.threshold)
     elif fresh.get("bench") == "smr_failover":
         warnings = check_smr_failover(reference, fresh, args.threshold)

@@ -58,9 +58,6 @@ Orchestrator::Orchestrator(Simulator* sim, Network* network, CoordStore* coord,
   SM_CHECK(config_.write_fence != nullptr);
   SM_CHECK(config_.op_log_append != nullptr);
   SM_CHECK(config_.op_log_complete != nullptr);
-  // The toggle lives in discovery so every leadership term's orchestrator re-applies it for
-  // its app before the first publish.
-  discovery_->SetDeltaDissemination(spec_.id, config_.delta_dissemination);
 }
 
 Orchestrator::ReplicaRuntime& Orchestrator::Replica(ShardId shard, int replica) {

@@ -65,11 +65,6 @@ struct OrchestratorConfig {
   // `publish_coalesce`; urgent ones (migration step 4, promotions) wait only `publish_urgent`.
   TimeMicros publish_coalesce = Millis(50);
   TimeMicros publish_urgent = Millis(10);
-  // Delta shard-map dissemination (DESIGN.md §10): publish per-version deltas to delta-capable
-  // subscribers instead of full snapshots; subscribers with a version gap fall back to a
-  // snapshot automatically. Dissemination volume then scales with the shards a publish actually
-  // touched, not with total shard count.
-  bool delta_dissemination = false;
   // Solver budgets for periodic / emergency allocator runs inside the control loop. The eval
   // budgets are the deterministic primary limit (a solve result never depends on machine
   // load); the wall budgets remain as safety caps only. The defaults are far above what the

@@ -58,20 +58,14 @@ void SmLibrary::WatchShardMap(ServiceDiscovery* discovery, AppId app) {
   SM_CHECK(discovery != nullptr);
   SM_CHECK(discovery_ == nullptr);
   discovery_ = discovery;
-  map_subscription_ = discovery->SubscribeDelta(
+  map_subscription_ = discovery->Subscribe(
       app,
       [this](const std::shared_ptr<const ShardMap>& map) {
-        map_view_ = map;
-        owned_map_.reset();  // back on the shared zero-copy snapshot
+        map_view_.Reset(map);
         SM_COUNTER_INC("sm.smlib.map_updates");
       },
       [this](const std::shared_ptr<const ShardMapDelta>& delta) {
-        SM_CHECK(map_view_ != nullptr);  // deltas only chain onto a delivered snapshot
-        if (owned_map_ == nullptr || map_view_.get() != owned_map_.get()) {
-          owned_map_ = std::make_shared<ShardMap>(*map_view_);
-          map_view_ = owned_map_;
-        }
-        SM_CHECK(ApplyShardMapDelta(*delta, owned_map_.get()));
+        map_view_.Apply(*delta);
         SM_COUNTER_INC("sm.smlib.map_updates");
         SM_COUNTER_INC("sm.smlib.map_patches");
       });

@@ -37,18 +37,16 @@ class SmLibrary {
   // Establishes the liveness session and ephemeral node. Called on container start.
   void Connect();
 
-  // Subscribes to the app's shard map so the server-side library holds the same immutable map
-  // clients route by (the paper's library uses it to forward misdirected requests). The view is
-  // a shared reference to the published map — zero-copy, refreshed on each delivery. The
-  // subscription is delta-capable: with delta dissemination on, the library patches a privately
-  // owned copy in O(changed shards) per publish instead of swapping full snapshots.
+  // Subscribes to the app's shard map so the server-side library holds the same map clients
+  // route by (the paper's library uses it to forward misdirected requests). The view aliases
+  // the published snapshot and, from the first delta on, patches a private copy in
+  // O(changed shards) per publish (ShardMapView).
   void WatchShardMap(ServiceDiscovery* discovery, AppId app);
 
   // The library's current (possibly stale) map view; nullptr before the first delivery or when
-  // WatchShardMap was never called. In delta mode the view is patched in place on delivery —
-  // a live view, not a frozen snapshot.
-  const ShardMap* shard_map_view() const { return map_view_.get(); }
-  std::shared_ptr<const ShardMap> shard_map_shared() const { return map_view_; }
+  // WatchShardMap was never called. Deltas patch it in place — a live view, not a frozen
+  // snapshot.
+  const ShardMap* shard_map_view() const { return map_view_.map(); }
 
   // Expires the session (deleting the ephemeral node). Called on container stop/crash.
   void Disconnect();
@@ -81,9 +79,7 @@ class SmLibrary {
   SessionId session_;
   ServiceDiscovery* discovery_ = nullptr;
   int64_t map_subscription_ = 0;
-  std::shared_ptr<const ShardMap> map_view_;
-  // Private mutable copy deltas patch into; map_view_ aliases it while deltas are flowing.
-  std::shared_ptr<ShardMap> owned_map_;
+  ShardMapView map_view_;
 };
 
 }  // namespace shardman

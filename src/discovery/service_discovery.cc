@@ -38,13 +38,15 @@ TimeMicros ServiceDiscovery::DeliveryDelay(int64_t subscription, int64_t version
   return min_delay_ + static_cast<TimeMicros>(h % span);
 }
 
-void ServiceDiscovery::SetDeltaDissemination(AppId app, bool enabled) {
-  apps_[app.value].delta_mode = enabled;
-}
-
-bool ServiceDiscovery::delta_dissemination(AppId app) const {
-  auto it = apps_.find(app.value);
-  return it != apps_.end() && it->second.delta_mode;
+void ServiceDiscovery::ScheduleDelivery(int64_t subscription, Subscriber& sub,
+                                        std::shared_ptr<const PublishRecord> record) {
+  // FIFO channel: never before the previous delivery. Equal times keep scheduling order
+  // because the simulator breaks ties by sequence number.
+  sub.last_delivery_at = std::max(sim_->Now() + DeliveryDelay(subscription, record->map->version),
+                                  sub.last_delivery_at);
+  sim_->ScheduleAt(sub.last_delivery_at, [this, subscription, record = std::move(record)]() {
+    Deliver(subscription, record);
+  });
 }
 
 void ServiceDiscovery::SetDeliveryFilter(DeliveryFilter filter) {
@@ -70,18 +72,15 @@ void ServiceDiscovery::Publish(std::shared_ptr<const ShardMap> map) {
   AppState& app = apps_[map->app.value];
   const std::shared_ptr<const ShardMap> previous =
       app.last_publish != nullptr ? app.last_publish->map : nullptr;
-  if (previous != nullptr) {
-    SM_CHECK_GT(map->version, previous->version);
-  } else {
-    app.first_published_version = map->version;
-  }
-
   auto record = std::make_shared<PublishRecord>();
   record->published_at = sim_->Now();
-  if (app.delta_mode && previous != nullptr) {
+  if (previous != nullptr) {
+    SM_CHECK_GT(map->version, previous->version);
     // One immutable delta per publish, shared by every delta-capable subscriber — the delta
     // analogue of the zero-copy snapshot.
     record->delta = std::make_shared<const ShardMapDelta>(DiffShardMaps(*previous, *map));
+  } else {
+    app.first_published_version = map->version;
   }
   record->map = std::move(map);
   app.last_publish = record;
@@ -97,8 +96,7 @@ void ServiceDiscovery::Publish(std::shared_ptr<const ShardMap> map) {
                 (shared->delta != nullptr ? " delta" : " snapshot"));
   // Only this app's subscribers are scanned; each delivery shares the one immutable record.
   for (int64_t subscription : app.subscriptions) {
-    sim_->Schedule(DeliveryDelay(subscription, shared->map->version),
-                   [this, subscription, shared]() { Deliver(subscription, shared); });
+    ScheduleDelivery(subscription, subscribers_.at(subscription), shared);
   }
 }
 
@@ -115,9 +113,7 @@ void ServiceDiscovery::Deliver(int64_t subscription,
     SM_COUNTER_INC("sm.discovery.dropped_deliveries");
     return;  // Lost in the dissemination tree; a later version (or fallback) must heal this.
   }
-  if (map.version <= sub.delivered_version) {
-    return;  // Out-of-order delivery of an older version; suppress.
-  }
+  SM_CHECK_GT(map.version, sub.delivered_version);  // the channel is FIFO
   SM_COUNTER_INC("sm.discovery.deliveries");
   SM_HISTOGRAM_OBSERVE("sm.discovery.staleness_ms", ToMillis(sim_->Now() - record->published_at));
   if (sub.delta_cb != nullptr && record->delta != nullptr &&
@@ -133,12 +129,12 @@ void ServiceDiscovery::Deliver(int64_t subscription,
     return;
   }
   // Full snapshot: the only path for snapshot-only subscribers, and the gap-recovery path for
-  // delta subscribers (late subscribe, dropped delivery, or a suppression left delivered_version
-  // behind the delta's base). The initial read of the app's first-ever version is not a gap.
-  auto app_it = apps_.find(sub.app.value);
+  // delta subscribers (late subscribe or a dropped delivery left delivered_version behind the
+  // delta's base). The initial read of the app's first-ever version is not a gap.
   const bool gap_fallback =
-      sub.delta_cb != nullptr && app_it != apps_.end() && app_it->second.delta_mode &&
-      !(sub.delivered_version < 0 && map.version == app_it->second.first_published_version);
+      sub.delta_cb != nullptr &&
+      !(sub.delivered_version < 0 &&
+        map.version == apps_.at(sub.app.value).first_published_version);
   sub.delivered_version = map.version;
   snapshot_entries_shipped_ += static_cast<int64_t>(map.entries.size());
   if (gap_fallback) {
@@ -154,21 +150,15 @@ void ServiceDiscovery::Deliver(int64_t subscription,
   sub.cb(record->map);
 }
 
-int64_t ServiceDiscovery::Subscribe(AppId app, MapCallback cb) {
-  return SubscribeDelta(app, std::move(cb), nullptr);
-}
-
-int64_t ServiceDiscovery::SubscribeDelta(AppId app, MapCallback snapshot_cb,
-                                         DeltaCallback delta_cb) {
+int64_t ServiceDiscovery::Subscribe(AppId app, MapCallback snapshot_cb, DeltaCallback delta_cb) {
   SM_CHECK(snapshot_cb != nullptr);
   int64_t id = next_subscription_++;
-  subscribers_[id] = Subscriber{app, std::move(snapshot_cb), std::move(delta_cb), -1};
+  Subscriber& sub = subscribers_[id];
+  sub = Subscriber{app, std::move(snapshot_cb), std::move(delta_cb)};
   AppState& state = apps_[app.value];
   state.subscriptions.push_back(id);
   if (state.last_publish != nullptr) {
-    std::shared_ptr<const PublishRecord> record = state.last_publish;
-    sim_->Schedule(DeliveryDelay(id, record->map->version),
-                   [this, id, record]() { Deliver(id, record); });
+    ScheduleDelivery(id, sub, state.last_publish);
   }
   return id;
 }

@@ -3,7 +3,8 @@
 // The production system fans maps out through a multi-level distribution tree (§3.2); what the
 // availability experiments observe is the *client-visible staleness window*, so the simulator
 // models dissemination as a per-subscriber propagation delay sampled from a configurable range.
-// Stale deliveries (older version than the subscriber already has) are suppressed.
+// Each subscriber's channel is FIFO, as a path down a tree is: version v+1 is delivered no
+// earlier than v, so a subscriber never receives an older version than it already holds.
 //
 // Hot-path design (DESIGN.md §9): dissemination is zero-copy. Publish stores one immutable
 // ShardMap behind a shared_ptr and hands that same pointer to every subscriber — a map version
@@ -13,12 +14,12 @@
 // delay a subscriber experiences is independent of fan-out iteration order — publish order can
 // never perturb the seeded timing of other subscribers.
 //
-// Delta dissemination (DESIGN.md §10): with SetDeltaDissemination(app, true), every publish
-// also materializes one immutable ShardMapDelta against the previous version. A delta-capable
-// subscriber (SubscribeDelta) receives that delta when it chains onto the version the
-// subscriber last received; otherwise — late subscribe, a dropped delivery, or a suppressed
-// stale delivery left a version gap — it falls back to the full snapshot, mirroring the
-// paper's watch-then-read-snapshot recovery. Legacy Subscribe callers always get snapshots.
+// Delta dissemination (DESIGN.md §10): every publish after an app's first also materializes one
+// immutable ShardMapDelta against the previous version. A delta-capable subscriber receives
+// that delta when it chains onto the version the subscriber last received. It receives the
+// full snapshot only to heal a real gap — its initial read, a late subscribe, or a delivery
+// lost in the tree — mirroring the paper's watch-then-read-snapshot recovery. Snapshot-only
+// subscribers (no delta callback) always get snapshots.
 
 #ifndef SRC_DISCOVERY_SERVICE_DISCOVERY_H_
 #define SRC_DISCOVERY_SERVICE_DISCOVERY_H_
@@ -45,7 +46,8 @@ class ServiceDiscovery {
   using DeliveryFilter = std::function<bool(int64_t subscription, int64_t version)>;
 
   // Propagation delay per subscriber is derived deterministically from (seed, subscription,
-  // version), uniform in [min_delay, max_delay].
+  // version), uniform in [min_delay, max_delay]; a delivery waits for the subscriber's previous
+  // one when the drawn delay would let it overtake.
   ServiceDiscovery(Simulator* sim, TimeMicros min_delay, TimeMicros max_delay, uint64_t seed);
 
   // Publishes a new map version for map.app. Versions must be monotonically increasing.
@@ -56,18 +58,12 @@ class ServiceDiscovery {
   void Publish(std::shared_ptr<const ShardMap> map);
 
   // Subscribes to an app's map. If a map already exists it is delivered after a propagation
-  // delay. Returns a subscription id for Unsubscribe.
-  int64_t Subscribe(AppId app, MapCallback cb);
-  // Delta-capable subscription: `delta_cb` fires when the published delta chains onto the
-  // subscriber's last received version, `snapshot_cb` otherwise (initial delivery and gap
-  // recovery). With delta dissemination off this behaves exactly like Subscribe.
-  int64_t SubscribeDelta(AppId app, MapCallback snapshot_cb, DeltaCallback delta_cb);
+  // delay. With a `delta_cb`, a version whose delta chains onto the subscriber's last received
+  // version arrives as that delta and `snapshot_cb` fires only for the initial read and gap
+  // recovery; without one every version arrives as a snapshot. Returns a subscription id for
+  // Unsubscribe.
+  int64_t Subscribe(AppId app, MapCallback snapshot_cb, DeltaCallback delta_cb = nullptr);
   void Unsubscribe(int64_t subscription);
-
-  // Turns delta publication on/off for one app (the OrchestratorConfig::delta_dissemination
-  // toggle lands here). Snapshot-only subscribers are unaffected either way.
-  void SetDeltaDissemination(AppId app, bool enabled);
-  bool delta_dissemination(AppId app) const;
 
   // Installs (or clears, with nullptr) the delivery-loss hook. SetDeliveryLoss is the common
   // case: drop each delivery independently with `probability`, seeded deterministically;
@@ -96,7 +92,7 @@ class ServiceDiscovery {
   // publish keeps the per-subscriber closure inside SmallFunction's inline storage).
   struct PublishRecord {
     std::shared_ptr<const ShardMap> map;
-    // Delta from the previous published version, or nullptr (first publish / delta mode off).
+    // Delta from the previous published version, or nullptr for the app's first publish.
     std::shared_ptr<const ShardMapDelta> delta;
     TimeMicros published_at = 0;  // feeds the delivery staleness histogram
   };
@@ -105,10 +101,11 @@ class ServiceDiscovery {
     MapCallback cb;
     DeltaCallback delta_cb;  // null for snapshot-only subscribers
     int64_t delivered_version = -1;
+    // Latest delivery time scheduled on this channel; later versions never arrive before it.
+    TimeMicros last_delivery_at = 0;
   };
   struct AppState {
     std::shared_ptr<const PublishRecord> last_publish;
-    bool delta_mode = false;
     // First version this discovery instance published for the app: a snapshot of it delivered
     // to a fresh subscriber is the normal initial read, not a gap fallback.
     int64_t first_published_version = -1;
@@ -116,6 +113,9 @@ class ServiceDiscovery {
   };
 
   TimeMicros DeliveryDelay(int64_t subscription, int64_t version) const;
+  // Schedules `record` down the subscriber's FIFO channel.
+  void ScheduleDelivery(int64_t subscription, Subscriber& sub,
+                        std::shared_ptr<const PublishRecord> record);
   void Deliver(int64_t subscription, const std::shared_ptr<const PublishRecord>& record);
 
   Simulator* sim_;

@@ -1,6 +1,7 @@
 #include "src/discovery/shard_map.h"
 
 #include <sstream>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -54,6 +55,20 @@ std::string SerializeShardMap(const ShardMap& map) {
     os << "\n";
   }
   return os.str();
+}
+
+void ShardMapView::Reset(std::shared_ptr<const ShardMap> snapshot) {
+  map_ = std::move(snapshot);
+  owned_.reset();
+}
+
+void ShardMapView::Apply(const ShardMapDelta& delta) {
+  SM_CHECK(map_ != nullptr);  // a delta only ever chains onto a delivered snapshot
+  if (owned_ == nullptr) {
+    owned_ = std::make_shared<ShardMap>(*map_);
+    map_ = owned_;
+  }
+  SM_CHECK(ApplyShardMapDelta(delta, owned_.get()));
 }
 
 }  // namespace shardman

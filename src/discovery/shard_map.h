@@ -11,6 +11,7 @@
 #define SRC_DISCOVERY_SHARD_MAP_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -112,6 +113,24 @@ bool ApplyShardMapDelta(const ShardMapDelta& delta, ShardMap* map);
 // serialize identically iff they are semantically identical; the delta property suite compares
 // delta-applied and snapshot-delivered maps through this.
 std::string SerializeShardMap(const ShardMap& map);
+
+// A subscriber's local copy of a disseminated map, copy-on-first-delta: a snapshot is aliased
+// (the one shared immutable map, never copied); the first delta after it materializes a private
+// copy that this and every later delta patch in place, so steady state costs O(changed) per
+// version and one full copy per snapshot.
+class ShardMapView {
+ public:
+  // Adopts a delivered snapshot, dropping any private copy.
+  void Reset(std::shared_ptr<const ShardMap> snapshot);
+  // Patches the view; SM_CHECKs that a snapshot was delivered and that the delta chains onto it.
+  void Apply(const ShardMapDelta& delta);
+  // The current map, or nullptr before the first snapshot.
+  const ShardMap* map() const { return map_.get(); }
+
+ private:
+  std::shared_ptr<const ShardMap> map_;
+  std::shared_ptr<ShardMap> owned_;  // the private copy map_ aliases once deltas flow, else null
+};
 
 }  // namespace shardman
 

@@ -24,32 +24,24 @@ ServiceRouter::ServiceRouter(Simulator* sim, Network* network, ServiceDiscovery*
   SM_CHECK(discovery != nullptr);
   SM_CHECK(registry != nullptr);
   SM_CHECK(spec != nullptr);
-  subscription_ = discovery_->SubscribeDelta(
+  subscription_ = discovery_->Subscribe(
       spec_->id, [this](const std::shared_ptr<const ShardMap>& map) { ApplyMap(map); },
       [this](const std::shared_ptr<const ShardMapDelta>& delta) { ApplyDelta(delta); });
 }
+
+ServiceRouter::~ServiceRouter() { discovery_->Unsubscribe(subscription_); }
 
 void ServiceRouter::ApplyMap(const std::shared_ptr<const ShardMap>& map) {
   // First client-visible point of a lifecycle chain: the routing table now reflects the
   // published version.
   SM_COUNTER_INC("sm.router.maps_applied");
   SM_TRACE_INSTANT("router", "map_applied", obs::Arg("version", map->version));
-  map_ = map;
-  owned_map_.reset();  // back on the shared zero-copy snapshot
+  view_.Reset(map);
   RebuildCache();
 }
 
 void ServiceRouter::ApplyDelta(const std::shared_ptr<const ShardMapDelta>& delta) {
-  // Discovery only ships a delta that chains onto what this subscriber last received, so a
-  // delta can never arrive before the first snapshot.
-  SM_CHECK(map_ != nullptr);
-  if (owned_map_ == nullptr || map_.get() != owned_map_.get()) {
-    // First delta after a snapshot: materialize the private copy patches apply to. One full
-    // copy per snapshot->delta transition; steady state is O(changed) per publish.
-    owned_map_ = std::make_shared<ShardMap>(*map_);
-    map_ = owned_map_;
-  }
-  SM_CHECK(ApplyShardMapDelta(*delta, owned_map_.get()));
+  view_.Apply(*delta);
   SM_COUNTER_INC("sm.router.maps_applied");
   SM_TRACE_INSTANT("router", "delta_applied", obs::Arg("version", delta->to_version));
   PatchCache(*delta);
@@ -86,8 +78,8 @@ void ServiceRouter::RebuildCache() {
   SM_COUNTER_INC("sm.router.cache_rebuilds");
   cache_.clear();
   ranked_.clear();
-  cache_.reserve(map_->entries.size());
-  for (const ShardMapEntry& entry : map_->entries) {
+  cache_.reserve(view_.map()->entries.size());
+  for (const ShardMapEntry& entry : view_.map()->entries) {
     CachedShard cached;
     RankShard(entry, &cached);
     cache_.push_back(cached);
@@ -200,7 +192,7 @@ ServerId ServiceRouter::PickTarget(const Request& request, int attempt, ServerId
 }
 
 ServerId ServiceRouter::SelectTarget(const Request& request, int attempt, ServerId exclude) {
-  if (map_ == nullptr || !request.shard.valid() ||
+  if (view_.map() == nullptr || !request.shard.valid() ||
       static_cast<size_t>(request.shard.value) >= cache_.size()) {
     return ServerId();
   }

@@ -3,7 +3,7 @@
 // Mirrors the paper's client API: a client asks for the server responsible for a key
 // (get_client(app, key)) and sends requests there. The router:
 //   * maintains a (possibly stale) local view of the shard map, updated via service discovery —
-//     a shared reference to the one immutable published map, never a copy;
+//     the shared published snapshot until the first delta, then a private copy it patches;
 //   * resolves key -> shard through the app's key ranges (app-key abstraction, §3.1);
 //   * routes writes to the primary and reads/scans to the lowest-latency replica from the
 //     client's region;
@@ -17,7 +17,7 @@
 // allocation, latency query or sort. The cache is invalidated only by the next map version.
 //
 // Delta dissemination (DESIGN.md §10): the router subscribes delta-capable. A delivered delta
-// is applied to a privately-owned copy of the map (materialized once, on the first delta after
+// is applied to a ShardMapView (a private copy materialized once, on the first delta after
 // a snapshot) and the routing cache is *patched* — only the changed shards' rows are re-ranked,
 // appended to the flat replica array, and their index entries repointed — so apply cost is
 // O(changed shards) instead of O(total shards). The invariant the equivalence tests pin: a
@@ -60,6 +60,10 @@ class ServiceRouter {
   ServiceRouter(Simulator* sim, Network* network, ServiceDiscovery* discovery,
                 ServerRegistry* registry, const AppSpec* spec, RegionId client_region,
                 RouterConfig config, uint64_t seed);
+  // Unsubscribes from discovery: no map delivery reaches a destroyed router.
+  ~ServiceRouter();
+  ServiceRouter(const ServiceRouter&) = delete;
+  ServiceRouter& operator=(const ServiceRouter&) = delete;
 
   // Routes one request; `done` fires with the outcome (after retries).
   void Route(uint64_t key, RequestType type, std::function<void(const RequestOutcome&)> done);
@@ -67,7 +71,7 @@ class ServiceRouter {
              std::function<void(const RequestOutcome&)> done);
 
   // The client's current view of the map (possibly stale). Null before first delivery.
-  const ShardMap* map() const { return map_.get(); }
+  const ShardMap* map() const { return view_.map(); }
   RegionId region() const { return client_region_; }
 
   // Resolves a key to its shard against this client's current view. Published key ranges win
@@ -180,10 +184,9 @@ class ServiceRouter {
   RouterConfig config_;
   Rng rng_;
 
-  // Shared reference to the published map (zero-copy; null before the first delivery). After a
-  // delta apply this aliases owned_map_ — a private copy the router patches in place.
-  std::shared_ptr<const ShardMap> map_;
-  std::shared_ptr<ShardMap> owned_map_;
+  // The delivered map: the shared published snapshot until the first delta, then a private
+  // copy patched in place (empty before the first delivery).
+  ShardMapView view_;
   // Per-version routing cache: rebuilt on snapshot application, patched on delta application.
   std::vector<CachedShard> cache_;
   std::vector<RankedReplica> ranked_;

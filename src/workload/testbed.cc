@@ -37,9 +37,6 @@ Testbed::Testbed(TestbedConfig config)
   SM_CHECK(!config_.regions.empty());
   SM_CHECK_GT(config_.servers_per_region, 0);
   SM_CHECK_GT(config_.app.num_shards(), 0);
-  if (config_.delta_dissemination) {
-    config_.mini_sm.orchestrator.delta_dissemination = true;
-  }
 
   const int metrics = config_.app.placement.metrics.size();
   SM_CHECK_GT(metrics, 0);

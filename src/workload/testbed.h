@@ -82,9 +82,8 @@ struct TestbedConfig {
   // unbounded queue). See ShardHostBase::set_queue_limit.
   TimeMicros server_queue_limit = 0;
 
-  // Delta shard-map dissemination (DESIGN.md §10): convenience mirror of
-  // mini_sm.orchestrator.delta_dissemination — setting either turns it on. Routers and
-  // SmLibrary watchers are always delta-capable; this controls whether the publish side diffs.
+  // Ignored: delta dissemination is the only publish mode (DESIGN.md §10). Kept only because the
+  // benchmark program assigns it; deleted with the next change to the benchmark definition.
   bool delta_dissemination = false;
 
   // Per-request RED accounting (DESIGN.md §12): routers from CreateRouter attach to the

@@ -41,7 +41,6 @@ TestbedConfig AdaptiveBedConfig(uint64_t seed, bool smr) {
                                   ReplicationStrategy::kPrimarySecondary, 2);
   config.app.placement.metrics = MetricSet({"cpu"});
   config.app.caps.max_unavailable_per_shard = 1;
-  config.delta_dissemination = true;
   config.mini_sm.orchestrator.failover_grace = Seconds(8);
   if (smr) {
     config.smr.num_replicas = 3;

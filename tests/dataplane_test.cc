@@ -183,12 +183,13 @@ TEST(RouterCache, InvalidatedByFailoverPublish) {
   bed.sim().RunFor(Seconds(2));
 
   // Find a shard's primary, then drain that server: the orchestrator migrates its shards and
-  // publishes new map versions. The router must apply them (rebuilding its cache) and route
-  // writes to the new primary.
+  // publishes new map versions. The router must apply them (patching its cache from the
+  // deltas) and route writes to the new primary.
   ShardId shard = bed.spec().ShardForKey(424242);
   ServerId old_primary = bed.discovery().Current(AppId(1))->PrimaryOf(shard);
   ASSERT_TRUE(old_primary.valid());
   int64_t rebuilds_before = router->cache_rebuilds();
+  int64_t patches_before = router->cache_patches();
 
   bool drained = false;
   bed.orchestrator().DrainServer(old_primary, true, true, [&]() { drained = true; });
@@ -196,7 +197,8 @@ TEST(RouterCache, InvalidatedByFailoverPublish) {
   ASSERT_TRUE(drained);
   bed.sim().RunFor(Seconds(2));  // final map version propagates to the router
 
-  EXPECT_GT(router->cache_rebuilds(), rebuilds_before);
+  EXPECT_EQ(router->cache_rebuilds(), rebuilds_before);
+  EXPECT_GT(router->cache_patches(), patches_before);
   ServerId new_primary = bed.discovery().Current(AppId(1))->PrimaryOf(shard);
   ASSERT_TRUE(new_primary.valid());
   EXPECT_NE(new_primary, old_primary);

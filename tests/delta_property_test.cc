@@ -10,8 +10,9 @@
 //   3. Churn/gaps: late subscribers, dropped deliveries and unsubscribe/resubscribe always
 //      converge via snapshot fallback, and sm.discovery.snapshot_fallbacks counts exactly the
 //      injected gaps. The chaos engine's map-delivery-loss fault composes with real churn.
-//   4. Router equivalence: incremental cache patching yields identical PickTarget decisions
-//      to full rebuilds across failover publishes (cache_rebuilds flat, cache_patches rising).
+//   4. Router equivalence: a long-lived router's patched cache yields the same map and
+//      PickTarget decisions as a fresh router's full rebuild at each checkpoint across failover
+//      publishes (cache_rebuilds flat, cache_patches rising).
 //   5. Leader kill mid-operation: killing the single control-plane replica while a drain has
 //      placement operations in flight converges again — the re-elected term reconciles exactly
 //      the logged tail, at most one orchestrator passes the write fence, and the delta
@@ -193,13 +194,12 @@ TestbedConfig PropertyBedConfig(uint64_t seed, int solver_threads) {
                                   ReplicationStrategy::kPrimarySecondary, 2);
   config.app.placement.metrics = MetricSet({"cpu"});
   config.seed = seed;
-  config.delta_dissemination = true;
   config.mini_sm.orchestrator.solver_threads = solver_threads;
   return config;
 }
 
 // Drives a seeded random sequence of rebalances/failovers/upgrades with two discovery
-// subscribers attached: a legacy snapshot-only subscriber (ground truth — it always receives
+// subscribers attached: a snapshot-only subscriber (ground truth — it always receives
 // the published map itself) and a delta follower. At every version both delivered, the
 // follower's patched map must serialize identically to the published snapshot. Returns the
 // follower's full delivered history for cross-thread-count comparison.
@@ -211,7 +211,7 @@ PropertyRun RunDeltaPropertyScenario(uint64_t seed, int solver_threads) {
 
   DeltaFollower follower;
   std::map<int64_t, std::string> snapshot_history;
-  bed.discovery().SubscribeDelta(AppId(1), follower.SnapshotCb(), follower.DeltaCb());
+  bed.discovery().Subscribe(AppId(1), follower.SnapshotCb(), follower.DeltaCb());
   bed.discovery().Subscribe(AppId(1), [&](const std::shared_ptr<const ShardMap>& map) {
     snapshot_history[map->version] = SerializeShardMap(*map);
   });
@@ -295,13 +295,12 @@ TEST(DeltaProperty, DeliveredHistoryInvariantAcrossSolverThreads) {
 
 // -- 3. Churn: gaps always converge via snapshot fallback --------------------------------------
 
-// Deterministic gap injection at the discovery layer: a fixed delivery delay keeps deliveries
-// in version order, and a surgical filter drops exactly the chosen (subscriber, version)
-// pairs — so the expected fallback count is computable by hand and asserted *exactly*.
+// Deterministic gap injection at the discovery layer: FIFO channels deliver in version order,
+// and a surgical filter drops exactly the chosen (subscriber, version) pairs — so the expected
+// fallback count is computable by hand and asserted *exactly*.
 TEST(DeltaChurn, FallbackCountMatchesInjectedGapsExactly) {
   Simulator sim;
   ServiceDiscovery discovery(&sim, Millis(10), Millis(10), 7);
-  discovery.SetDeltaDissemination(AppId(1), true);
   const int64_t obs_fallbacks_before = ObsCounter("sm.discovery.snapshot_fallbacks");
 
   auto drops = std::make_shared<std::set<std::pair<int64_t, int64_t>>>();
@@ -312,7 +311,7 @@ TEST(DeltaChurn, FallbackCountMatchesInjectedGapsExactly) {
   const int kShards = 8;
   const int kTouched = 2;
   DeltaFollower a;
-  int64_t sub_a = discovery.SubscribeDelta(AppId(1), a.SnapshotCb(), a.DeltaCb());
+  int64_t sub_a = discovery.Subscribe(AppId(1), a.SnapshotCb(), a.DeltaCb());
 
   ShardMap map = MakeMap(AppId(1), 1, kShards);
   discovery.Publish(map);  // v1: A's initial read — the first published version, NOT a gap
@@ -339,7 +338,7 @@ TEST(DeltaChurn, FallbackCountMatchesInjectedGapsExactly) {
 
   DeltaFollower b;
   int64_t sub_b =
-      discovery.SubscribeDelta(AppId(1), b.SnapshotCb(), b.DeltaCb());  // late join -> fallback #2
+      discovery.Subscribe(AppId(1), b.SnapshotCb(), b.DeltaCb());  // late join -> fallback #2
   sim.RunAll();
   EXPECT_EQ(discovery.snapshot_fallbacks(), 2);
   EXPECT_EQ(b.own.version, 4);
@@ -354,7 +353,7 @@ TEST(DeltaChurn, FallbackCountMatchesInjectedGapsExactly) {
   // mid-stream version is a gap -> fallback #3.
   discovery.Unsubscribe(sub_b);
   DeltaFollower b2;
-  int64_t sub_b2 = discovery.SubscribeDelta(AppId(1), b2.SnapshotCb(), b2.DeltaCb());
+  int64_t sub_b2 = discovery.Subscribe(AppId(1), b2.SnapshotCb(), b2.DeltaCb());
   sim.RunAll();
   EXPECT_EQ(discovery.snapshot_fallbacks(), 3);
   EXPECT_EQ(b2.own.version, 5);
@@ -399,7 +398,6 @@ TEST(DeltaChurn, ChaosDeliveryLossConvergesAfterHeal) {
                                   ReplicationStrategy::kPrimarySecondary, 2);
   config.app.placement.metrics = MetricSet({"cpu"});
   config.seed = 515;
-  config.delta_dissemination = true;
   Testbed bed(config);
   bed.Start();
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(5)));
@@ -448,19 +446,13 @@ TEST(DeltaChurn, ChaosDeliveryLossConvergesAfterHeal) {
 
 // -- 4. Router equivalence: patch == rebuild ----------------------------------------------------
 
-struct EquivalenceRun {
-  std::vector<int32_t> picks;  // flattened PickTarget decisions at three checkpoints
-  int64_t cache_rebuilds = 0;
-  int64_t cache_patches = 0;
-  int64_t map_version = 0;
-  std::string map_bytes;
-};
-
-// Runs the same seeded failover scenario with delta dissemination on or off and records every
-// PickTarget decision for a fixed request stream at three checkpoints (initial map, after a
-// failover publish, after a second one). A fixed discovery delay keeps deliveries in version
-// order so the delta run never needs a gap fallback.
-EquivalenceRun RunEquivalenceScenario(bool delta_on) {
+// A long-lived router that patched its cache through every publish must be indistinguishable
+// from a fresh router whose one full RebuildCache read the published snapshot: same map bytes,
+// same PickTarget decisions for the same request stream. Picks draw from the router's seeded
+// rotation stream, so each checkpoint has its own long-lived twin, seeded like the fresh router
+// and silent until its checkpoint. A fixed 300 ms discovery delay lands each fresh router's
+// initial read inside the one second the checkpoint waits for it.
+TEST(RouterEquivalence, PatchedCacheMatchesFullRebuildAcrossFailover) {
   TestbedConfig config;
   config.regions = {"r0", "r1"};
   config.servers_per_region = 6;
@@ -468,19 +460,19 @@ EquivalenceRun RunEquivalenceScenario(bool delta_on) {
                                   ReplicationStrategy::kPrimarySecondary, 2);
   config.app.placement.metrics = MetricSet({"cpu"});
   config.seed = 616;
-  config.delta_dissemination = delta_on;
   config.discovery_min_delay = Millis(300);
   config.discovery_max_delay = Millis(300);
   Testbed bed(config);
   bed.Start();
-  EXPECT_TRUE(bed.RunUntilAllReady(Minutes(5)));
+  ASSERT_TRUE(bed.RunUntilAllReady(Minutes(5)));
 
-  auto router = bed.CreateRouter(RegionId(0));
-  bed.sim().RunFor(Seconds(2));
-  EXPECT_NE(router->map(), nullptr);
-
-  EquivalenceRun result;
-  auto checkpoint = [&]() {
+  auto make_router = [&bed]() {
+    return std::make_unique<ServiceRouter>(&bed.sim(), &bed.network(), &bed.discovery(),
+                                           &bed.registry(), &bed.spec(), RegionId(0),
+                                           RouterConfig{}, /*seed=*/4242);
+  };
+  auto picks = [&bed](ServiceRouter& router) {
+    std::vector<int32_t> out;
     for (int i = 0; i < 64; ++i) {
       Request request;
       request.app = bed.spec().id;
@@ -488,46 +480,45 @@ EquivalenceRun RunEquivalenceScenario(bool delta_on) {
       request.shard = bed.spec().ShardForKey(request.key);
       request.type = (i % 3 == 0) ? RequestType::kWrite : RequestType::kRead;
       request.client_region = RegionId(0);
-      result.picks.push_back(router->PickTargetForBench(request, 1, ServerId()).value);
-      result.picks.push_back(
-          router->PickTargetForBench(request, 2, bed.servers().front()).value);
+      out.push_back(router.PickTargetForBench(request, 1, ServerId()).value);
+      out.push_back(router.PickTargetForBench(request, 2, bed.servers().front()).value);
     }
+    return out;
   };
 
-  checkpoint();
-  std::vector<ServerId> servers = bed.servers();
-  bed.orchestrator().DrainServer(servers[0], true, true, []() {});  // failover publish(es)
-  bed.sim().RunFor(Minutes(2));
-  checkpoint();
-  bed.orchestrator().DrainServer(servers[3], true, true, []() {});
-  bed.sim().RunFor(Minutes(2));
-  checkpoint();
+  // Checkpoints: the initial map, then after each of two drains (failover publishes).
+  const std::vector<ServerId> servers = bed.servers();
+  const std::vector<ServerId> drains = {ServerId(), servers[0], servers[3]};
+  std::vector<std::unique_ptr<ServiceRouter>> patched;
+  for (size_t k = 0; k < drains.size(); ++k) {
+    patched.push_back(make_router());
+  }
+  bed.sim().RunFor(Seconds(2));
 
-  result.cache_rebuilds = router->cache_rebuilds();
-  result.cache_patches = router->cache_patches();
-  result.map_version = router->map()->version;
-  result.map_bytes = SerializeShardMap(*router->map());
-  return result;
-}
+  for (size_t k = 0; k < drains.size(); ++k) {
+    if (drains[k].valid()) {
+      bed.orchestrator().DrainServer(drains[k], true, true, []() {});
+      bed.sim().RunFor(Minutes(2));
+    }
+    auto fresh = make_router();
+    bed.sim().RunFor(Seconds(1));  // the fresh router's initial read
+    ASSERT_NE(fresh->map(), nullptr);
+    EXPECT_EQ(fresh->cache_rebuilds(), 1);
+    EXPECT_EQ(fresh->cache_patches(), 0);
+    const ShardMap* current = bed.discovery().Current(AppId(1));
+    ASSERT_NE(patched[k]->map(), nullptr);
+    EXPECT_EQ(patched[k]->map()->version, current->version);
+    EXPECT_EQ(SerializeShardMap(*fresh->map()), SerializeShardMap(*current));
+    EXPECT_EQ(SerializeShardMap(*patched[k]->map()), SerializeShardMap(*current));
+    EXPECT_EQ(picks(*patched[k]), picks(*fresh)) << "checkpoint " << k;
+  }
 
-TEST(RouterEquivalence, PatchedCacheMatchesFullRebuildAcrossFailover) {
-  EquivalenceRun snapshot = RunEquivalenceScenario(false);
-  EquivalenceRun delta = RunEquivalenceScenario(true);
-
-  // The dissemination mode must be invisible: same maps, same routing decisions.
-  EXPECT_GT(snapshot.map_version, 1);
-  EXPECT_EQ(snapshot.map_version, delta.map_version);
-  EXPECT_EQ(snapshot.map_bytes, delta.map_bytes);
-  ASSERT_EQ(snapshot.picks.size(), delta.picks.size());
-  EXPECT_EQ(snapshot.picks, delta.picks);
-
-  // ...while the apply machinery differs exactly as designed: the snapshot run rebuilds per
-  // version, the delta run rebuilds once (initial snapshot) and patches thereafter.
-  EXPECT_EQ(snapshot.cache_patches, 0);
-  EXPECT_GT(snapshot.cache_rebuilds, 1);
-  EXPECT_EQ(delta.cache_rebuilds, 1);
-  EXPECT_GT(delta.cache_patches, 1);
-  EXPECT_EQ(delta.cache_rebuilds + delta.cache_patches, snapshot.cache_rebuilds);
+  // Each long-lived router rebuilt once (its initial snapshot) and patched every later version.
+  EXPECT_GT(bed.discovery().Current(AppId(1))->version, 1);
+  for (const auto& router : patched) {
+    EXPECT_EQ(router->cache_rebuilds(), 1);
+    EXPECT_GT(router->cache_patches(), 1);
+  }
 }
 
 // -- 5. Leader kill with operations in flight -----------------------------------------------------
@@ -541,7 +532,7 @@ TEST(LeaderKillProperty, SingleReplicaKillMidDrainReconcilesTailAndKeepsDeltasEx
 
   DeltaFollower follower;
   std::map<int64_t, std::string> snapshot_history;
-  bed.discovery().SubscribeDelta(AppId(1), follower.SnapshotCb(), follower.DeltaCb());
+  bed.discovery().Subscribe(AppId(1), follower.SnapshotCb(), follower.DeltaCb());
   bed.discovery().Subscribe(AppId(1), [&](const std::shared_ptr<const ShardMap>& map) {
     snapshot_history[map->version] = SerializeShardMap(*map);
   });

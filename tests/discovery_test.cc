@@ -1,6 +1,9 @@
-// Unit tests for service discovery: publication, propagation delay, stale-version suppression.
+// Unit tests for service discovery: publication, propagation delay, FIFO delta channels.
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 #include "src/discovery/service_discovery.h"
 #include "src/sim/simulator.h"
@@ -50,24 +53,54 @@ TEST(ServiceDiscoveryTest, LateSubscriberGetsCurrentMap) {
   EXPECT_EQ(seen_version, 5);
 }
 
-TEST(ServiceDiscoveryTest, StaleVersionsSuppressed) {
+// Delays drawn per (subscription, version) from a range 600x wider than the publish interval
+// would let later versions overtake earlier ones; each subscriber's channel is FIFO, so every
+// subscriber still sees every version, in order, and after its initial read only as deltas.
+TEST(ServiceDiscoveryTest, FifoChannelsDeliverEveryVersionInOrderAsDeltas) {
   Simulator sim;
-  // Wide delay range: version 2's delivery can overtake version 1's.
-  ServiceDiscovery discovery(&sim, Millis(10), Seconds(2), 7);
-  std::vector<int64_t> versions;
+  ServiceDiscovery discovery(&sim, Millis(200), Millis(800), 7);
+  struct Seen {
+    std::vector<int64_t> versions;
+    int snapshots = 0;
+    int deltas = 0;
+  };
+  constexpr int kSubscribers = 8;
+  constexpr int64_t kVersions = 50;
+  std::vector<Seen> seen(kSubscribers);
+  for (Seen& s : seen) {
+    discovery.Subscribe(
+        AppId(1),
+        [&s](const std::shared_ptr<const ShardMap>& map) {
+          s.versions.push_back(map->version);
+          ++s.snapshots;
+        },
+        [&s](const std::shared_ptr<const ShardMapDelta>& delta) {
+          s.versions.push_back(delta->to_version);
+          ++s.deltas;
+        });
+  }
+  std::vector<int64_t> snapshot_only;
   discovery.Subscribe(AppId(1), [&](const std::shared_ptr<const ShardMap>& map) {
-    versions.push_back(map->version);
+    snapshot_only.push_back(map->version);
   });
-  for (int64_t v = 1; v <= 10; ++v) {
-    discovery.Publish(MakeMap(AppId(1), v, 1));
-    sim.RunFor(Millis(50));
+  for (int64_t v = 1; v <= kVersions; ++v) {
+    discovery.Publish(MakeMap(AppId(1), v, static_cast<int>(v % 4) + 1));
+    sim.RunFor(Millis(1));
   }
-  sim.RunFor(Seconds(5));
-  ASSERT_FALSE(versions.empty());
-  for (size_t i = 1; i < versions.size(); ++i) {
-    EXPECT_GT(versions[i], versions[i - 1]) << "client must never regress to an older map";
+  sim.RunFor(Seconds(2));
+
+  std::vector<int64_t> every_version;
+  for (int64_t v = 1; v <= kVersions; ++v) {
+    every_version.push_back(v);
   }
-  EXPECT_EQ(versions.back(), 10);
+  for (const Seen& s : seen) {
+    EXPECT_EQ(s.versions, every_version);
+    EXPECT_EQ(s.snapshots, 1);  // the initial read
+    EXPECT_EQ(s.deltas, kVersions - 1);
+  }
+  EXPECT_EQ(snapshot_only, every_version);
+  EXPECT_EQ(discovery.snapshot_fallbacks(), 0);
+  EXPECT_EQ(discovery.delta_deliveries(), kSubscribers * (kVersions - 1));
 }
 
 TEST(ServiceDiscoveryTest, CurrentIsAuthoritativeImmediately) {

@@ -552,7 +552,6 @@ TEST(CounterAudit, DeltaDataPlaneCountersAreExercised) {
   obs::DefaultMetrics().ResetValues();
   {
     TestbedConfig config = ObsBedConfig(9001);
-    config.delta_dissemination = true;
     Testbed bed(config);
     bed.Start();
     ASSERT_TRUE(bed.RunUntilAllReady(Minutes(5)));

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/obs.h"
 #include "src/workload/testbed.h"
 
 namespace shardman {
@@ -140,6 +141,29 @@ TEST(ServiceRouterTest, StaleMapRecoversViaRetries) {
   }
   bed.sim().RunFor(Seconds(10));
   EXPECT_EQ(failures, 0) << "graceful migration dropped client requests";
+}
+
+// A destroyed router leaves discovery: later publishes reach no freed router (the ASan lane
+// turns a leftover subscription into a use-after-free report).
+TEST(ServiceRouterTest, DestroyedRouterReceivesNoMaps) {
+  Testbed bed(RouterConfigBed(ReplicationStrategy::kPrimaryOnly, 1, 1));
+  bed.Start();
+  ASSERT_TRUE(bed.RunUntilAllReady(Minutes(2)));
+  auto router = bed.CreateRouter(RegionId(0));
+  bed.sim().RunFor(Seconds(2));
+  ASSERT_NE(router->map(), nullptr);
+  router.reset();
+
+#if SHARDMAN_OBS_ENABLED
+  const int64_t applied = obs::DefaultMetrics().Snapshot().CounterValue("sm.router.maps_applied");
+#endif
+  const int64_t publishes = bed.discovery().publishes();
+  bed.orchestrator().DrainServer(bed.servers().front(), true, true, []() {});
+  bed.sim().RunFor(Minutes(1));
+  EXPECT_GT(bed.discovery().publishes(), publishes);
+#if SHARDMAN_OBS_ENABLED
+  EXPECT_EQ(obs::DefaultMetrics().Snapshot().CounterValue("sm.router.maps_applied"), applied);
+#endif
 }
 
 }  // namespace

@@ -39,7 +39,6 @@ TestbedConfig SplitBedConfig(uint64_t seed) {
                                   ReplicationStrategy::kPrimarySecondary, 2);
   config.app.placement.metrics = MetricSet({"cpu"});
   config.app.caps.max_unavailable_per_shard = 1;
-  config.delta_dissemination = true;
   config.seed = seed;
   return config;
 }
@@ -183,7 +182,7 @@ TEST(SplitMergeProperty, DeltaFollowerByteIdenticalToSnapshotsAcrossSplits) {
 
   DeltaFollower follower;
   std::map<int64_t, std::string> snapshot_history;
-  bed.discovery().SubscribeDelta(
+  bed.discovery().Subscribe(
       AppId(1),
       [&](const std::shared_ptr<const ShardMap>& map) {
         follower.own = *map;
