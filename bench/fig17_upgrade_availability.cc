@@ -30,6 +30,7 @@ struct RunOutput {
   double upgrade_seconds = 0.0;
   int64_t graceful = 0;
   int64_t abrupt = 0;
+  int64_t failed_ops = 0;
 };
 
 RunOutput RunConfig(bool graceful_migration, bool task_controller, int shards) {
@@ -86,6 +87,7 @@ RunOutput RunConfig(bool graceful_migration, bool task_controller, int shards) {
   obs::MetricsSnapshot snapshot = obs::DefaultMetrics().Snapshot();
   output.graceful = snapshot.CounterValue("sm.orchestrator.migrations_graceful");
   output.abrupt = snapshot.CounterValue("sm.orchestrator.migrations_abrupt");
+  output.failed_ops = snapshot.CounterValue("sm.orchestrator.ops_failed");
   return output;
 }
 
@@ -117,17 +119,17 @@ int main() {
   series.Print(std::cout);
 
   std::cout << "\nSummary:\n";
-  TablePrinter summary({"config", "overall_success_%", "upgrade_duration_s",
+  TablePrinter summary({"config", "overall_success_%", "failed_ops", "upgrade_duration_s",
                         "graceful_migrations", "abrupt_migrations"});
   summary.AddRowValues(std::string("SM (drain + graceful)"),
-                       FormatDouble(sm.overall_success * 100.0, 3),
+                       FormatDouble(sm.overall_success * 100.0, 3), sm.failed_ops,
                        FormatDouble(sm.upgrade_seconds, 0), sm.graceful, sm.abrupt);
   summary.AddRowValues(std::string("no graceful migration"),
                        FormatDouble(no_graceful.overall_success * 100.0, 3),
-                       FormatDouble(no_graceful.upgrade_seconds, 0), no_graceful.graceful,
-                       no_graceful.abrupt);
+                       no_graceful.failed_ops, FormatDouble(no_graceful.upgrade_seconds, 0),
+                       no_graceful.graceful, no_graceful.abrupt);
   summary.AddRowValues(std::string("neither"),
-                       FormatDouble(neither.overall_success * 100.0, 3),
+                       FormatDouble(neither.overall_success * 100.0, 3), neither.failed_ops,
                        FormatDouble(neither.upgrade_seconds, 0), neither.graceful,
                        neither.abrupt);
   summary.Print(std::cout);

@@ -203,6 +203,7 @@ void Orchestrator::AbandonOp(const Op& op) {
   SM_TRACE_END(op.trace, "orchestrator", OpKindName(op.kind), obs::Arg("abandoned", int64_t{1}));
   ++abandoned_ops_;
   SM_COUNTER_INC("sm.orchestrator.ops_abandoned");
+  ReleaseInbound(op);
   busy_shards_.erase(op.shard.value);
   --in_flight_ops_;
   if (op.shard.valid() && op.shard.value < static_cast<int32_t>(shards_.size())) {
@@ -261,6 +262,21 @@ void Orchestrator::LogOpStart(Op& op) {
   record.from = op.from;
   record.to = op.to;
   op.log_seq = config_.op_log_append(record);
+}
+
+void Orchestrator::CountInbound(Op& op) {
+  op.inbound = true;
+  ++inbound_moves_[op.to.value];
+}
+
+void Orchestrator::ReleaseInbound(const Op& op) {
+  if (!op.inbound) {
+    return;
+  }
+  auto it = inbound_moves_.find(op.to.value);
+  if (--it->second == 0) {
+    inbound_moves_.erase(it);
+  }
 }
 
 void Orchestrator::LogOpComplete(const Op& op) {
@@ -463,10 +479,12 @@ void Orchestrator::Bind(ShardId shard, int replica, ServerId server) {
   int64_t key = ReplicaKey(shard, replica);
   if (r.server.valid()) {
     server_replicas_[r.server.value].erase(key);
+    server_load_totals_.erase(r.server.value);
   }
   r.server = server;
   if (server.valid()) {
     server_replicas_[server.value].insert(key);
+    server_load_totals_.erase(server.value);
   }
 }
 
@@ -698,6 +716,7 @@ void Orchestrator::FinishOp(const Op& op, bool success) {
   } else {
     SM_COUNTER_INC("sm.orchestrator.ops_failed");
   }
+  ReleaseInbound(op);
   busy_shards_.erase(op.shard.value);
   --in_flight_ops_;
   ShardRuntime& rt = shards_[static_cast<size_t>(op.shard.value)];
@@ -721,6 +740,7 @@ void Orchestrator::FinishOp(const Op& op, bool success) {
       // Re-pick the target on retry; the original may have died. The retry is a fresh attempt
       // as far as the op log is concerned (this attempt's entry was completed above).
       retry.to = ServerId();
+      retry.inbound = false;
       retry.log_seq = 0;
       int64_t token = next_deferred_token_++;
       EventId timer = sim_->Schedule(RetryBackoff(retry.attempts), [this, retry, token]() {
@@ -760,6 +780,7 @@ void Orchestrator::ExecutePlace(Op op) {
   }
   op.to = target;
   r.phase = ReplicaPhase::kAdding;
+  CountInbound(op);
   LogOpStart(op);
   ShardId shard = op.shard;
   ReplicaRole role = r.role;
@@ -801,6 +822,7 @@ void Orchestrator::ExecuteMoveSecondary(Op op) {
   }
   r.phase = ReplicaPhase::kMigrating;
   r.move_target = op.to;
+  CountInbound(op);
   LogOpStart(op);
   ShardId shard = op.shard;
   CallControl(*network_, home_region_, *registry_, op.to,
@@ -903,6 +925,7 @@ void Orchestrator::ExecuteMovePrimaryGraceful(Op op) {
   }
   r.phase = ReplicaPhase::kMigrating;
   r.move_target = op.to;
+  CountInbound(op);
   LogOpStart(op);
   ShardId shard = op.shard;
   ServerId old_server = op.from;
@@ -1043,6 +1066,7 @@ void Orchestrator::ExecuteMovePrimaryAbrupt(Op op) {
   r.phase = ReplicaPhase::kMigrating;
   r.abrupt_move = true;
   r.move_target = op.to;
+  CountInbound(op);
   LogOpStart(op);
   ShardId shard = op.shard;
   ServerId new_server = op.to;
@@ -1273,7 +1297,7 @@ void Orchestrator::PromoteSurvivor(ShardId shard, int dead_replica) {
 
 void Orchestrator::DrainServer(ServerId server, bool drain_primaries, bool drain_secondaries,
                                std::function<void()> done) {
-  server_draining_[server.value] = true;
+  server_draining_.insert(server.value);
   DrainState state;
   state.primaries = drain_primaries;
   state.secondaries = drain_secondaries;
@@ -1459,6 +1483,14 @@ ServerId Orchestrator::replica_server(ShardId shard, int replica) const {
 
 ReplicaRole Orchestrator::replica_role(ShardId shard, int replica) const {
   return Replica(shard, replica).role;
+}
+
+const ResourceVector& Orchestrator::replica_load(ShardId shard, int replica) const {
+  return Replica(shard, replica).load;
+}
+
+bool Orchestrator::server_draining(ServerId server) const {
+  return server_draining_.count(server.value) > 0;
 }
 
 bool Orchestrator::AllReady() const {
@@ -1703,6 +1735,7 @@ void Orchestrator::CommitSplit(ShardId parent) {
   for (ReplicaRuntime& r : parent_rt.replicas) {
     r.load *= 0.5;
   }
+  server_load_totals_.clear();
   child_rt.split_parent = ShardId();
   parent_rt.split_child = ShardId();
   parent_rt.split_key = 0;
@@ -1951,8 +1984,7 @@ PartitionSnapshot Orchestrator::BuildSnapshot() const {
     state.rack = handle->rack;
     state.capacity = handle->capacity;
     state.alive = handle->alive;
-    auto drain_it = server_draining_.find(id.value);
-    state.draining = drain_it != server_draining_.end() && drain_it->second;
+    state.draining = server_draining(id);
     snapshot.servers.push_back(std::move(state));
   }
   std::sort(snapshot.servers.begin(), snapshot.servers.end(),
@@ -2089,7 +2121,10 @@ void Orchestrator::PollLoads() {
       ShardRuntime& rt = shards_[static_cast<size_t>(entry.shard.value)];
       for (ReplicaRuntime& r : rt.replicas) {
         if (r.server == id && entry.load.dims() == r.load.dims()) {
-          r.load = entry.load;
+          if (r.load != entry.load) {
+            r.load = entry.load;
+            server_load_totals_.erase(id.value);
+          }
           break;
         }
       }
@@ -2102,17 +2137,20 @@ double Orchestrator::ServerLoadScore(ServerId server) const {
   if (handle == nullptr) {
     return 1e9;
   }
-  double total_load = 0.0;
-  auto it = server_replicas_.find(server.value);
-  if (it != server_replicas_.end()) {
-    for (int64_t key : it->second) {
-      ShardId shard(static_cast<int32_t>(key >> 16));
-      int replica = static_cast<int>(key & 0xFFFF);
-      total_load += Replica(shard, replica).load.Total();
+  auto [cached, missing] = server_load_totals_.try_emplace(server.value, 0.0);
+  if (missing) {
+    // Summed in server_replicas_ order: a cached total is bit-identical to a fresh re-sum.
+    auto it = server_replicas_.find(server.value);
+    if (it != server_replicas_.end()) {
+      for (int64_t key : it->second) {
+        ShardId shard(static_cast<int32_t>(key >> 16));
+        int replica = static_cast<int>(key & 0xFFFF);
+        cached->second += Replica(shard, replica).load.Total();
+      }
     }
   }
   double capacity = std::max(1e-9, handle->capacity.Total());
-  return total_load / capacity;
+  return cached->second / capacity;
 }
 
 ServerId Orchestrator::PickDrainTarget(ShardId shard, int replica, ServerId from) const {
@@ -2136,6 +2174,7 @@ ServerId Orchestrator::PickDrainTarget(ShardId shard, int replica, ServerId from
 
   ServerId best;
   double best_score = 0.0;
+  size_t best_count = 0;
   int best_tier = 3;
   for (ServerId id : registry_->ServersOf(spec_.id)) {
     if (id == from || occupied.count(id.value) > 0) {
@@ -2145,12 +2184,13 @@ ServerId Orchestrator::PickDrainTarget(ShardId shard, int replica, ServerId from
     if (handle == nullptr || !handle->alive) {
       continue;
     }
-    auto drain_it = server_draining_.find(id.value);
-    if (drain_it != server_draining_.end() && drain_it->second) {
+    if (server_draining(id)) {
       continue;
     }
     // Tier 0: the shard's preferred region; tier 1: the replica's current region (locality);
-    // tier 2: anywhere. Within a tier, least loaded wins.
+    // tier 2: anywhere. Within a tier, least loaded wins; equal loads (every load is 0 before
+    // the first poll) go to the server with fewer replicas, bound or inbound, then to the
+    // lower id.
     int tier = 2;
     if (preferred.valid() && handle->region == preferred) {
       tier = 0;
@@ -2158,10 +2198,23 @@ ServerId Orchestrator::PickDrainTarget(ShardId shard, int replica, ServerId from
       tier = 1;
     }
     double score = ServerLoadScore(id);
-    if (tier < best_tier || (tier == best_tier && (!best.valid() || score < best_score))) {
+    // Replicas on their way count too: a drain starts its moves in one instant, before any
+    // of them binds.
+    auto replicas_it = server_replicas_.find(id.value);
+    auto inbound_it = inbound_moves_.find(id.value);
+    size_t count = (replicas_it == server_replicas_.end() ? 0 : replicas_it->second.size()) +
+                   (inbound_it == inbound_moves_.end() ? 0 : inbound_it->second);
+    bool better = !best.valid() || tier < best_tier;
+    if (!better && tier == best_tier) {
+      better = score != best_score   ? score < best_score
+               : count != best_count ? count < best_count
+                                     : id.value < best.value;
+    }
+    if (better) {
       best = id;
       best_tier = tier;
       best_score = score;
+      best_count = count;
     }
   }
   (void)replica;

@@ -232,6 +232,13 @@ class Orchestrator {
   ReplicaPhase replica_phase(ShardId shard, int replica) const;
   ServerId replica_server(ShardId shard, int replica) const;
   ReplicaRole replica_role(ShardId shard, int replica) const;
+  // The replica's last polled load (zero until the first poll).
+  const ResourceVector& replica_load(ShardId shard, int replica) const;
+  // True from DrainServer until CancelDrain.
+  bool server_draining(ServerId server) const;
+  // Drain-target score: the server's summed replica load over its capacity (1e9 when the
+  // server is unknown).
+  double ServerLoadScore(ServerId server) const;
   // True once every replica of every shard is kReady.
   bool AllReady() const;
 
@@ -267,6 +274,7 @@ class Orchestrator {
     ServerId to;
     int attempts = 0;
     int64_t log_seq = 0;  // op-log sequence once logged (0 = not logged)
+    bool inbound = false; // counted in inbound_moves_[to] until the op finishes
     obs::TraceId trace;   // spans of this op's execution; assigned at enqueue
     obs::TraceId parent;  // the allocation run that produced the op, when any
   };
@@ -311,6 +319,10 @@ class Orchestrator {
   // Execute* paths once the op's target server is resolved, so the record names real endpoints.
   void LogOpStart(Op& op);
   void LogOpComplete(const Op& op);
+  // Counts an op whose target is resolved toward that server's inbound moves, and releases it
+  // when the op finishes or is abandoned.
+  void CountInbound(Op& op);
+  void ReleaseInbound(const Op& op);
   // Reconciliation pieces of StartReconciled.
   void ReconcileLiveness();
   void ReconcileOp(const PlacementOpRecord& record);
@@ -361,7 +373,6 @@ class Orchestrator {
                        obs::TraceId alloc_trace);
   ServerId PickDrainTarget(ShardId shard, int replica, ServerId from) const;
   void CheckDrainDone(ServerId server);
-  double ServerLoadScore(ServerId server) const;
 
   void PollLoads();
 
@@ -378,9 +389,14 @@ class Orchestrator {
   std::vector<ShardRuntime> shards_;
   // server -> replicas bound to it (includes unavailable ones).
   std::unordered_map<int32_t, std::unordered_set<int64_t>> server_replicas_;
+  // server -> sum of load.Total() over its replicas, filled by ServerLoadScore. An entry is
+  // erased when a replica binds to or leaves the server or its load changes.
+  mutable std::unordered_map<int32_t, double> server_load_totals_;
+  // server -> started place/move ops targeting it that have not finished yet.
+  std::unordered_map<int32_t, int> inbound_moves_;
   std::unordered_map<int32_t, DrainState> drains_;
   std::unordered_map<int32_t, EventId> server_timers_;
-  std::unordered_map<int32_t, bool> server_draining_;
+  std::unordered_set<int32_t> server_draining_;
   // Old primaries still forwarding after a graceful hand-off (per server); drains wait on them.
   std::unordered_map<int32_t, int> lingering_forwarders_;
   bool emergency_pending_ = false;

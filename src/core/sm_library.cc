@@ -48,29 +48,6 @@ SmLibrary::SmLibrary(CoordStore* coord, std::string app_name, ServerId server,
   SM_CHECK(self != nullptr);
 }
 
-SmLibrary::~SmLibrary() {
-  if (discovery_ != nullptr && map_subscription_ != 0) {
-    discovery_->Unsubscribe(map_subscription_);
-  }
-}
-
-void SmLibrary::WatchShardMap(ServiceDiscovery* discovery, AppId app) {
-  SM_CHECK(discovery != nullptr);
-  SM_CHECK(discovery_ == nullptr);
-  discovery_ = discovery;
-  map_subscription_ = discovery->Subscribe(
-      app,
-      [this](const std::shared_ptr<const ShardMap>& map) {
-        map_view_.Reset(map);
-        SM_COUNTER_INC("sm.smlib.map_updates");
-      },
-      [this](const std::shared_ptr<const ShardMapDelta>& delta) {
-        map_view_.Apply(*delta);
-        SM_COUNTER_INC("sm.smlib.map_updates");
-        SM_COUNTER_INC("sm.smlib.map_patches");
-      });
-}
-
 std::string SmLibrary::LivenessPath() const {
   return "/sm/" + app_name_ + "/live/" + std::to_string(server_.value);
 }

@@ -14,7 +14,6 @@
 
 #include "src/coord/coord_store.h"
 #include "src/core/server_api.h"
-#include "src/discovery/service_discovery.h"
 
 namespace shardman {
 
@@ -32,21 +31,9 @@ std::vector<PersistedReplica> ParseAssignment(const std::string& data);
 class SmLibrary {
  public:
   SmLibrary(CoordStore* coord, std::string app_name, ServerId server, ShardServerApi* self);
-  ~SmLibrary();
 
   // Establishes the liveness session and ephemeral node. Called on container start.
   void Connect();
-
-  // Subscribes to the app's shard map so the server-side library holds the same map clients
-  // route by (the paper's library uses it to forward misdirected requests). The view aliases
-  // the published snapshot and, from the first delta on, patches a private copy in
-  // O(changed shards) per publish (ShardMapView).
-  void WatchShardMap(ServiceDiscovery* discovery, AppId app);
-
-  // The library's current (possibly stale) map view; nullptr before the first delivery or when
-  // WatchShardMap was never called. Deltas patch it in place — a live view, not a frozen
-  // snapshot.
-  const ShardMap* shard_map_view() const { return map_view_.map(); }
 
   // Expires the session (deleting the ephemeral node). Called on container stop/crash.
   void Disconnect();
@@ -77,9 +64,6 @@ class SmLibrary {
   ServerId server_;
   ShardServerApi* self_;
   SessionId session_;
-  ServiceDiscovery* discovery_ = nullptr;
-  int64_t map_subscription_ = 0;
-  ShardMapView map_view_;
 };
 
 }  // namespace shardman

@@ -37,6 +37,47 @@ int SmTaskController::UnplannedDownContainers() const {
   return down;
 }
 
+bool SmTaskController::IsUnplannedDown(ContainerId container) const {
+  for (ClusterManager* cm : cluster_managers_) {
+    if (cm->Owns(container)) {
+      return cm->container(container).state == ContainerState::kDown;
+    }
+  }
+  return false;
+}
+
+int SmTaskController::DrainSlots() const {
+  int held = 0;
+  for (const auto& entry : drain_phase_) {
+    const int32_t container = entry.first;
+    if (in_flight_.count(container) == 0 && !IsUnplannedDown(ContainerId(container))) {
+      ++held;
+    }
+  }
+  return held;
+}
+
+void SmTaskController::ReleaseAbandonedDrains(ClusterManager* cm,
+                                              const std::vector<ContainerOp>& pending) {
+  std::unordered_set<int32_t> pending_containers;
+  for (const ContainerOp& op : pending) {
+    pending_containers.insert(op.container.value);
+  }
+  for (auto it = drain_phase_.begin(); it != drain_phase_.end();) {
+    const ContainerId container(it->first);
+    if (in_flight_.count(it->first) > 0 || pending_containers.count(it->first) > 0 ||
+        !cm->Owns(container)) {
+      ++it;
+      continue;
+    }
+    ServerHandle* server = registry_->GetByContainer(container);
+    if (server != nullptr) {
+      orchestrator_->CancelDrain(server->id);
+    }
+    it = drain_phase_.erase(it);
+  }
+}
+
 bool SmTaskController::NeedsDrain(const ServerHandle& server) const {
   for (const auto& [shard, role] : orchestrator_->ReplicasOn(server.id)) {
     if (role == ReplicaRole::kPrimary && spec_.drain.drain_primaries) {
@@ -82,26 +123,35 @@ std::vector<int64_t> SmTaskController::OnPendingOps(ClusterManager* cm, AppId ap
     SM_COUNTER_INC("sm.taskcontrol.deferrals");
   };
 
+  ReleaseAbandonedDrains(cm, pending);
+
   const int total = std::max(1, TotalContainers());
   int global_cap = std::max(
       1, static_cast<int>(spec_.caps.max_concurrent_ops_fraction * static_cast<double>(total)));
   // Containers already down from unplanned outage consume budget (§4.1: the caps "account for
-  // the containers and shard replicas that are already unavailable").
-  int budget = global_cap - static_cast<int>(in_flight_.size()) - UnplannedDownContainers();
+  // the containers and shard replicas that are already unavailable"), and so do containers
+  // whose drain has started: a drain moves the container's load away as surely as a restart.
+  int budget = global_cap - static_cast<int>(in_flight_.size()) - UnplannedDownContainers() -
+               DrainSlots();
 
   // Per-round tentative approvals also count toward the per-shard cap.
   std::unordered_map<int32_t, int> round_unavailable;
 
   for (const ContainerOp& op : pending) {
-    if (budget <= 0) {
-      break;
+    // A started drain already holds this container's slot; approval turns it into the
+    // in-flight slot, so only containers without one need budget.
+    const bool holds_slot = drain_phase_.count(op.container.value) > 0;
+    if (budget <= 0 && !holds_slot) {
+      continue;
     }
     note_pending(op);
     ServerHandle* server = registry_->GetByContainer(op.container);
     if (server == nullptr) {
       // No application server in this container (e.g. already deregistered): nothing to protect.
       approved.push_back(op.op_id);
-      --budget;
+      if (!holds_slot) {
+        --budget;
+      }
       in_flight_.insert(op.container.value);
       ++approvals_;
       record_approval(op);
@@ -120,6 +170,9 @@ std::vector<int64_t> SmTaskController::OnPendingOps(ClusterManager* cm, AppId ap
                                    spec_.drain.drain_secondaries, [this, container]() {
                                      drain_phase_[container.value] = DrainPhase::kDone;
                                    });
+        if (!IsUnplannedDown(op.container)) {
+          --budget;  // a container down unplanned already holds its slot
+        }
         ++deferrals_;
         record_deferral(op);
         continue;  // Approve in a later round, once drained.
@@ -158,7 +211,9 @@ std::vector<int64_t> SmTaskController::OnPendingOps(ClusterManager* cm, AppId ap
     }
 
     approved.push_back(op.op_id);
-    --budget;
+    if (!holds_slot) {
+      --budget;
+    }
     ++approvals_;
     record_approval(op);
     in_flight_.insert(op.container.value);
@@ -168,7 +223,6 @@ std::vector<int64_t> SmTaskController::OnPendingOps(ClusterManager* cm, AppId ap
       ++round_unavailable[shard];
     }
   }
-  (void)cm;
   return approved;
 }
 

@@ -6,8 +6,9 @@
 // replicas of the same shard.
 //
 // Per negotiation round it approves the largest pending-op subset such that:
-//   * the number of containers under concurrent planned operations, *plus* containers already
-//     down from unplanned failures, stays within the app's global cap;
+//   * the number of containers under concurrent planned operations (a started drain counts
+//     from DrainServer on and its slot carries over to the approved op), *plus* containers
+//     already down from unplanned failures, stays within the app's global cap;
 //   * for every shard, unavailable replicas (current + about-to-be) stay within the per-shard
 //     cap;
 //   * containers whose drain policy requires it are drained (via the orchestrator) before their
@@ -55,6 +56,13 @@ class SmTaskController : public TaskControlHandler {
 
   int TotalContainers() const;
   int UnplannedDownContainers() const;
+  bool IsUnplannedDown(ContainerId container) const;
+  // Global-cap slots held by started drains whose op is not yet approved. A container that
+  // is down unplanned is counted by UnplannedDownContainers instead.
+  int DrainSlots() const;
+  // Gives back the slot of every drain whose op left `cm`'s pending list unapproved, and
+  // cancels that drain so the server takes placements again.
+  void ReleaseAbandonedDrains(ClusterManager* cm, const std::vector<ContainerOp>& pending);
   bool NeedsDrain(const ServerHandle& server) const;
 
   Simulator* sim_;

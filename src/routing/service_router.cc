@@ -38,6 +38,13 @@ void ServiceRouter::ApplyMap(const std::shared_ptr<const ShardMap>& map) {
   SM_TRACE_INSTANT("router", "map_applied", obs::Arg("version", map->version));
   view_.Reset(map);
   RebuildCache();
+  // Requests routed before the first map waited for it; resolve and send them now.
+  std::vector<uint32_t> parked;
+  parked.swap(parked_);
+  for (uint32_t slot : parked) {
+    attempts_[slot].request.shard = ResolveShard(attempts_[slot].request.key);
+    Send(slot);
+  }
 }
 
 void ServiceRouter::ApplyDelta(const std::shared_ptr<const ShardMapDelta>& delta) {
@@ -299,6 +306,10 @@ void ServiceRouter::Route(uint64_t key, RequestType type, uint64_t payload,
 }
 
 void ServiceRouter::Send(uint32_t slot) {
+  if (view_.map() == nullptr) {
+    parked_.push_back(slot);
+    return;
+  }
   Attempt& attempt = attempts_[slot];
   ServerId target = PickTarget(attempt.request, attempt.attempt, attempt.exclude);
   if (!target.valid()) {

@@ -65,7 +65,8 @@ class ServiceRouter {
   ServiceRouter(const ServiceRouter&) = delete;
   ServiceRouter& operator=(const ServiceRouter&) = delete;
 
-  // Routes one request; `done` fires with the outcome (after retries).
+  // Routes one request; `done` fires with the outcome (after retries). A request routed
+  // before the first map delivery waits for it, then resolves its shard against that map.
   void Route(uint64_t key, RequestType type, std::function<void(const RequestOutcome&)> done);
   void Route(uint64_t key, RequestType type, uint64_t payload,
              std::function<void(const RequestOutcome&)> done);
@@ -215,6 +216,8 @@ class ServiceRouter {
   // Requests in flight (a slot is owned from Route until its outcome is delivered).
   std::vector<Attempt> attempts_;
   std::vector<uint32_t> free_attempts_;
+  // Requests routed before the first map arrived; ApplyMap sends them.
+  std::vector<uint32_t> parked_;
 };
 
 }  // namespace shardman

@@ -157,7 +157,6 @@ void Testbed::CreateServer(ClusterManager& cm, ContainerId container) {
   slot.library = std::make_unique<SmLibrary>(coord_.get(), config_.app.name, server_id,
                                              slot.app.get());
   slot.library->Connect();
-  slot.library->WatchShardMap(discovery_.get(), config_.app.id);
 
   ServerHandle handle;
   handle.id = server_id;

@@ -118,6 +118,31 @@ TEST(ServiceRouterTest, NoMapMeansUnavailable) {
   }
 }
 
+// A router created just now has no map yet. Requests routed before its first snapshot wait
+// for it instead of failing, and each resolves its shard against that snapshot.
+TEST(ServiceRouterTest, RequestsBeforeFirstMapWaitForIt) {
+  Testbed bed(RouterConfigBed(ReplicationStrategy::kPrimaryOnly, 1, 1));
+  bed.Start();
+  ASSERT_TRUE(bed.RunUntilAllReady(Minutes(2)));
+  auto router = bed.CreateRouter(RegionId(0));
+  ASSERT_EQ(router->map(), nullptr);
+  int succeeded = 0;
+  int finished = 0;
+  for (int i = 0; i < 20; ++i) {
+    const RequestType type = i % 2 == 0 ? RequestType::kWrite : RequestType::kRead;
+    router->Route(static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ULL, type,
+                  [&](const RequestOutcome& outcome) {
+                    ++finished;
+                    succeeded += outcome.success ? 1 : 0;
+                  });
+  }
+  EXPECT_EQ(finished, 0);  // nothing fails while the map is on its way
+  bed.sim().RunFor(Seconds(5));
+  ASSERT_NE(router->map(), nullptr);
+  EXPECT_EQ(finished, 20);
+  EXPECT_EQ(succeeded, 20);
+}
+
 TEST(ServiceRouterTest, StaleMapRecoversViaRetries) {
   Testbed bed(RouterConfigBed(ReplicationStrategy::kPrimaryOnly, 1, 1));
   bed.Start();
