@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -174,6 +176,31 @@ inline double BenchScale() {
   }
   double scale = std::atof(env);
   return scale > 0.0 ? scale : 1.0;
+}
+
+// The host a BENCH_*.json was measured on, as a JSON object: core count, compiler and build
+// type (defined by bench/CMakeLists.txt) and `git describe --always --dirty` of the working
+// directory ("unknown" outside a checkout).
+inline std::string HostJson() {
+  std::string sha;
+  if (FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+      sha += buf;
+    }
+    pclose(pipe);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
+    sha.pop_back();
+  }
+  if (sha.empty()) {
+    sha = "unknown";
+  }
+  std::string json = "{\"cores\":" + std::to_string(std::thread::hardware_concurrency());
+  json += ",\"compiler\":\"" SM_BENCH_COMPILER "\"";
+  json += ",\"build_type\":\"" SM_BENCH_BUILD_TYPE "\"";
+  json += ",\"git_sha\":\"" + sha + "\"}";
+  return json;
 }
 
 inline int EnvInt(const char* name, int fallback) {

@@ -5,17 +5,20 @@
 // Three phases:
 //
 //   1. Intensity sweep: for each flash_peak in the sweep, the identical scenario runs with
-//      adaptive sharding off and on; p99/p99.9 latency, SLO violations and the final shard
-//      economy (splits, merges, active shards) are compared. The flash crowd's popular keys
-//      all land inside one shard, so whole-shard rebalancing cannot help — only splitting can.
+//      adaptive sharding off and on. Each side reports, over requests sent in the hold
+//      window: success-only p99/p99.9 latency, failure rate, goodput (successful requests per
+//      simulated second), SLO violations and failures by reason; the adaptive side also
+//      reports its shard economy (splits, merges, active shards). A failed request is never a
+//      latency sample. The flash crowd's popular keys all land inside one shard, so
+//      whole-shard rebalancing cannot help — only splitting can.
 //   2. Determinism gate: the peak-intensity adaptive scenario re-runs at sim_threads in
 //      {1, 2, 8} plus a same-seed repeat; the full-state digests and line-by-line reports
 //      must match byte-for-byte. Any divergence prints both reports and exits nonzero.
-//   3. Headline: p99.9 improvement (static / adaptive) at the highest intensity; the
-//      acceptance floor is 2x.
+//   3. Peak comparison: adaptive vs static failure rate and goodput at the highest intensity.
 //
 // Output: tables on stdout plus a single-line JSON document (SM_HOTSPOT_OUT, default
-// BENCH_hotspot.json). SM_BENCH_SCALE shrinks the flash hold and tail for CI.
+// BENCH_hotspot.json) that records the host it ran on. SM_BENCH_SCALE shrinks the flash hold
+// and tail for CI.
 //
 // Gate mode: with SM_SIM_THREADS set, runs the peak-intensity adaptive scenario once at that
 // thread count, prints the digest, and writes SM_METRICS_OUT (flat JSONL metrics including
@@ -122,6 +125,33 @@ ScenarioRun RunScenario(const HotspotSimConfig& config, TimeMicros duration) {
   return run;
 }
 
+// Every failure reason that occurred as `<q>CODE<q>:count`, joined by `sep`.
+std::string FailureList(const StatusCounts& failures, const std::string& q, const char* sep) {
+  std::string list;
+  for (int i = 0; i < kStatusCodeCount; ++i) {
+    const StatusCode code = static_cast<StatusCode>(i);
+    if (failures.count(code) == 0) {
+      continue;
+    }
+    if (!list.empty()) {
+      list += sep;
+    }
+    list += q + std::string(StatusCodeName(code)) + q + ":" + std::to_string(failures.count(code));
+  }
+  return list;
+}
+
+// One side's hold-window fields, each name prefixed with `side` ("static" or "adaptive").
+void WriteSideJson(std::ostream& json, const std::string& side, const HotspotTotals& totals) {
+  const SloAccount& hold = totals.hold;
+  json << ",\"" << side << "_hold_p99_ms\":" << FormatDouble(hold.PercentileMs(0.99), 2);
+  json << ",\"" << side << "_hold_p999_ms\":" << FormatDouble(hold.PercentileMs(0.999), 2);
+  json << ",\"" << side << "_failure_rate\":" << FormatDouble(hold.failure_rate(), 6);
+  json << ",\"" << side << "_goodput_per_s\":" << FormatDouble(totals.hold_goodput_per_s, 1);
+  json << ",\"" << side << "_violations\":" << hold.slo_violations;
+  json << ",\"" << side << "_failures\":{" << FailureList(hold.failures, "\"", ",") << "}";
+}
+
 std::string HexDigest(uint64_t digest) {
   std::ostringstream os;
   os << "0x" << std::hex << digest;
@@ -184,26 +214,23 @@ int main() {
     sweep.push_back(point);
   }
 
-  // Hold-window p99.9 is the headline: the steady-state SLO once the planner has had its
-  // reaction budget. Whole-run percentiles are also recorded but are dominated by the
-  // reaction transient at any realistic request rate.
-  TablePrinter table({"intensity", "static_hold_p99.9_ms", "adaptive_hold_p99.9_ms",
-                      "improvement_x", "static_viol", "adaptive_viol", "splits", "merges",
-                      "shards"});
+  // Hold-window numbers: the steady state once the planner has had its reaction budget.
+  // Whole-run numbers are dominated by the reaction transient at any realistic request rate.
+  TablePrinter table({"intensity", "side", "hold_p99_ms", "hold_p99.9_ms", "failure_rate",
+                      "goodput_per_s", "violations", "splits", "merges", "shards",
+                      "failures_by_reason"});
+  auto add_row = [&table](double intensity, const std::string& side, const HotspotTotals& t) {
+    table.AddRowValues(FormatDouble(intensity, 0), side,
+                       FormatDouble(t.hold.PercentileMs(0.99), 1),
+                       FormatDouble(t.hold.PercentileMs(0.999), 1),
+                       FormatDouble(t.hold.failure_rate(), 4),
+                       FormatDouble(t.hold_goodput_per_s, 1),
+                       static_cast<int64_t>(t.hold.slo_violations), t.splits, t.merges,
+                       t.active_shards, FailureList(t.hold.failures, "", " "));
+  };
   for (const SweepPoint& point : sweep) {
-    const double improvement =
-        point.adaptive_run.totals.measure_p999_ms > 0.0
-            ? point.static_run.totals.measure_p999_ms / point.adaptive_run.totals.measure_p999_ms
-            : 0.0;
-    table.AddRowValues(FormatDouble(point.intensity, 0),
-                       FormatDouble(point.static_run.totals.measure_p999_ms, 1),
-                       FormatDouble(point.adaptive_run.totals.measure_p999_ms, 1),
-                       FormatDouble(improvement, 2),
-                       static_cast<int64_t>(point.static_run.totals.measure_violations),
-                       static_cast<int64_t>(point.adaptive_run.totals.measure_violations),
-                       static_cast<int64_t>(point.adaptive_run.totals.splits),
-                       static_cast<int64_t>(point.adaptive_run.totals.merges),
-                       point.adaptive_run.totals.active_shards);
+    add_row(point.intensity, "static", point.static_run.totals);
+    add_row(point.intensity, "adaptive", point.adaptive_run.totals);
   }
   table.Print(std::cout);
 
@@ -232,49 +259,35 @@ int main() {
                     ? " — byte-identical across same-seed repeat and sim_threads {1,2,8}\n"
                     : " — DIVERGED, see stderr\n");
 
-  // Phase 3: headline.
-  const SweepPoint& peak = sweep.back();
-  const double improvement_at_peak =
-      peak.adaptive_run.totals.measure_p999_ms > 0.0
-          ? peak.static_run.totals.measure_p999_ms / peak.adaptive_run.totals.measure_p999_ms
-          : 0.0;
-  std::cout << "hold-window p99.9 improvement at intensity " << FormatDouble(peak_intensity, 0)
-            << ": " << FormatDouble(improvement_at_peak, 2) << "x (acceptance floor 2x)\n";
+  // Phase 3: the peak comparison the regression checker reads.
+  const HotspotTotals& peak_static = sweep.back().static_run.totals;
+  const HotspotTotals& peak_adaptive = sweep.back().adaptive_run.totals;
+  std::cout << "hold window at intensity " << FormatDouble(peak_intensity, 0)
+            << ": failure rate static " << FormatDouble(peak_static.hold.failure_rate(), 4)
+            << " adaptive " << FormatDouble(peak_adaptive.hold.failure_rate(), 4)
+            << ", goodput static " << FormatDouble(peak_static.hold_goodput_per_s, 1)
+            << "/s adaptive " << FormatDouble(peak_adaptive.hold_goodput_per_s, 1) << "/s\n";
 
   std::ostringstream json;
-  json << "{\"bench\":\"hotspot\",\"scale\":" << scale << ",\"regions\":2"
-       << ",\"servers_per_region\":8,\"initial_shards\":8,\"max_shards\":64"
+  json << "{\"bench\":\"hotspot\",\"host\":" << HostJson() << ",\"scale\":" << scale
+       << ",\"regions\":2,\"servers_per_region\":8,\"initial_shards\":8,\"max_shards\":64"
        << ",\"requests_per_second\":800,\"server_service_rate\":900"
        << ",\"virtual_seconds\":" << times.duration() / 1000000
        << ",\"deterministic\":" << (deterministic ? "true" : "false")
        << ",\"digest\":\"" << HexDigest(reference.digest) << "\",\"sweep\":[";
   for (size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& point = sweep[i];
-    const double improvement =
-        point.adaptive_run.totals.measure_p999_ms > 0.0
-            ? point.static_run.totals.measure_p999_ms / point.adaptive_run.totals.measure_p999_ms
-            : 0.0;
-    json << (i > 0 ? "," : "") << "{\"intensity\":" << FormatDouble(point.intensity, 0)
-         << ",\"static_hold_p99_ms\":" << FormatDouble(point.static_run.totals.measure_p99_ms, 2)
-         << ",\"static_hold_p999_ms\":"
-         << FormatDouble(point.static_run.totals.measure_p999_ms, 2)
-         << ",\"adaptive_hold_p99_ms\":"
-         << FormatDouble(point.adaptive_run.totals.measure_p99_ms, 2)
-         << ",\"adaptive_hold_p999_ms\":"
-         << FormatDouble(point.adaptive_run.totals.measure_p999_ms, 2)
-         << ",\"improvement_x\":" << FormatDouble(improvement, 2)
-         << ",\"static_full_p999_ms\":" << FormatDouble(point.static_run.totals.p999_ms, 2)
-         << ",\"adaptive_full_p999_ms\":" << FormatDouble(point.adaptive_run.totals.p999_ms, 2)
-         << ",\"static_violations\":" << point.static_run.totals.measure_violations
-         << ",\"adaptive_violations\":" << point.adaptive_run.totals.measure_violations
-         << ",\"requests\":" << point.adaptive_run.totals.sent
-         << ",\"measured_requests\":" << point.adaptive_run.totals.measure_sent
-         << ",\"splits\":" << point.adaptive_run.totals.splits
-         << ",\"merges\":" << point.adaptive_run.totals.merges
-         << ",\"active_shards\":" << point.adaptive_run.totals.active_shards << "}";
+    const HotspotTotals& adaptive = point.adaptive_run.totals;
+    json << (i > 0 ? "," : "") << "{\"intensity\":" << FormatDouble(point.intensity, 0);
+    WriteSideJson(json, "static", point.static_run.totals);
+    WriteSideJson(json, "adaptive", adaptive);
+    json << ",\"requests\":" << adaptive.run.sent
+         << ",\"measured_requests\":" << adaptive.hold.sent
+         << ",\"splits\":" << adaptive.splits
+         << ",\"merges\":" << adaptive.merges
+         << ",\"active_shards\":" << adaptive.active_shards << "}";
   }
-  json << "],\"peak_intensity\":" << FormatDouble(peak_intensity, 0)
-       << ",\"improvement_at_peak_x\":" << FormatDouble(improvement_at_peak, 2) << "}";
+  json << "],\"peak_intensity\":" << FormatDouble(peak_intensity, 0) << "}";
   std::cout << "\nJSON: " << json.str() << "\n";
 
   const char* out_path = std::getenv("SM_HOTSPOT_OUT");

@@ -135,6 +135,7 @@ struct PickResult {
   double pick_overhead_pct = 0.0;
   double allocs_per_pick = 0.0;
   long long picks_per_rep = 0;
+  size_t accountant_footprint_bytes = 0;  // every cell plane of the attached accountant
 };
 
 PickResult BenchPickOverhead(double scale) {
@@ -169,6 +170,7 @@ PickResult BenchPickOverhead(double scale) {
   accountant.Configure(options);
 
   PickResult result;
+  result.accountant_footprint_bytes = accountant.FootprintBytes();
   const long long kPicks = std::max<long long>(100000, static_cast<long long>(2000000 * scale));
   result.picks_per_rep = kPicks;
   Request request;
@@ -354,14 +356,18 @@ void WriteJson(const PickResult& pick, const std::vector<GrayPoint>& curve, bool
   std::snprintf(buffer, sizeof(buffer),
                 "{\n"
                 "  \"bench\": \"obs_overhead\",\n"
+                "  \"host\": %s,\n"
                 "  \"scale\": %g,\n"
                 "  \"pick_off_per_sec\": %.0f,\n"
                 "  \"pick_on_per_sec\": %.0f,\n"
                 "  \"pick_overhead_pct\": %.2f,\n"
                 "  \"allocs_per_pick\": %.4f,\n"
+                "  \"red_cell_bytes\": %zu,\n"
+                "  \"accountant_footprint_bytes\": %zu,\n"
                 "  \"gray_points\": [\n",
-                scale, pick.pick_off_per_sec, pick.pick_on_per_sec, pick.pick_overhead_pct,
-                pick.allocs_per_pick);
+                bench::HostJson().c_str(), scale, pick.pick_off_per_sec, pick.pick_on_per_sec,
+                pick.pick_overhead_pct, pick.allocs_per_pick, sizeof(obs::RedCell),
+                pick.accountant_footprint_bytes);
   os << buffer;
   for (size_t i = 0; i < curve.size(); ++i) {
     const GrayPoint& point = curve[i];

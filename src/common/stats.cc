@@ -1,7 +1,5 @@
 #include "src/common/stats.h"
 
-#include <limits>
-
 namespace shardman {
 
 double Percentile(std::vector<double> samples, double p) {
@@ -22,81 +20,6 @@ double Percentile(std::vector<double> samples, double p) {
                                     samples.end());
   double frac = rank - static_cast<double>(lo);
   return lo_val + frac * (hi_val - lo_val);
-}
-
-Histogram::Histogram(double min_bucket, double growth, int num_buckets)
-    : min_bucket_(min_bucket), growth_(growth), buckets_(static_cast<size_t>(num_buckets) + 1) {
-  SM_CHECK_GT(min_bucket, 0.0);
-  SM_CHECK_GT(growth, 1.0);
-  SM_CHECK_GT(num_buckets, 0);
-}
-
-int Histogram::BucketFor(double value) const {
-  if (value < min_bucket_) {
-    return 0;
-  }
-  int bucket = static_cast<int>(std::log(value / min_bucket_) / std::log(growth_)) + 1;
-  int last = static_cast<int>(buckets_.size()) - 1;
-  return std::min(bucket, last);
-}
-
-double Histogram::BucketLowerBound(int bucket) const {
-  if (bucket == 0) {
-    return 0.0;
-  }
-  return min_bucket_ * std::pow(growth_, bucket - 1);
-}
-
-double Histogram::BucketUpperBound(int bucket) const {
-  return min_bucket_ * std::pow(growth_, bucket);
-}
-
-void Histogram::Add(double value) {
-  SM_CHECK_GE(value, 0.0);
-  ++buckets_[static_cast<size_t>(BucketFor(value))];
-  ++count_;
-  sum_ += value;
-}
-
-void Histogram::Merge(const Histogram& other) {
-  // Mismatched bucket geometry would silently attribute counts to the wrong value ranges.
-  SM_CHECK_EQ(buckets_.size(), other.buckets_.size());
-  SM_CHECK_EQ(min_bucket_, other.min_bucket_);
-  SM_CHECK_EQ(growth_, other.growth_);
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-double Histogram::PercentileEstimate(double p) const {
-  SM_CHECK_GE(p, 0.0);
-  SM_CHECK_LE(p, 100.0);
-  if (count_ == 0) {
-    return 0.0;  // An empty histogram (e.g. a quiet probe interval) estimates 0, by contract.
-  }
-  double target = p / 100.0 * static_cast<double>(count_);
-  int64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    int64_t in_bucket = buckets_[i];
-    if (in_bucket == 0) {
-      continue;
-    }
-    if (static_cast<double>(seen + in_bucket) >= target) {
-      double frac = (target - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-      int b = static_cast<int>(i);
-      return BucketLowerBound(b) + frac * (BucketUpperBound(b) - BucketLowerBound(b));
-    }
-    seen += in_bucket;
-  }
-  return BucketUpperBound(static_cast<int>(buckets_.size()) - 1);
-}
-
-void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
 }
 
 }  // namespace shardman

@@ -6,6 +6,8 @@
 #ifndef SRC_COMMON_STATUS_H_
 #define SRC_COMMON_STATUS_H_
 
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -28,8 +30,33 @@ enum class StatusCode {
   kInternal,
 };
 
+inline constexpr int kStatusCodeCount = static_cast<int>(StatusCode::kInternal) + 1;
+
 // Returns a stable human-readable name for a status code, e.g. "NOT_FOUND".
 std::string_view StatusCodeName(StatusCode code);
+
+// One counter per StatusCode: failures counted by reason in fixed space, so counting one
+// never allocates.
+class StatusCounts {
+ public:
+  void Add(StatusCode code) { ++counts_[static_cast<size_t>(code)]; }
+  void Merge(const StatusCounts& other) {
+    for (size_t i = 0; i < counts_.size(); ++i) {
+      counts_[i] += other.counts_[i];
+    }
+  }
+  uint64_t count(StatusCode code) const { return counts_[static_cast<size_t>(code)]; }
+  uint64_t total() const {
+    uint64_t sum = 0;
+    for (uint64_t c : counts_) {
+      sum += c;
+    }
+    return sum;
+  }
+
+ private:
+  std::array<uint64_t, kStatusCodeCount> counts_{};
+};
 
 // A cheap, copyable success-or-error value.
 class Status {

@@ -51,14 +51,7 @@ void SplitMergePlanner::SnapshotWindows() {
   for (int b = 0; b < options.shard_buckets; ++b) {
     obs::RedTotals current;
     for (int r = 0; r < options.regions; ++r) {
-      const obs::RedTotals region = accountant_->AppRegionBucketTotals(app_slot_, r, b);
-      current.completed += region.completed;
-      current.errors += region.errors;
-      current.timeouts += region.timeouts;
-      current.latency_sum_us += region.latency_sum_us;
-      for (int i = 0; i < obs::RedCell::kLatencyBuckets; ++i) {
-        current.latency[i] += region.latency[i];
-      }
+      current.Add(accountant_->AppRegionBucketTotals(app_slot_, r, b));
     }
     window_buckets_[static_cast<size_t>(b)] =
         current.Delta(prev_buckets_[static_cast<size_t>(b)]);

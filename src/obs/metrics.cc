@@ -1,6 +1,7 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/common/check.h"
 
@@ -21,7 +22,18 @@ const char* KindName(MetricKind kind) {
   return "unknown";
 }
 
+void SetPercentiles(MetricSample& sample) {
+  sample.p50 = sample.hist->Percentile(0.5) / 1000.0;
+  sample.p99 = sample.hist->Percentile(0.99) / 1000.0;
+}
+
 }  // namespace
+
+void HistogramMetric::Observe(double value_ms) {
+  value_ms = std::max(value_ms, 0.0);
+  sum_ += value_ms;
+  hist_.Add(static_cast<uint64_t>(std::llround(value_ms * 1000.0)));
+}
 
 const MetricSample* MetricsSnapshot::Find(const std::string& name) const {
   auto it = std::lower_bound(
@@ -63,13 +75,12 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   return entry.gauge.get();
 }
 
-HistogramMetric* MetricsRegistry::GetHistogram(const std::string& name,
-                                               const HistogramOptions& options) {
+HistogramMetric* MetricsRegistry::GetHistogram(const std::string& name) {
   Entry& entry = metrics_[name];
   if (entry.histogram == nullptr) {
     SM_CHECK(entry.counter == nullptr && entry.gauge == nullptr);
     entry.kind = MetricKind::kHistogram;
-    entry.histogram = std::make_unique<HistogramMetric>(options);
+    entry.histogram = std::make_unique<HistogramMetric>();
   }
   return entry.histogram.get();
 }
@@ -104,14 +115,12 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       case MetricKind::kGauge:
         sample.gauge = entry.gauge->value();
         break;
-      case MetricKind::kHistogram: {
-        const Histogram& hist = entry.histogram->histogram();
-        sample.hist_count = hist.count();
-        sample.hist_sum = hist.sum();
-        sample.p50 = hist.PercentileEstimate(50);
-        sample.p99 = hist.PercentileEstimate(99);
+      case MetricKind::kHistogram:
+        sample.hist_count = entry.histogram->count();
+        sample.hist_sum = entry.histogram->sum();
+        sample.hist = std::make_shared<LatencyHistogram>(entry.histogram->histogram());
+        SetPercentiles(sample);
         break;
-      }
     }
     snapshot.samples.push_back(std::move(sample));
   }
@@ -128,9 +137,15 @@ MetricsSnapshot MetricsRegistry::Delta(const MetricsSnapshot& before,
     if (base != nullptr) {
       SM_CHECK(base->kind == sample.kind);
       d.counter -= base->counter;
-      d.hist_count -= base->hist_count;
-      d.hist_sum -= base->hist_sum;
-      // Gauges and percentiles keep the `after` value: neither is meaningful as a difference.
+      if (sample.kind == MetricKind::kHistogram) {
+        d.hist_count -= base->hist_count;
+        d.hist_sum -= base->hist_sum;
+        auto window = std::make_shared<LatencyHistogram>(*sample.hist);
+        window->Subtract(*base->hist);
+        d.hist = std::move(window);
+        SetPercentiles(d);
+      }
+      // Gauges keep the `after` value: a difference of levels means nothing.
     }
     delta.samples.push_back(std::move(d));
   }

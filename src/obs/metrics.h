@@ -1,7 +1,7 @@
 // MetricsRegistry: the control plane's single source of measurement truth.
 //
-// Named counters, gauges and sim-time-aware histograms (reusing the geometric buckets of
-// common/stats.h), registered on first use and stable for the process lifetime so call sites
+// Named counters, gauges and histograms (common/stats.h's LatencyHistogram over integer
+// microseconds), registered on first use and stable for the process lifetime so call sites
 // can cache metric pointers. The registry supports:
 //   * point-in-time snapshots and snapshot deltas (what the bench binaries report);
 //   * a flat JSONL export (one metric per line) consumed by bench/ and plotting scripts;
@@ -56,32 +56,29 @@ class Gauge {
   double value_ = 0.0;
 };
 
-// Geometric-bucket histogram parameters; the default range (1us granularity at the bottom,
-// overflow past ~5 minutes when observing milliseconds) fits every control-plane latency the
-// experiments measure.
-struct HistogramOptions {
-  double min_bucket = 0.001;
-  double growth = 1.6;
-  int num_buckets = 48;
-};
-
+// Observes values in milliseconds (every histogram name ends in _ms), bucketed as integer
+// microseconds; keeps the exact sum of the observed values. Negative values clamp to 0.
 class HistogramMetric {
  public:
-  explicit HistogramMetric(const HistogramOptions& options)
-      : hist_(options.min_bucket, options.growth, options.num_buckets) {}
-
-  void Observe(double value) { hist_.Add(value < 0.0 ? 0.0 : value); }
-  const Histogram& histogram() const { return hist_; }
-  void Reset() { hist_.Reset(); }
+  void Observe(double value_ms);
+  const LatencyHistogram& histogram() const { return hist_; }
+  int64_t count() const { return static_cast<int64_t>(hist_.count()); }
+  double sum() const { return sum_; }
+  void Reset() {
+    hist_.Reset();
+    sum_ = 0.0;
+  }
 
  private:
-  Histogram hist_;
+  LatencyHistogram hist_;
+  double sum_ = 0.0;
 };
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
 // One exported metric value. Counters fill `counter`; gauges fill `gauge`; histograms fill
-// count/sum/percentiles.
+// count/sum/percentiles and carry their bucket counts, so a Delta recomputes the window's
+// percentiles.
 struct MetricSample {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
@@ -89,8 +86,9 @@ struct MetricSample {
   double gauge = 0.0;
   int64_t hist_count = 0;
   double hist_sum = 0.0;
-  double p50 = 0.0;
-  double p99 = 0.0;
+  double p50 = 0.0;  // ms
+  double p99 = 0.0;  // ms
+  std::shared_ptr<const LatencyHistogram> hist;  // histograms only
 };
 
 struct MetricsSnapshot {
@@ -113,15 +111,15 @@ class MetricsRegistry {
   // statics. Registering the same name with a different kind SM_CHECK-fails.
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  HistogramMetric* GetHistogram(const std::string& name, const HistogramOptions& options = {});
+  HistogramMetric* GetHistogram(const std::string& name);
 
   // Zeroes every registered metric (between experiment runs). Registrations persist.
   void ResetValues();
 
   MetricsSnapshot Snapshot() const;
-  // Per-metric difference `after - before`: counters and histogram count/sum subtract (metrics
-  // absent in `before` count from zero); gauges take the `after` value. Histogram percentiles
-  // are not delta-able from two snapshots and are reported as the `after` values.
+  // Per-metric difference `after - before`: counters and histograms subtract (metrics absent
+  // in `before` count from zero), and a histogram's p50/p99 are those of the window's
+  // observations; gauges take the `after` value.
   static MetricsSnapshot Delta(const MetricsSnapshot& before, const MetricsSnapshot& after);
 
   // Flat JSONL export: one {"name":...,"kind":...,...} object per line, sorted by name.

@@ -19,44 +19,27 @@ void RedTotals::Accumulate(const RedCell& cell) {
   errors += cell.errors;
   timeouts += cell.timeouts;
   latency_sum_us += cell.latency_sum_us;
-  for (int b = 0; b < RedCell::kLatencyBuckets; ++b) latency[b] += cell.latency[b];
+  latency.Merge(cell.latency);
+}
+
+void RedTotals::Add(const RedTotals& other) {
+  requests += other.requests;
+  completed += other.completed;
+  errors += other.errors;
+  timeouts += other.timeouts;
+  latency_sum_us += other.latency_sum_us;
+  latency.Merge(other.latency);
 }
 
 RedTotals RedTotals::Delta(const RedTotals& prev) const {
-  RedTotals out;
-  out.requests = requests - prev.requests;
-  out.completed = completed - prev.completed;
-  out.errors = errors - prev.errors;
-  out.timeouts = timeouts - prev.timeouts;
-  out.latency_sum_us = latency_sum_us - prev.latency_sum_us;
-  for (int b = 0; b < RedCell::kLatencyBuckets; ++b) {
-    out.latency[b] = latency[b] - prev.latency[b];
-  }
+  RedTotals out = *this;
+  out.requests -= prev.requests;
+  out.completed -= prev.completed;
+  out.errors -= prev.errors;
+  out.timeouts -= prev.timeouts;
+  out.latency_sum_us -= prev.latency_sum_us;
+  out.latency.Subtract(prev.latency);
   return out;
-}
-
-double RedTotals::PercentileMs(double p) const {
-  if (completed == 0) return 0.0;
-  p = std::clamp(p, 0.0, 1.0);
-  // Rank of the target sample (1-based), then walk buckets until the cumulative count covers
-  // it and interpolate linearly within the bucket's value range.
-  double rank = p * static_cast<double>(completed);
-  if (rank < 1.0) rank = 1.0;
-  uint64_t cumulative = 0;
-  for (int b = 0; b < RedCell::kLatencyBuckets; ++b) {
-    uint64_t count = latency[b];
-    if (count == 0) continue;
-    if (static_cast<double>(cumulative + count) >= rank) {
-      double lo = b == 0 ? 0.0 : static_cast<double>(int64_t{1} << b);
-      double hi = static_cast<double>(RedCell::BucketUpperUs(b)) + 1.0;
-      double frac = (rank - static_cast<double>(cumulative)) / static_cast<double>(count);
-      return (lo + frac * (hi - lo)) / 1000.0;
-    }
-    cumulative += count;
-  }
-  // Histogram counts and `completed` disagree only if a caller mixed snapshots; degrade to
-  // the top bucket bound rather than faulting.
-  return static_cast<double>(RedCell::BucketUpperUs(RedCell::kLatencyBuckets - 1)) / 1000.0;
 }
 
 void RequestAccountant::Configure(const RequestAccountingOptions& options) {
@@ -177,13 +160,7 @@ RedTotals RequestAccountant::AppRegionTotals(int app_slot, int region) const {
     }
   }
   for (int b = 0; b < options_.shard_buckets; ++b) {
-    RedTotals bucket = AppRegionBucketTotals(app_slot, region, b);
-    out.requests += bucket.requests;
-    out.completed += bucket.completed;
-    out.errors += bucket.errors;
-    out.timeouts += bucket.timeouts;
-    out.latency_sum_us += bucket.latency_sum_us;
-    for (int i = 0; i < RedCell::kLatencyBuckets; ++i) out.latency[i] += bucket.latency[i];
+    out.Add(AppRegionBucketTotals(app_slot, region, b));
   }
   return out;
 }

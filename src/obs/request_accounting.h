@@ -22,9 +22,10 @@
 // (the health scorer, exporters) are cold: they sum across stripes into RedTotals snapshots
 // and diff those per window.
 //
-// Durations use an HDR-style log2 histogram: bucket 0 holds [0,2) us and bucket b>=1 holds
-// [2^b, 2^(b+1)) us, 28 buckets covering up to ~2.2 minutes — percentile error is bounded at
-// ~50% of the value, which is ample for p99-inflation ratio tests (factor >= 2 thresholds).
+// Durations use common/stats.h's LogLinearHistogram at S = 0, the log2 layout: bucket 0 holds
+// [0,2) us and bucket b>=1 holds [2^b, 2^(b+1)) us, 28 buckets covering up to ~4.5 minutes.
+// Percentile error is bounded at ~50% of the value, which is ample for p99-inflation ratio
+// tests (factor >= 2 thresholds).
 //
 // The SM_RED_* macros compile to ((void)0) — arguments unevaluated — under
 // -DSHARDMAN_OBS=OFF, so an OFF build's pick path is byte-for-byte the pre-telemetry one.
@@ -39,6 +40,7 @@
 
 #include "src/common/ids.h"
 #include "src/common/sim_time.h"
+#include "src/common/stats.h"
 
 #ifndef SHARDMAN_OBS_ENABLED
 #define SHARDMAN_OBS_ENABLED 1
@@ -55,29 +57,18 @@ enum class AttemptOutcome : uint8_t {
 
 // One fixed metric slot. 64-byte aligned so adjacent cells in a stripe never share a line.
 struct alignas(64) RedCell {
-  static constexpr int kLatencyBuckets = 28;
-
   // Pick counts (RedTotals::requests) live in a separate dense plane (see PickRow), not here:
   // the per-pick budget cannot afford a full cell touch.
   uint64_t completed = 0;       // attempts/requests finished (histogram entries)
   uint64_t errors = 0;          // completions that failed (includes timeouts)
   uint64_t timeouts = 0;        // completions classified as timeout
   uint64_t latency_sum_us = 0;  // sum over completed
-  uint32_t latency[kLatencyBuckets] = {};
-
-  // log2 bucket for a completion latency; clamps negatives to 0 and the tail to the last
-  // bucket. Branch-free except the clamps.
-  static int LatencyBucket(int64_t us) {
-    if (us < 2) return us < 0 ? 0 : 0;
-    int b = std::bit_width(static_cast<uint64_t>(us)) - 1;
-    return b < kLatencyBuckets ? b : kLatencyBuckets - 1;
-  }
-  // Inclusive upper bound (us) of bucket b, for percentile interpolation.
-  static int64_t BucketUpperUs(int b) {
-    return b <= 0 ? 1 : (int64_t{2} << b) - 1;
-  }
+  LogLinearHistogram<0, uint32_t> latency;
 };
 static_assert(sizeof(RedCell) % 64 == 0, "RedCell must be a whole number of cache lines");
+// Three cache lines. The S = 4 layout (~1.6 KB a cell) would cost hotspot_flash's 6,160 cells
+// ~8.7 MB against a ~21 MB peak RSS, and it would move every gray-health and split decision.
+static_assert(sizeof(RedCell) == 192, "RedCell size is part of the accountant's RSS budget");
 
 // A cold-side snapshot: one plane cell summed across stripes (or a Delta of two snapshots,
 // giving a window). Plain uint64 math; safe to copy around.
@@ -89,9 +80,10 @@ struct RedTotals {
   uint64_t errors = 0;
   uint64_t timeouts = 0;
   uint64_t latency_sum_us = 0;
-  uint64_t latency[RedCell::kLatencyBuckets] = {};
+  LogLinearHistogram<0, uint64_t> latency;
 
   void Accumulate(const RedCell& cell);
+  void Add(const RedTotals& other);
   // this - prev, counter-wise. Counters are monotonic, so every field of `prev` must be <=
   // the matching field here; callers pass snapshots of the same cells in time order.
   RedTotals Delta(const RedTotals& prev) const;
@@ -108,9 +100,8 @@ struct RedTotals {
                ? 0.0
                : static_cast<double>(latency_sum_us) / static_cast<double>(completed) / 1000.0;
   }
-  // Histogram percentile (p in [0,1]) with linear interpolation inside the winning log2
-  // bucket. Returns 0 when the histogram is empty.
-  double PercentileMs(double p) const;
+  // Histogram percentile (p in [0,1]) in ms. Returns 0 when the histogram is empty.
+  double PercentileMs(double p) const { return latency.Percentile(p) / 1000.0; }
 };
 
 struct RequestAccountingOptions {
@@ -195,7 +186,7 @@ class RequestAccountant {
     if (outcome == AttemptOutcome::kTimeout) cell.timeouts++;
     if (latency_us < 0) latency_us = 0;
     cell.latency_sum_us += static_cast<uint64_t>(latency_us);
-    cell.latency[RedCell::LatencyBucket(latency_us)]++;
+    cell.latency.Add(static_cast<uint64_t>(latency_us));
   }
 
   RedCell* AppCell(int stripe, int app_slot, int region, int64_t shard) {

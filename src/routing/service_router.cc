@@ -365,10 +365,10 @@ void ServiceRouter::Finish(uint32_t slot, const Reply& reply) {
   outcome.served_by = reply.served_by;
   if (outcome.success) {
     SM_COUNTER_INC("sm.router.requests_ok");
+    SM_HISTOGRAM_OBSERVE("sm.router.request_latency_ms", ToMillis(outcome.latency));
   } else {
     SM_COUNTER_INC("sm.router.requests_failed");
   }
-  SM_HISTOGRAM_OBSERVE("sm.router.request_latency_ms", ToMillis(outcome.latency));
   if (attempt.request.shard.valid()) {
     SM_RED_REQUEST_DONE(accountant_, stripe_, app_slot_, region_index_,
                         static_cast<int64_t>(attempt.request.shard.value), outcome.latency,

@@ -1,7 +1,6 @@
 #include "src/workload/hotspot_sim.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "src/common/check.h"
@@ -158,102 +157,67 @@ void HotspotSim::GenerateWindow(int region) {
   engine.Schedule(window_, [this, region]() { GenerateWindow(region); });
 }
 
+void SloAccount::Record(const RequestOutcome& outcome, double slo_ms) {
+  if (!outcome.success) {
+    failures.Add(outcome.status.code());
+    ++slo_violations;  // whatever its wall time, fast rejections included
+    return;
+  }
+  ++ok;
+  latency_sum_us += static_cast<uint64_t>(outcome.latency);
+  latency.Add(static_cast<uint64_t>(outcome.latency));
+  if (ToMillis(outcome.latency) > slo_ms) {
+    ++slo_violations;
+  }
+}
+
+void SloAccount::Merge(const SloAccount& other) {
+  sent += other.sent;
+  ok += other.ok;
+  slo_violations += other.slo_violations;
+  latency_sum_us += other.latency_sum_us;
+  latency.Merge(other.latency);
+  failures.Merge(other.failures);
+}
+
+double SloAccount::failure_rate() const {
+  const uint64_t finished = ok + failed();
+  return finished == 0 ? 0.0 : static_cast<double>(failed()) / static_cast<double>(finished);
+}
+
+double SloAccount::mean_ms() const {
+  return ok == 0 ? 0.0 : static_cast<double>(latency_sum_us) / static_cast<double>(ok) / 1000.0;
+}
+
 void HotspotSim::OnArrival(int region, uint64_t key) {
   RegionSlo& slo = *slo_[static_cast<size_t>(region)];
-  ++slo.sent;
+  ++slo.run.sent;
   if (planner_ != nullptr) {
     planner_->ObserveKey(key);
   }
   const TimeMicros now = testbed_->sim().Now();
   const bool measured = now >= measure_begin_ && now < measure_end_;
   if (measured) {
-    ++slo.measure_sent;
+    ++slo.hold.sent;
   }
   routers_[static_cast<size_t>(region)]->Route(
       key, RequestType::kRead, [this, region, measured](const RequestOutcome& outcome) {
         RegionSlo& slo = *slo_[static_cast<size_t>(region)];
-        if (outcome.success) {
-          ++slo.ok;
-        } else {
-          ++slo.failed;
-        }
-        const int64_t us = static_cast<int64_t>(outcome.latency);
-        // A failed request is an SLO violation whatever its wall time (fast rejections
-        // included) and counts as effectively-infinite latency in the percentile histogram.
-        const size_t bucket =
-            outcome.success ? static_cast<size_t>(obs::RedCell::LatencyBucket(us))
-                            : kLatencyBuckets - 1;
-        slo.latency_sum_us += static_cast<uint64_t>(us);
-        ++slo.latency_log2[bucket];
-        const bool violation = !outcome.success || ToMillis(outcome.latency) > config_.slo_ms;
-        if (violation) {
-          ++slo.slo_violations;
-        }
+        slo.run.Record(outcome, config_.slo_ms);
         if (measured) {
-          ++slo.measure_log2[bucket];
-          if (violation) {
-            ++slo.measure_violations;
-          }
+          slo.hold.Record(outcome, config_.slo_ms);
         }
       });
-}
-
-double HotspotSim::PercentileMs(double p, bool measure_only) const {
-  std::array<uint64_t, kLatencyBuckets> hist{};
-  uint64_t total = 0;
-  for (const auto& slo : slo_) {
-    const auto& source = measure_only ? slo->measure_log2 : slo->latency_log2;
-    for (size_t b = 0; b < kLatencyBuckets; ++b) {
-      hist[b] += source[b];
-      total += source[b];
-    }
-  }
-  if (total == 0) {
-    return 0.0;
-  }
-  const uint64_t target =
-      std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(p * static_cast<double>(total))));
-  uint64_t cumulative = 0;
-  for (size_t b = 0; b < kLatencyBuckets; ++b) {
-    if (hist[b] == 0) {
-      continue;
-    }
-    if (cumulative + hist[b] >= target) {
-      const double lower_us = b == 0 ? 0.0 : static_cast<double>(int64_t{1} << b);
-      const double upper_us = static_cast<double>(obs::RedCell::BucketUpperUs(static_cast<int>(b)));
-      const double frac = static_cast<double>(target - cumulative) / static_cast<double>(hist[b]);
-      return (lower_us + (upper_us - lower_us) * frac) / 1000.0;
-    }
-    cumulative += hist[b];
-  }
-  return 0.0;
 }
 
 HotspotTotals HotspotSim::Totals() const {
   HotspotTotals totals;
   for (const auto& slo : slo_) {
-    totals.sent += slo->sent;
-    totals.ok += slo->ok;
-    totals.failed += slo->failed;
-    totals.slo_violations += slo->slo_violations;
+    totals.run.Merge(slo->run);
+    totals.hold.Merge(slo->hold);
   }
-  uint64_t latency_sum = 0;
-  uint64_t completed = 0;
-  for (const auto& slo : slo_) {
-    latency_sum += slo->latency_sum_us;
-    completed += slo->ok + slo->failed;
-  }
-  totals.mean_latency_ms =
-      completed == 0 ? 0.0
-                     : static_cast<double>(latency_sum) / static_cast<double>(completed) / 1000.0;
-  totals.p99_ms = PercentileMs(0.99, /*measure_only=*/false);
-  totals.p999_ms = PercentileMs(0.999, /*measure_only=*/false);
-  for (const auto& slo : slo_) {
-    totals.measure_sent += slo->measure_sent;
-    totals.measure_violations += slo->measure_violations;
-  }
-  totals.measure_p99_ms = PercentileMs(0.99, /*measure_only=*/true);
-  totals.measure_p999_ms = PercentileMs(0.999, /*measure_only=*/true);
+  const double hold_s = static_cast<double>(measure_end_ - measure_begin_) / 1e6;
+  totals.hold_goodput_per_s = hold_s > 0.0 ? static_cast<double>(totals.hold.ok) / hold_s : 0.0;
   const Orchestrator& orchestrator = testbed_->orchestrator();
   totals.splits = orchestrator.splits();
   totals.merges = orchestrator.merges();
@@ -281,18 +245,17 @@ uint64_t HotspotSim::StateDigest() const {
   Mix(h, static_cast<uint64_t>(orchestrator.merges()));
   for (size_t r = 0; r < slo_.size(); ++r) {
     Mix(h, traffic_[r]->generated);
-    Mix(h, slo_[r]->sent);
-    Mix(h, slo_[r]->ok);
-    Mix(h, slo_[r]->failed);
-    Mix(h, slo_[r]->slo_violations);
-    Mix(h, slo_[r]->latency_sum_us);
-    for (uint64_t bucket : slo_[r]->latency_log2) {
-      Mix(h, bucket);
-    }
-    Mix(h, slo_[r]->measure_sent);
-    Mix(h, slo_[r]->measure_violations);
-    for (uint64_t bucket : slo_[r]->measure_log2) {
-      Mix(h, bucket);
+    for (const SloAccount* account : {&slo_[r]->run, &slo_[r]->hold}) {
+      Mix(h, account->sent);
+      Mix(h, account->ok);
+      Mix(h, account->slo_violations);
+      Mix(h, account->latency_sum_us);
+      for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
+        Mix(h, account->latency.bucket(b));
+      }
+      for (int code = 0; code < kStatusCodeCount; ++code) {
+        Mix(h, account->failures.count(static_cast<StatusCode>(code)));
+      }
     }
   }
   for (const auto& router : routers_) {
@@ -314,11 +277,12 @@ std::string HotspotSim::DigestReport() const {
        << orchestrator.shard_range(shard).end << ")\n";
   }
   for (size_t r = 0; r < slo_.size(); ++r) {
+    const SloAccount& run = slo_[r]->run;
+    const SloAccount& hold = slo_[r]->hold;
     os << "  region " << r << " generated=" << traffic_[r]->generated
-       << " sent=" << slo_[r]->sent << " ok=" << slo_[r]->ok << " failed=" << slo_[r]->failed
-       << " violations=" << slo_[r]->slo_violations << " latency_sum=" << slo_[r]->latency_sum_us
-       << " measured=" << slo_[r]->measure_sent
-       << " measure_violations=" << slo_[r]->measure_violations << "\n";
+       << " sent=" << run.sent << " ok=" << run.ok << " failed=" << run.failed()
+       << " violations=" << run.slo_violations << " latency_sum=" << run.latency_sum_us
+       << " measured=" << hold.sent << " measure_violations=" << hold.slo_violations << "\n";
   }
   os << "digest=" << StateDigest() << "\n";
   return os.str();
@@ -327,18 +291,21 @@ std::string HotspotSim::DigestReport() const {
 void HotspotSim::ExportMetrics() const {
   obs::MetricsRegistry& reg = obs::DefaultMetrics();
   const HotspotTotals totals = Totals();
-  reg.GetGauge("sm.hotspot.sent")->Set(static_cast<double>(totals.sent));
-  reg.GetGauge("sm.hotspot.ok")->Set(static_cast<double>(totals.ok));
-  reg.GetGauge("sm.hotspot.failed")->Set(static_cast<double>(totals.failed));
+  reg.GetGauge("sm.hotspot.sent")->Set(static_cast<double>(totals.run.sent));
+  reg.GetGauge("sm.hotspot.ok")->Set(static_cast<double>(totals.run.ok));
+  reg.GetGauge("sm.hotspot.failed")->Set(static_cast<double>(totals.run.failed()));
   // splits/merges are already in the registry as the orchestrator's sm.hotspot.* counters.
   reg.GetGauge("sm.hotspot.active_shards")->Set(static_cast<double>(totals.active_shards));
-  reg.GetGauge("sm.slo.violations")->Set(static_cast<double>(totals.slo_violations));
-  reg.GetGauge("sm.slo.mean_ms")->Set(totals.mean_latency_ms);
-  reg.GetGauge("sm.slo.p99_ms")->Set(totals.p99_ms);
-  reg.GetGauge("sm.slo.p999_ms")->Set(totals.p999_ms);
-  reg.GetGauge("sm.slo.hold_violations")->Set(static_cast<double>(totals.measure_violations));
-  reg.GetGauge("sm.slo.hold_p99_ms")->Set(totals.measure_p99_ms);
-  reg.GetGauge("sm.slo.hold_p999_ms")->Set(totals.measure_p999_ms);
+  // Latency gauges are over successful requests only.
+  reg.GetGauge("sm.slo.violations")->Set(static_cast<double>(totals.run.slo_violations));
+  reg.GetGauge("sm.slo.mean_ms")->Set(totals.run.mean_ms());
+  reg.GetGauge("sm.slo.p99_ms")->Set(totals.run.PercentileMs(0.99));
+  reg.GetGauge("sm.slo.p999_ms")->Set(totals.run.PercentileMs(0.999));
+  reg.GetGauge("sm.slo.hold_violations")->Set(static_cast<double>(totals.hold.slo_violations));
+  reg.GetGauge("sm.slo.hold_p99_ms")->Set(totals.hold.PercentileMs(0.99));
+  reg.GetGauge("sm.slo.hold_p999_ms")->Set(totals.hold.PercentileMs(0.999));
+  reg.GetGauge("sm.slo.hold_failure_rate")->Set(totals.hold.failure_rate());
+  reg.GetGauge("sm.slo.hold_goodput_per_s")->Set(totals.hold_goodput_per_s);
   // The 64-bit digest split into exactly representable 32-bit halves.
   const uint64_t digest = StateDigest();
   reg.GetGauge("sm.hotspot.digest_hi")->Set(static_cast<double>(digest >> 32));

@@ -19,15 +19,19 @@
 // the PR 8 cross-shard machinery a real open-loop workout. Servers run the finite-capacity
 // FIFO service model, so an unsplit hotspot shows up as unbounded queueing delay at the tail.
 //
+// SLO accounting. A failed request is a failure counted by its StatusCode and an SLO
+// violation; it is never a latency sample. Latency percentiles and means are over successful
+// requests only, and every slice also reports its failure rate and goodput.
+//
 // StateDigest() folds the final shard set (every active shard's key range), the orchestrator's
-// split/merge counters and every region's SLO accounting (counts + log2 latency histogram)
-// into one FNV-1a value — a pure function of (config, seed). ExportMetrics publishes the
-// sm.hotspot.* / sm.slo.* gauges (digest halves included) for SM_METRICS_OUT byte-diffing.
+// split/merge counters and every region's SLO accounting (counts, failures by reason, latency
+// histogram) into one FNV-1a value — a pure function of (config, seed). ExportMetrics
+// publishes the sm.hotspot.* / sm.slo.* gauges (digest halves included) for SM_METRICS_OUT
+// byte-diffing.
 
 #ifndef SRC_WORKLOAD_HOTSPOT_SIM_H_
 #define SRC_WORKLOAD_HOTSPOT_SIM_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -35,6 +39,8 @@
 
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
+#include "src/common/stats.h"
+#include "src/common/status.h"
 #include "src/core/split_merge_planner.h"
 #include "src/workload/load_gen.h"
 #include "src/workload/testbed.h"
@@ -86,10 +92,10 @@ struct HotspotSimConfig {
   double slo_ms = 100.0;
 
   // Steady-state measurement window: requests sent in [flash_start + flash_rise +
-  // measure_grace, flash_start + flash_rise + flash_hold] feed a second set of SLO
-  // histograms. The grace period is the planner's reaction budget — the headline A/B
-  // (BENCH_hotspot.json) compares hold-window p99.9, static vs adaptive, because a
-  // whole-run p99.9 is dominated by the reaction transient at any realistic request rate.
+  // measure_grace, flash_start + flash_rise + flash_hold] feed a second SLO account. The
+  // grace period is the planner's reaction budget — the A/B (BENCH_hotspot.json) compares
+  // hold-window failure rate, goodput and success-only p99.9, static vs adaptive, because
+  // whole-run numbers are dominated by the reaction transient at any realistic request rate.
   TimeMicros measure_grace = Seconds(10);
 
   int sim_shards = 4;
@@ -97,19 +103,31 @@ struct HotspotSimConfig {
   uint64_t seed = 42;
 };
 
-struct HotspotTotals {
+// SLO accounting for one slice of requests (a region's whole run, or its hold window).
+// Latencies are over successful requests only.
+struct SloAccount {
   uint64_t sent = 0;
   uint64_t ok = 0;
-  uint64_t failed = 0;
-  uint64_t slo_violations = 0;
-  double mean_latency_ms = 0.0;
-  double p99_ms = 0.0;
-  double p999_ms = 0.0;
-  // Steady-state (hold-window) slice: requests sent inside the measurement window only.
-  uint64_t measure_sent = 0;
-  uint64_t measure_violations = 0;
-  double measure_p99_ms = 0.0;
-  double measure_p999_ms = 0.0;
+  uint64_t slo_violations = 0;  // failures plus successes slower than the SLO
+  uint64_t latency_sum_us = 0;
+  LatencyHistogram latency;
+  StatusCounts failures;  // by reason
+
+  void Record(const RequestOutcome& outcome, double slo_ms);
+  void Merge(const SloAccount& other);
+
+  uint64_t failed() const { return failures.total(); }
+  // Share of finished requests that failed.
+  double failure_rate() const;
+  double mean_ms() const;
+  double PercentileMs(double q) const { return latency.Percentile(q) / 1000.0; }
+};
+
+struct HotspotTotals {
+  SloAccount run;   // every request
+  SloAccount hold;  // requests sent inside the steady-state measurement window
+  // Successful hold-window requests per simulated second of the window.
+  double hold_goodput_per_s = 0.0;
   int64_t splits = 0;
   int64_t merges = 0;
   int active_shards = 0;
@@ -141,8 +159,6 @@ class HotspotSim {
   void ExportMetrics() const;
 
  private:
-  static constexpr size_t kLatencyBuckets = 28;  // log2 buckets, micros
-
   // Feeder-shard-owned traffic state (one per region; untouched by shard 0).
   struct RegionTraffic {
     explicit RegionTraffic(uint64_t seed) : rng(seed) {}
@@ -152,16 +168,8 @@ class HotspotSim {
   };
   // Shard-0-owned SLO accounting (one per region; written only by router callbacks).
   struct RegionSlo {
-    uint64_t sent = 0;
-    uint64_t ok = 0;
-    uint64_t failed = 0;
-    uint64_t slo_violations = 0;
-    uint64_t latency_sum_us = 0;
-    std::array<uint64_t, kLatencyBuckets> latency_log2{};
-    // Steady-state slice: only requests sent inside the measurement window.
-    uint64_t measure_sent = 0;
-    uint64_t measure_violations = 0;
-    std::array<uint64_t, kLatencyBuckets> measure_log2{};
+    SloAccount run;
+    SloAccount hold;  // only requests sent inside the measurement window
   };
 
   int feeder_shard(int region) const {
@@ -170,7 +178,6 @@ class HotspotSim {
   double RateFactorAt(TimeMicros t) const;
   void GenerateWindow(int region);
   void OnArrival(int region, uint64_t key);
-  double PercentileMs(double p, bool measure_only) const;
 
   HotspotSimConfig config_;
   std::unique_ptr<Testbed> testbed_;

@@ -416,28 +416,28 @@ void ProbeDriver::SendOne() {
   ++total_sent_;
   SM_COUNTER_INC("sm.probe.sent");
   router_->Route(key, type, key, [this](const RequestOutcome& outcome) {
-    if (outcome.success) {
-      ++current_.succeeded;
-      ++total_succeeded_;
-      SM_COUNTER_INC("sm.probe.succeeded");
-    } else {
+    if (!outcome.success) {
       ++current_.failed;
       ++total_failed_;
-      ++failure_reasons_[outcome.status.ToString()];
+      failures_.Add(outcome.status.code());
       SM_COUNTER_INC("sm.probe.failed");
+      return;
     }
+    ++current_.succeeded;
+    ++total_succeeded_;
+    SM_COUNTER_INC("sm.probe.succeeded");
     double latency_ms = ToMillis(outcome.latency);
     SM_HISTOGRAM_OBSERVE("sm.probe.latency_ms", latency_ms);
     latency_sum_ms_ += latency_ms;
-    latency_hist_.Add(latency_ms);
+    latency_hist_.Add(static_cast<uint64_t>(outcome.latency));
   });
 }
 
 void ProbeDriver::RollInterval() {
   current_.time = testbed_->sim().Now();
-  int64_t finished = current_.succeeded + current_.failed;
-  current_.mean_latency_ms = finished > 0 ? latency_sum_ms_ / static_cast<double>(finished) : 0.0;
-  current_.p99_latency_ms = latency_hist_.PercentileEstimate(99);
+  current_.mean_latency_ms =
+      current_.succeeded > 0 ? latency_sum_ms_ / static_cast<double>(current_.succeeded) : 0.0;
+  current_.p99_latency_ms = latency_hist_.Percentile(0.99) / 1000.0;
   series_.push_back(current_);
   current_ = ProbePoint{};
   latency_sum_ms_ = 0.0;

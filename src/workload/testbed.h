@@ -10,7 +10,6 @@
 #define SRC_WORKLOAD_TESTBED_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -233,8 +232,8 @@ struct ProbePoint {
   int64_t sent = 0;
   int64_t succeeded = 0;
   int64_t failed = 0;
-  double mean_latency_ms = 0.0;
-  double p99_latency_ms = 0.0;
+  double mean_latency_ms = 0.0;  // successful requests only
+  double p99_latency_ms = 0.0;   // successful requests only
   double success_rate() const {
     int64_t finished = succeeded + failed;
     return finished > 0 ? static_cast<double>(succeeded) / static_cast<double>(finished) : 1.0;
@@ -268,8 +267,8 @@ class ProbeDriver {
     return finished > 0 ? static_cast<double>(total_succeeded_) / static_cast<double>(finished)
                         : 1.0;
   }
-  // Failure diagnostics: terminal error string -> count.
-  const std::map<std::string, int64_t>& failure_reasons() const { return failure_reasons_; }
+  // Failures by terminal status code; sums to total_failed().
+  const StatusCounts& failures() const { return failures_; }
 
  private:
   void SendOne();
@@ -287,11 +286,11 @@ class ProbeDriver {
   ProbePoint current_;
   std::vector<ProbePoint> series_;
   double latency_sum_ms_ = 0.0;
-  Histogram latency_hist_{0.1, 1.3, 48};  // 0.1ms .. ~30s geometric buckets
+  LatencyHistogram latency_hist_;  // successful requests in the current interval
   int64_t total_sent_ = 0;
   int64_t total_succeeded_ = 0;
   int64_t total_failed_ = 0;
-  std::map<std::string, int64_t> failure_reasons_;
+  StatusCounts failures_;
 };
 
 }  // namespace shardman

@@ -242,6 +242,7 @@ TEST(AsymmetricPartition, RouterDegradesAndRecovers) {
   int64_t late_failures = probe.total_failed() - failed_at_heal;
   EXPECT_LT(late_failures, 30) << "router did not recover after one-way loss healed";
   EXPECT_GT(probe.overall_success_rate(), 0.5);
+  EXPECT_EQ(probe.failures().total(), static_cast<uint64_t>(probe.total_failed()));
 }
 
 }  // namespace

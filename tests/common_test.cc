@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -179,49 +180,103 @@ TEST(PercentileDeathTest, OutOfRangePChecksEvenWhenEmpty) {
   EXPECT_DEATH(Percentile({1.0, 2.0}, 100.5), "SM_CHECK");
 }
 
-TEST(HistogramTest, EmptyPercentileEstimateIsZero) {
-  Histogram hist(1, 2, 10);
-  EXPECT_DOUBLE_EQ(hist.PercentileEstimate(99), 0.0);
+using Log2Histogram = LogLinearHistogram<0, uint32_t>;
+
+TEST(LogLinearHistogramTest, S0KeepsTheLog2Edges) {
+  // [0, 2) us, then [2^b, 2^(b+1)) us: the router-side request-accounting layout.
+  EXPECT_EQ(Log2Histogram::kBuckets, 28);
+  EXPECT_EQ(Log2Histogram::BucketIndex(0), 0);
+  EXPECT_EQ(Log2Histogram::BucketIndex(1), 0);
+  EXPECT_EQ(Log2Histogram::BucketIndex(2), 1);
+  EXPECT_EQ(Log2Histogram::BucketIndex(3), 1);
+  EXPECT_EQ(Log2Histogram::BucketIndex(4), 2);
+  EXPECT_EQ(Log2Histogram::BucketIndex(1023), 9);
+  EXPECT_EQ(Log2Histogram::BucketIndex(1024), 10);
+  // The tail clamps to the last bucket instead of overflowing.
+  EXPECT_EQ(Log2Histogram::BucketIndex(uint64_t{1} << 60), Log2Histogram::kBuckets - 1);
+  EXPECT_EQ(Log2Histogram::BucketLower(0), 0u);
+  EXPECT_EQ(Log2Histogram::BucketLower(1), 2u);  // bucket 0 is [0, 2)
+  EXPECT_EQ(Log2Histogram::BucketLower(10), 1024u);
+  EXPECT_EQ(Log2Histogram::BucketLower(11), 2048u);  // bucket 10 is [1024, 2047]
 }
 
-TEST(HistogramDeathTest, PercentileEstimateRangeChecksEvenWhenEmpty) {
-  Histogram hist(1, 2, 10);
-  EXPECT_DEATH(hist.PercentileEstimate(101), "SM_CHECK");
+TEST(LogLinearHistogramTest, S4BucketsTileTheRangeWithinSixPercent) {
+  for (int idx = 0; idx < LatencyHistogram::kBuckets; ++idx) {
+    const uint64_t lo = LatencyHistogram::BucketLower(idx);
+    const uint64_t hi = LatencyHistogram::BucketLower(idx + 1);
+    ASSERT_LT(lo, hi) << idx;
+    EXPECT_EQ(LatencyHistogram::BucketIndex(lo), idx);
+    EXPECT_EQ(LatencyHistogram::BucketIndex(hi - 1), idx);
+    if (lo >= 32) {
+      EXPECT_LE(hi - lo, lo / 16) << idx;
+    }
+  }
 }
 
-TEST(HistogramDeathTest, MergeMismatchedConfigsChecks) {
-  Histogram base(1, 2, 10);
-  Histogram fewer_buckets(1, 2, 8);
-  Histogram different_origin(0.5, 2, 10);
-  Histogram different_growth(1, 1.5, 10);
-  EXPECT_DEATH(base.Merge(fewer_buckets), "SM_CHECK");
-  EXPECT_DEATH(base.Merge(different_origin), "SM_CHECK");
-  EXPECT_DEATH(base.Merge(different_growth), "SM_CHECK");
-}
-
-TEST(HistogramTest, PercentileEstimateWithinBucketError) {
-  Histogram hist(0.1, 1.5, 40);
+TEST(LogLinearHistogramTest, S4PercentileWithinBucketErrorOfExact) {
   Rng rng(9);
   std::vector<double> samples;
-  for (int i = 0; i < 5000; ++i) {
-    double v = rng.Exponential(20.0);
-    samples.push_back(v);
+  LatencyHistogram hist;
+  for (int i = 0; i < 20000; ++i) {
+    // Log-uniform over [32 us, 2^27 us].
+    const uint64_t v = static_cast<uint64_t>(32.0 * std::exp2(rng.Uniform() * 22.0));
+    samples.push_back(static_cast<double>(v));
     hist.Add(v);
   }
-  double exact = Percentile(samples, 99);
-  double estimate = hist.PercentileEstimate(99);
-  EXPECT_NEAR(estimate, exact, exact * 0.5);  // bucketed estimate: within bucket growth factor
-  EXPECT_EQ(hist.count(), 5000);
+  EXPECT_EQ(hist.count(), 20000u);
+  for (double q : {0.5, 0.99, 0.999}) {
+    const double exact = Percentile(samples, q * 100.0);
+    EXPECT_NEAR(hist.Percentile(q), exact, exact * 0.0625) << "q=" << q;
+  }
 }
 
-TEST(HistogramTest, MergeAddsCounts) {
-  Histogram a(1, 2, 10);
-  Histogram b(1, 2, 10);
-  a.Add(5);
-  b.Add(50);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_DOUBLE_EQ(a.sum(), 55.0);
+TEST(LogLinearHistogramTest, EmptyPercentileIsZero) {
+  EXPECT_DOUBLE_EQ(LatencyHistogram().Percentile(0.99), 0.0);
+  EXPECT_DOUBLE_EQ(Log2Histogram().Percentile(0.5), 0.0);
+}
+
+TEST(LogLinearHistogramTest, MergeAndSubtractAreBucketWise) {
+  LatencyHistogram a;
+  a.Add(100);
+  a.Add(1000);
+  LatencyHistogram b;
+  b.Add(5000);
+  b.Add(1000);
+  LatencyHistogram merged = a;
+  merged.Merge(b);
+  EXPECT_EQ(merged.count(), 4u);
+  EXPECT_EQ(merged.bucket(LatencyHistogram::BucketIndex(1000)), 2u);
+  merged.Subtract(b);
+  for (int idx = 0; idx < LatencyHistogram::kBuckets; ++idx) {
+    EXPECT_EQ(merged.bucket(idx), a.bucket(idx)) << idx;
+  }
+  // A narrow-count histogram merges into a wide one of the same layout.
+  Log2Histogram narrow;
+  narrow.Add(3);
+  LogLinearHistogram<0, uint64_t> wide;
+  wide.Merge(narrow);
+  EXPECT_EQ(wide.bucket(1), 1u);
+}
+
+TEST(LogLinearHistogramDeathTest, OutOfRangeQuantileChecksEvenWhenEmpty) {
+  LatencyHistogram hist;
+  EXPECT_DEATH(hist.Percentile(1.01), "SM_CHECK");
+  EXPECT_DEATH(hist.Percentile(-0.1), "SM_CHECK");
+}
+
+TEST(StatusCountsTest, CountsByCode) {
+  StatusCounts counts;
+  counts.Add(StatusCode::kUnavailable);
+  counts.Add(StatusCode::kUnavailable);
+  counts.Add(StatusCode::kDeadlineExceeded);
+  StatusCounts more;
+  more.Add(StatusCode::kNotFound);
+  counts.Merge(more);
+  EXPECT_EQ(counts.count(StatusCode::kUnavailable), 2u);
+  EXPECT_EQ(counts.count(StatusCode::kDeadlineExceeded), 1u);
+  EXPECT_EQ(counts.count(StatusCode::kNotFound), 1u);
+  EXPECT_EQ(counts.count(StatusCode::kInternal), 0u);
+  EXPECT_EQ(counts.total(), 4u);
 }
 
 TEST(TableTest, AlignedOutputAndCsv) {

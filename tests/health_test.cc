@@ -23,37 +23,23 @@ namespace shardman {
 namespace {
 
 using obs::AttemptOutcome;
-using obs::RedCell;
 using obs::RedTotals;
 using obs::RequestAccountant;
 using obs::RequestAccountingOptions;
 
 // -- RequestAccountant -------------------------------------------------------------------------
 
-TEST(RequestAccounting, LatencyBucketsAndPercentiles) {
-  EXPECT_EQ(RedCell::LatencyBucket(-5), 0);
-  EXPECT_EQ(RedCell::LatencyBucket(0), 0);
-  EXPECT_EQ(RedCell::LatencyBucket(1), 0);
-  EXPECT_EQ(RedCell::LatencyBucket(2), 1);
-  EXPECT_EQ(RedCell::LatencyBucket(3), 1);
-  EXPECT_EQ(RedCell::LatencyBucket(4), 2);
-  EXPECT_EQ(RedCell::LatencyBucket(1023), 9);
-  EXPECT_EQ(RedCell::LatencyBucket(1024), 10);
-  // The tail clamps to the last bucket instead of overflowing.
-  EXPECT_EQ(RedCell::LatencyBucket(int64_t{1} << 60), RedCell::kLatencyBuckets - 1);
-  EXPECT_EQ(RedCell::BucketUpperUs(0), 1);
-  EXPECT_EQ(RedCell::BucketUpperUs(10), 2047);
-
+TEST(RequestAccounting, PercentilesFromTheLog2Histogram) {
   RedTotals totals;
   EXPECT_DOUBLE_EQ(totals.PercentileMs(0.99), 0.0);  // empty histogram
   // 90 fast completions (~1ms) and 10 slow ones (~64ms): p50 lands in the fast bucket, p99 in
   // the slow one. Log buckets bound the error at ~2x, which is what the thresholds assume.
   for (int i = 0; i < 90; ++i) {
-    totals.latency[RedCell::LatencyBucket(1000)]++;
+    totals.latency.Add(1000);
     ++totals.completed;
   }
   for (int i = 0; i < 10; ++i) {
-    totals.latency[RedCell::LatencyBucket(60000)]++;
+    totals.latency.Add(60000);
     ++totals.completed;
   }
   EXPECT_GT(totals.PercentileMs(0.5), 0.5);

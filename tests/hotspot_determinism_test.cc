@@ -4,11 +4,13 @@
 // and router map versions) across sim worker threads {1, 2, 8} and across repeated same-seed
 // runs. This is the test the TSan CI lane runs (`ctest -L sim`); the full-size version is the
 // bench's gate mode (bench/hotspot_slo with SM_SIM_THREADS, diffed via SM_METRICS_OUT dumps).
+// The file also pins the SLO accounting rule the digest and the bench report rest on.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "src/common/rng.h"
 #include "src/workload/hotspot_sim.h"
 
 namespace shardman {
@@ -60,7 +62,7 @@ FlashRun RunFlash(int threads) {
 
 TEST(HotspotDeterminism, DigestIdenticalAcrossThreadCountsAndRepeats) {
   const FlashRun reference = RunFlash(1);
-  ASSERT_GT(reference.totals.sent, 0u);
+  ASSERT_GT(reference.totals.run.sent, 0u);
   // The scenario must actually exercise the adaptive loop, or the digest covers nothing.
   EXPECT_GT(reference.totals.splits, 0);
 
@@ -85,6 +87,48 @@ TEST(HotspotDeterminism, DifferentSeedsDiverge) {
   HotspotSim sim(other);
   sim.Run(Seconds(26));
   EXPECT_NE(sim.StateDigest(), a.digest);
+}
+
+// SLO accounting: a failure is counted by its reason and is never a latency sample, so mixing
+// failures into a slice leaves its success-only percentiles exactly as they were.
+TEST(HotspotSlo, FailuresAreCountedByReasonNotBookedAsLatency) {
+  constexpr double kSloMs = 100.0;
+  constexpr int kSuccesses = 5000;
+  constexpr int kFailures = 300;
+  SloAccount mixed;
+  SloAccount alone;
+  Rng rng(5);
+  for (int i = 0; i < kSuccesses; ++i) {
+    RequestOutcome ok;
+    ok.success = true;
+    ok.latency = Millis(1) + rng.UniformInt(0, Millis(200));
+    mixed.Record(ok, kSloMs);
+    alone.Record(ok, kSloMs);
+  }
+  const StatusCode reasons[] = {StatusCode::kResourceExhausted, StatusCode::kDeadlineExceeded,
+                                StatusCode::kUnavailable};
+  for (int i = 0; i < kFailures; ++i) {
+    RequestOutcome failure;
+    failure.status = Status(reasons[i % 3], "injected");
+    failure.latency = Seconds(200);  // a failure's wall time must not reach the percentiles
+    mixed.Record(failure, kSloMs);
+  }
+
+  EXPECT_EQ(mixed.PercentileMs(0.999), alone.PercentileMs(0.999));
+  EXPECT_EQ(mixed.PercentileMs(0.99), alone.PercentileMs(0.99));
+  EXPECT_EQ(mixed.mean_ms(), alone.mean_ms());
+  EXPECT_LT(mixed.PercentileMs(0.999), 250.0);
+  EXPECT_EQ(mixed.ok, static_cast<uint64_t>(kSuccesses));
+  EXPECT_EQ(mixed.failed(), static_cast<uint64_t>(kFailures));
+  uint64_t by_reason = 0;
+  for (int code = 0; code < kStatusCodeCount; ++code) {
+    by_reason += mixed.failures.count(static_cast<StatusCode>(code));
+  }
+  EXPECT_EQ(by_reason, static_cast<uint64_t>(kFailures));
+  EXPECT_EQ(mixed.failures.count(StatusCode::kResourceExhausted), 100u);
+  EXPECT_EQ(mixed.slo_violations, alone.slo_violations + kFailures);
+  EXPECT_DOUBLE_EQ(mixed.failure_rate(),
+                   static_cast<double>(kFailures) / (kSuccesses + kFailures));
 }
 
 }  // namespace

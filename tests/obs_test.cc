@@ -111,8 +111,8 @@ TEST(MetricsRegistry, SnapshotIsSortedAndQueryable) {
   EXPECT_EQ(hist->kind, MetricKind::kHistogram);
   EXPECT_EQ(hist->hist_count, 100);
   EXPECT_DOUBLE_EQ(hist->hist_sum, 5050.0);
-  // Geometric buckets give estimates, not exact order statistics; generous tolerance.
-  EXPECT_NEAR(hist->p50, 50.0, 25.0);
+  // Buckets give estimates, not exact order statistics: within 6.25% of the value.
+  EXPECT_NEAR(hist->p50, 50.0, 50.0 * 0.0625);
   EXPECT_GE(hist->p99, hist->p50);
   EXPECT_EQ(snapshot.Find("sm.never.registered"), nullptr);
 }
@@ -142,6 +142,28 @@ TEST(MetricsRegistry, DeltaSubtractsCountersAndKeepsAfterGauges) {
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->hist_count, 2);
   EXPECT_DOUBLE_EQ(hist->hist_sum, 13.0);
+}
+
+TEST(MetricsRegistry, DeltaPercentilesCoverOnlyTheWindow) {
+  MetricsRegistry registry;
+  HistogramMetric* h = registry.GetHistogram("sm.test.hist_ms");
+  for (int i = 0; i < 100; ++i) {
+    h->Observe(1.0);
+  }
+  MetricsSnapshot before = registry.Snapshot();
+  for (int i = 0; i < 100; ++i) {
+    h->Observe(100.0);
+  }
+  MetricsSnapshot after = registry.Snapshot();
+  EXPECT_NEAR(after.Find("sm.test.hist_ms")->p50, 1.0, 0.0625);  // cumulative: half at 1 ms
+
+  const obs::MetricSample* window =
+      MetricsRegistry::Delta(before, after).Find("sm.test.hist_ms");
+  ASSERT_NE(window, nullptr);
+  EXPECT_EQ(window->hist_count, 100);
+  EXPECT_DOUBLE_EQ(window->hist_sum, 10000.0);
+  EXPECT_NEAR(window->p50, 100.0, 6.25);
+  EXPECT_NEAR(window->p99, 100.0, 6.25);
 }
 
 TEST(MetricsRegistry, WriteJsonlOneObjectPerLine) {
