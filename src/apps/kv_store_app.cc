@@ -1,10 +1,22 @@
 #include "src/apps/kv_store_app.h"
 
+#include <algorithm>
+
 namespace shardman {
 
 namespace {
 // Prefix scans cover this many consecutive keys starting at the request key.
 constexpr uint64_t kScanSpan = 1024;
+
+using Store = std::vector<std::pair<uint64_t, uint64_t>>;
+
+// First entry whose key is >= `key`.
+Store::iterator LowerBound(Store& store, uint64_t key) {
+  return std::lower_bound(store.begin(), store.end(), key,
+                          [](const std::pair<uint64_t, uint64_t>& entry, uint64_t k) {
+                            return entry.first < k;
+                          });
+}
 }  // namespace
 
 Reply KvStoreApp::ApplyRequest(LocalShard& shard, const Request& request) {
@@ -12,13 +24,18 @@ Reply KvStoreApp::ApplyRequest(LocalShard& shard, const Request& request) {
   auto& store = data_[request.shard.value];
   switch (request.type) {
     case RequestType::kWrite: {
-      store[request.key] = request.payload;
+      auto it = LowerBound(store, request.key);
+      if (it != store.end() && it->first == request.key) {
+        it->second = request.payload;
+      } else {
+        store.emplace(it, request.key, request.payload);
+      }
       reply.value = request.payload;
       break;
     }
     case RequestType::kRead: {
-      auto it = store.find(request.key);
-      reply.value = it != store.end() ? it->second : 0;
+      auto it = LowerBound(store, request.key);
+      reply.value = it != store.end() && it->first == request.key ? it->second : 0;
       break;
     }
     case RequestType::kScan: {
@@ -26,7 +43,7 @@ Reply KvStoreApp::ApplyRequest(LocalShard& shard, const Request& request) {
       // operation Slicer's UUID-key approach cannot support (§3.1).
       uint64_t count = 0;
       uint64_t end = request.key + kScanSpan;
-      for (auto it = store.lower_bound(request.key); it != store.end() && it->first < end;
+      for (auto it = LowerBound(store, request.key); it != store.end() && it->first < end;
            ++it) {
         ++count;
       }

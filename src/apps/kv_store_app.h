@@ -9,8 +9,10 @@
 #ifndef SRC_APPS_KV_STORE_APP_H_
 #define SRC_APPS_KV_STORE_APP_H_
 
-#include <map>
+#include <cstdint>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/apps/shard_host_base.h"
 
@@ -29,8 +31,10 @@ class KvStoreApp : public ShardHostBase {
   void OnCrashExtra() override;
 
  private:
-  // Per-shard ordered store; ordered so prefix scans are range iterations.
-  std::unordered_map<int32_t, std::map<uint64_t, uint64_t>> data_;
+  // Per-shard store: (key, value) pairs sorted by key, one contiguous array per shard, so a
+  // point lookup is a binary search and a prefix scan a forward walk. Shards hold a handful of
+  // keys, where a node-based map costs a pointer chase per level.
+  std::unordered_map<int32_t, std::vector<std::pair<uint64_t, uint64_t>>> data_;
 };
 
 }  // namespace shardman

@@ -1,11 +1,12 @@
 #include "src/core/orchestrator.h"
 
 #include <algorithm>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
+#include "src/coord/record_codec.h"
 #include "src/core/sm_library.h"
 #include "src/obs/obs.h"
 
@@ -48,6 +49,7 @@ Orchestrator::Orchestrator(Simulator* sim, Network* network, CoordStore* coord,
       spec_(std::move(spec)),
       home_region_(home_region),
       config_(config),
+      assign_prefix_("/sm/" + spec_.name + "/assign/"),
       retry_rng_(config.retry_seed) {
   SM_CHECK(sim != nullptr);
   SM_CHECK(network != nullptr);
@@ -83,9 +85,8 @@ void Orchestrator::Start() {
 }
 
 void Orchestrator::LoadAssignmentsFromCoord() {
-  const std::string prefix = "/sm/" + spec_.name + "/assign/";
-  for (const std::string& path : coord_->List(prefix)) {
-    ServerId server(static_cast<int32_t>(std::stol(path.substr(prefix.size()))));
+  for (const std::string& path : coord_->List(assign_prefix_)) {
+    ServerId server(static_cast<int32_t>(std::stol(path.substr(assign_prefix_.size()))));
     Result<std::string> data = coord_->Get(path);
     if (!data.ok()) {
       continue;
@@ -494,19 +495,19 @@ void Orchestrator::PersistServerAssignment(ServerId server) {
   if (!server.valid() || !MayWrite()) {
     return;
   }
-  std::ostringstream os;
+  std::vector<PersistedReplica> replicas;
   auto it = server_replicas_.find(server.value);
   if (it != server_replicas_.end()) {
+    replicas.reserve(it->second.size());
     for (int64_t key : it->second) {
       ShardId shard(static_cast<int32_t>(key >> 16));
       int replica = static_cast<int>(key & 0xFFFF);
-      const ReplicaRuntime& r = Replica(shard, replica);
-      os << shard.value << ":" << replica << ":"
-         << (r.role == ReplicaRole::kPrimary ? "p" : "s") << ";";
+      replicas.push_back({shard, replica, Replica(shard, replica).role});
     }
   }
-  SM_CHECK_OK(coord_->Set("/sm/" + spec_.name + "/assign/" + std::to_string(server.value),
-                          os.str()));
+  std::string path = assign_prefix_;
+  AppendDecimal(path, server.value);
+  SM_CHECK_OK(coord_->Set(path, SerializeAssignment(replicas)));
 }
 
 ShardMap Orchestrator::BuildMap() const {
@@ -1846,16 +1847,24 @@ void Orchestrator::PersistRanges() {
   // Format: "n=<total slots>;<id>:<begin>:<end>;..." with one triple per *active* shard.
   // Ids absent from the record are inactive (retired, or a split child whose commit never
   // happened — the record is rewritten only at commits).
-  std::ostringstream os;
-  os << "n=" << shards_.size() << ";";
+  // One allocation: a triple of an id below 10^6 and two 64-bit keys takes at most 47 chars.
+  std::string record = "n=";
+  record.reserve(24 + shards_.size() * 48);
+  AppendDecimal(record, shards_.size());
+  record += ';';
   for (size_t s = 0; s < shards_.size(); ++s) {
     const ShardRuntime& rt = shards_[s];
     if (!rt.active || rt.range.empty()) {
       continue;
     }
-    os << s << ":" << rt.range.begin << ":" << rt.range.end << ";";
+    AppendDecimal(record, s);
+    record += ':';
+    AppendDecimal(record, rt.range.begin);
+    record += ':';
+    AppendDecimal(record, rt.range.end);
+    record += ';';
   }
-  SM_CHECK_OK(coord_->Set("/sm/" + spec_.name + "/ranges", os.str()));
+  SM_CHECK_OK(coord_->Set("/sm/" + spec_.name + "/ranges", std::move(record)));
 }
 
 void Orchestrator::LoadRangesFromCoord() {
@@ -1863,16 +1872,13 @@ void Orchestrator::LoadRangesFromCoord() {
   if (!data.ok()) {
     return;  // no record: InitShards' spec-derived ranges stand
   }
-  const std::string& text = data.value();
-  size_t pos = text.find("n=");
-  if (pos != 0) {
+  std::string_view text = data.value();
+  std::string_view header;
+  size_t total = 0;
+  if (!text.starts_with("n=") || !NextField(&text, ';', &header) ||
+      !ParseDecimal(header.substr(2), &total)) {
     return;
   }
-  size_t semi = text.find(';');
-  if (semi == std::string::npos) {
-    return;
-  }
-  size_t total = static_cast<size_t>(std::stoll(text.substr(2, semi - 2)));
   const int metrics = spec_.placement.metrics.size();
   while (shards_.size() < total) {
     // Re-create runtimes for shards a committed split added past the spec count, so their
@@ -1902,26 +1908,19 @@ void Orchestrator::LoadRangesFromCoord() {
     rt.range = KeyRange{};
     rt.active = false;
   }
-  size_t cursor = semi + 1;
-  while (cursor < text.size()) {
-    size_t next = text.find(';', cursor);
-    if (next == std::string::npos) {
-      break;
-    }
-    std::string field = text.substr(cursor, next - cursor);
-    cursor = next + 1;
-    size_t c1 = field.find(':');
-    size_t c2 = field.find(':', c1 + 1);
-    if (c1 == std::string::npos || c2 == std::string::npos) {
-      continue;
-    }
-    size_t id = static_cast<size_t>(std::stoll(field.substr(0, c1)));
-    if (id >= shards_.size()) {
+  std::string_view triple;
+  while (NextField(&text, ';', &triple)) {
+    std::string_view id_field;
+    std::string_view begin_field;
+    size_t id = 0;
+    KeyRange range;
+    if (!NextField(&triple, ':', &id_field) || !NextField(&triple, ':', &begin_field) ||
+        !ParseDecimal(id_field, &id) || !ParseDecimal(begin_field, &range.begin) ||
+        !ParseDecimal(triple, &range.end) || id >= shards_.size()) {
       continue;
     }
     ShardRuntime& rt = shards_[id];
-    rt.range.begin = std::stoull(field.substr(c1 + 1, c2 - c1 - 1));
-    rt.range.end = std::stoull(field.substr(c2 + 1));
+    rt.range = range;
     rt.active = true;
   }
 }

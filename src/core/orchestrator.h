@@ -385,6 +385,8 @@ class Orchestrator {
   AppSpec spec_;
   RegionId home_region_;
   OrchestratorConfig config_;
+  // "/sm/<app>/assign/": the per-server assignment records are this plus the server id.
+  const std::string assign_prefix_;
 
   std::vector<ShardRuntime> shards_;
   // server -> replicas bound to it (includes unavailable ones).

@@ -1,42 +1,45 @@
 #include "src/core/sm_library.h"
 
-#include <sstream>
-
 #include "src/common/check.h"
 #include "src/common/logging.h"
+#include "src/coord/record_codec.h"
 #include "src/obs/obs.h"
 
 namespace shardman {
 
-std::string SerializeAssignment(const std::vector<PersistedReplica>& replicas) {
-  std::ostringstream os;
+namespace {
+// The longest entry: two 11-character int32 fields, two ':', the role letter and the ';'.
+constexpr size_t kMaxEntryChars = 26;
+}  // namespace
+
+std::string SerializeAssignment(std::span<const PersistedReplica> replicas) {
+  std::string out;
+  out.reserve(replicas.size() * kMaxEntryChars);
   for (const PersistedReplica& r : replicas) {
-    os << r.shard.value << ":" << r.replica << ":"
-       << (r.role == ReplicaRole::kPrimary ? "p" : "s") << ";";
+    AppendDecimal(out, r.shard.value);
+    out += ':';
+    AppendDecimal(out, r.replica);
+    out += ':';
+    out += r.role == ReplicaRole::kPrimary ? 'p' : 's';
+    out += ';';
   }
-  return os.str();
+  return out;
 }
 
-std::vector<PersistedReplica> ParseAssignment(const std::string& data) {
+std::vector<PersistedReplica> ParseAssignment(std::string_view data) {
   std::vector<PersistedReplica> out;
-  size_t pos = 0;
-  while (pos < data.size()) {
-    size_t end = data.find(';', pos);
-    if (end == std::string::npos) {
-      break;
+  std::string_view entry;
+  while (NextField(&data, ';', &entry)) {
+    std::string_view shard;
+    std::string_view replica;
+    PersistedReplica parsed;
+    if (!NextField(&entry, ':', &shard) || !NextField(&entry, ':', &replica) ||
+        !ParseDecimal(shard, &parsed.shard.value) || !ParseDecimal(replica, &parsed.replica) ||
+        (entry != "p" && entry != "s")) {
+      continue;  // malformed entry: skip it, keep the rest of the record
     }
-    std::string entry = data.substr(pos, end - pos);
-    pos = end + 1;
-    size_t c1 = entry.find(':');
-    size_t c2 = entry.find(':', c1 + 1);
-    if (c1 == std::string::npos || c2 == std::string::npos) {
-      continue;
-    }
-    PersistedReplica replica;
-    replica.shard = ShardId(static_cast<int32_t>(std::stol(entry.substr(0, c1))));
-    replica.replica = static_cast<int>(std::stol(entry.substr(c1 + 1, c2 - c1 - 1)));
-    replica.role = entry.substr(c2 + 1) == "p" ? ReplicaRole::kPrimary : ReplicaRole::kSecondary;
-    out.push_back(replica);
+    parsed.role = entry == "p" ? ReplicaRole::kPrimary : ReplicaRole::kSecondary;
+    out.push_back(parsed);
   }
   return out;
 }

@@ -9,7 +9,9 @@
 #define SRC_CORE_SM_LIBRARY_H_
 
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/coord/coord_store.h"
@@ -24,9 +26,12 @@ struct PersistedReplica {
   ReplicaRole role = ReplicaRole::kSecondary;
 };
 
-// Serialization helpers for the per-server assignment node ("<shard>:<replica>:<p|s>;...").
-std::string SerializeAssignment(const std::vector<PersistedReplica>& replicas);
-std::vector<PersistedReplica> ParseAssignment(const std::string& data);
+// The one codec of the per-server assignment node /sm/<app>/assign/<server>
+// ("<shard>:<replica>:<p|s>;..."): the orchestrator writes it, and the orchestrator's recovery,
+// a booting server and the invariant checker read it. Parsing skips a malformed entry and an
+// unterminated tail, and keeps the well-formed entries around them.
+std::string SerializeAssignment(std::span<const PersistedReplica> replicas);
+std::vector<PersistedReplica> ParseAssignment(std::string_view data);
 
 class SmLibrary {
  public:

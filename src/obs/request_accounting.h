@@ -27,8 +27,9 @@
 // Percentile error is bounded at ~50% of the value, which is ample for p99-inflation ratio
 // tests (factor >= 2 thresholds).
 //
-// The SM_RED_* macros compile to ((void)0) — arguments unevaluated — under
-// -DSHARDMAN_OBS=OFF, so an OFF build's pick path is byte-for-byte the pre-telemetry one.
+// The accountant is not telemetry: the gray-failure scorer and the split planner decide from
+// its planes, so it has no macros. Callers use its API directly, and every build flavour,
+// -DSHARDMAN_OBS=OFF included, records the same cells.
 
 #ifndef SRC_OBS_REQUEST_ACCOUNTING_H_
 #define SRC_OBS_REQUEST_ACCOUNTING_H_
@@ -41,10 +42,6 @@
 #include "src/common/ids.h"
 #include "src/common/sim_time.h"
 #include "src/common/stats.h"
-
-#ifndef SHARDMAN_OBS_ENABLED
-#define SHARDMAN_OBS_ENABLED 1
-#endif
 
 namespace shardman {
 namespace obs {
@@ -236,46 +233,5 @@ class RequestAccountant {
 
 }  // namespace obs
 }  // namespace shardman
-
-// -- Hot-path macros ---------------------------------------------------------------------------
-// `acct` is a `RequestAccountant*` (may be null). Arguments are NOT evaluated under
-// SHARDMAN_OBS=OFF, so an OFF build carries no telemetry code at the call site.
-
-#if SHARDMAN_OBS_ENABLED
-
-#define SM_RED_PICK(acct, stripe, app_slot, region)                             \
-  do {                                                                          \
-    ::shardman::obs::RequestAccountant* sm_red_acct_ = (acct);                  \
-    if (sm_red_acct_ != nullptr) {                                              \
-      sm_red_acct_->RecordPick((stripe), (app_slot), (region));                 \
-    }                                                                           \
-  } while (false)
-
-#define SM_RED_ATTEMPT(acct, stripe, server, from_region, to_region, latency_us, outcome) \
-  do {                                                                                    \
-    ::shardman::obs::RequestAccountant* sm_red_acct_ = (acct);                            \
-    if (sm_red_acct_ != nullptr) {                                                        \
-      sm_red_acct_->RecordAttempt((stripe), (server), (from_region), (to_region),         \
-                                  (latency_us), (outcome));                               \
-    }                                                                                     \
-  } while (false)
-
-#define SM_RED_REQUEST_DONE(acct, stripe, app_slot, region, shard, latency_us, ok) \
-  do {                                                                             \
-    ::shardman::obs::RequestAccountant* sm_red_acct_ = (acct);                     \
-    if (sm_red_acct_ != nullptr) {                                                 \
-      sm_red_acct_->RecordRequestDone((stripe), (app_slot), (region), (shard),     \
-                                      (latency_us), (ok));                         \
-    }                                                                              \
-  } while (false)
-
-#else  // !SHARDMAN_OBS_ENABLED
-
-#define SM_RED_PICK(acct, stripe, app_slot, region) ((void)0)
-#define SM_RED_ATTEMPT(acct, stripe, server, from_region, to_region, latency_us, outcome) \
-  ((void)0)
-#define SM_RED_REQUEST_DONE(acct, stripe, app_slot, region, shard, latency_us, ok) ((void)0)
-
-#endif  // SHARDMAN_OBS_ENABLED
 
 #endif  // SRC_OBS_REQUEST_ACCOUNTING_H_

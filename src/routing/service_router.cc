@@ -192,9 +192,7 @@ void ServiceRouter::SetDemotionView(const uint8_t* flags, int32_t count) {
 ServerId ServiceRouter::PickTarget(const Request& request, int attempt, ServerId exclude) {
   // Counts pick *attempts* (before selection), so the increment never waits on the selection
   // result — the whole accounting cost disappears into the out-of-order window.
-#if SHARDMAN_OBS_ENABLED
   if (pick_slot_ != nullptr) ++*pick_slot_;
-#endif
   return SelectTarget(request, attempt, exclude);
 }
 
@@ -327,10 +325,10 @@ void ServiceRouter::Send(uint32_t slot) {
 
 void ServiceRouter::Finish(uint32_t slot, const Reply& reply) {
   Attempt& attempt = attempts_[slot];
-#if SHARDMAN_OBS_ENABLED
-  // Per-attempt RED accounting: the replica/link signal the gray-failure scorer consumes.
-  // Timeouts carry no failure detail from the server, so classify by elapsed time — an
-  // attempt that consumed the full timeout budget is a timeout whatever the status text says.
+  // Per-attempt RED accounting: the replica/link signal the gray-failure scorer consumes. It
+  // is a decision input, not telemetry, so every build flavour records it. Timeouts carry no
+  // failure detail from the server, so classify by elapsed time — an attempt that consumed the
+  // full timeout budget is a timeout whatever the status text says.
   if (accountant_ != nullptr && attempt.target.valid()) {
     const TimeMicros attempt_latency = sim_->Now() - attempt.sent_at;
     obs::AttemptOutcome attempt_outcome = obs::AttemptOutcome::kOk;
@@ -343,10 +341,9 @@ void ServiceRouter::Finish(uint32_t slot, const Reply& reply) {
     if (const ServerHandle* handle = registry_->Get(attempt.target)) {
       to_region = handle->region.value;
     }
-    SM_RED_ATTEMPT(accountant_, stripe_, attempt.target.value, region_index_, to_region,
-                   attempt_latency, attempt_outcome);
+    accountant_->RecordAttempt(stripe_, attempt.target.value, region_index_, to_region,
+                               attempt_latency, attempt_outcome);
   }
-#endif
   if (!reply.status.ok() && attempt.attempt < config_.max_attempts) {
     ++attempt.attempt;
     // Avoid the server that just failed. A timed-out attempt carries no served_by, so fall
@@ -369,10 +366,11 @@ void ServiceRouter::Finish(uint32_t slot, const Reply& reply) {
   } else {
     SM_COUNTER_INC("sm.router.requests_failed");
   }
-  if (attempt.request.shard.valid()) {
-    SM_RED_REQUEST_DONE(accountant_, stripe_, app_slot_, region_index_,
-                        static_cast<int64_t>(attempt.request.shard.value), outcome.latency,
-                        outcome.success);
+  if (accountant_ != nullptr && attempt.request.shard.valid()) {
+    // The split planner's per-shard demand signal: recorded in every build flavour too.
+    accountant_->RecordRequestDone(stripe_, app_slot_, region_index_,
+                                   static_cast<int64_t>(attempt.request.shard.value),
+                                   outcome.latency, outcome.success);
   }
   // Free the slot before running `done`: it may route again and reuse it.
   std::function<void(const RequestOutcome&)> done = std::move(attempt.done);

@@ -1,26 +1,32 @@
 #include "src/smr/lease.h"
 
+#include <string_view>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/coord/record_codec.h"
 #include "src/obs/obs.h"
 
 namespace shardman {
 
 namespace {
 
-// Leader node payload is "<holder>:<epoch>".
-int64_t ParseEpoch(const std::string& data) {
+// Leader node payload is "<holder>:<epoch>"; the holder name may itself contain ':'. The epoch
+// counter node holds the bare "<epoch>". Both are written with AppendDecimal and read with
+// ParseDecimal; a payload without a well-formed epoch reads as epoch 0 (no leader). ParseEpoch
+// runs on every fenced write, so it parses in place.
+int64_t ParseEpoch(std::string_view data) {
   size_t pos = data.rfind(':');
-  if (pos == std::string::npos || pos + 1 >= data.size()) {
+  int64_t epoch = 0;
+  if (pos == std::string_view::npos || !ParseDecimal(data.substr(pos + 1), &epoch)) {
     return 0;
   }
-  return std::stoll(data.substr(pos + 1));
+  return epoch;
 }
 
-std::string ParseHolder(const std::string& data) {
+std::string ParseHolder(std::string_view data) {
   size_t pos = data.rfind(':');
-  return pos == std::string::npos ? std::string() : data.substr(0, pos);
+  return std::string(pos == std::string_view::npos ? std::string_view() : data.substr(0, pos));
 }
 
 }  // namespace
@@ -119,10 +125,14 @@ void LeaderLease::TryAcquire() {
   int64_t next_epoch = 1;
   Result<std::string> stored = coord_->Get(epoch_path_);
   if (stored.ok()) {
-    next_epoch = std::stoll(stored.value()) + 1;
+    int64_t last_epoch = 0;
+    SM_CHECK(ParseDecimal(stored.value(), &last_epoch));
+    next_epoch = last_epoch + 1;
   }
-  SM_CHECK_OK(coord_->Set(epoch_path_, std::to_string(next_epoch)));
-  Status created = coord_->Create(leader_path_, holder_name_ + ":" + std::to_string(next_epoch),
+  std::string epoch_record;
+  AppendDecimal(epoch_record, next_epoch);
+  SM_CHECK_OK(coord_->Set(epoch_path_, epoch_record));
+  Status created = coord_->Create(leader_path_, holder_name_ + ":" + epoch_record,
                                   /*ephemeral=*/true, session_);
   if (!created.ok()) {
     return;  // Lost the race; the new holder's eventual loss re-fires our watch.

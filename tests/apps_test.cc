@@ -75,6 +75,34 @@ TEST(KvStoreAppTest, ReadWriteScan) {
   EXPECT_TRUE(scan.ok());
   EXPECT_EQ(scan.value, 2u);
   EXPECT_EQ(app->ShardSize(ShardId(0)), 2u);
+
+  // Out-of-order writes land in key order; an overwrite keeps one entry with the new value.
+  EXPECT_TRUE(harness.Call(app, ShardId(0), 1024, RequestType::kWrite, 333).ok());
+  EXPECT_TRUE(harness.Call(app, ShardId(0), 5, RequestType::kWrite, 444).ok());
+  EXPECT_TRUE(harness.Call(app, ShardId(0), 1023, RequestType::kWrite, 555).ok());
+  EXPECT_TRUE(harness.Call(app, ShardId(0), 12, RequestType::kWrite, 666).ok());
+  EXPECT_EQ(app->ShardSize(ShardId(0)), 5u);
+  EXPECT_EQ(harness.Call(app, ShardId(0), 12, RequestType::kRead).value, 666u);
+  EXPECT_EQ(harness.Call(app, ShardId(0), 5, RequestType::kRead).value, 444u);
+  EXPECT_EQ(harness.Call(app, ShardId(0), 1024, RequestType::kRead).value, 333u);
+  // A read miss returns 0, including between stored keys and past the last one.
+  Reply miss = harness.Call(app, ShardId(0), 11, RequestType::kRead);
+  EXPECT_TRUE(miss.ok());
+  EXPECT_EQ(miss.value, 0u);
+  EXPECT_EQ(harness.Call(app, ShardId(0), 4096, RequestType::kRead).value, 0u);
+  // The scan covers [key, key + 1024): key 1023 is in and 1024, the bound, is out.
+  EXPECT_EQ(harness.Call(app, ShardId(0), 0, RequestType::kScan).value, 4u);
+  EXPECT_EQ(harness.Call(app, ShardId(0), 11, RequestType::kScan).value, 3u);
+  EXPECT_EQ(harness.Call(app, ShardId(0), 1024, RequestType::kScan).value, 1u);
+  EXPECT_EQ(harness.Call(app, ShardId(0), 1025, RequestType::kScan).value, 0u);
+
+  // Dropping the shard discards its data: re-adding it starts empty.
+  ASSERT_TRUE(app->DropShard(ShardId(0)).ok());
+  EXPECT_EQ(app->ShardSize(ShardId(0)), 0u);
+  ASSERT_TRUE(app->AddShard(ShardId(0), ReplicaRole::kPrimary).ok());
+  EXPECT_EQ(harness.Call(app, ShardId(0), 10, RequestType::kRead).value, 0u);
+  EXPECT_EQ(harness.Call(app, ShardId(0), 0, RequestType::kScan).value, 0u);
+  EXPECT_EQ(app->ShardSize(ShardId(0)), 0u);
 }
 
 TEST(KvStoreAppTest, RejectsUnownedShard) {

@@ -8,6 +8,7 @@
 #include "src/core/control_plane.h"
 #include "src/core/server_registry.h"
 #include "src/core/sm_library.h"
+#include "src/smr/lease.h"
 
 namespace shardman {
 namespace {
@@ -48,6 +49,8 @@ TEST(SmLibraryTest, AssignmentRoundTrips) {
       {ShardId(4096), 2, ReplicaRole::kSecondary},
   };
   std::string data = SerializeAssignment(replicas);
+  // Golden bytes: servers restore from records an older build wrote, so the format is fixed.
+  EXPECT_EQ(data, "3:0:p;7:1:s;4096:2:s;");
   std::vector<PersistedReplica> parsed = ParseAssignment(data);
   ASSERT_EQ(parsed.size(), 3u);
   for (size_t i = 0; i < replicas.size(); ++i) {
@@ -55,8 +58,37 @@ TEST(SmLibraryTest, AssignmentRoundTrips) {
     EXPECT_EQ(parsed[i].replica, replicas[i].replica);
     EXPECT_EQ(parsed[i].role, replicas[i].role);
   }
+  EXPECT_EQ(SerializeAssignment({}), "");
   EXPECT_TRUE(ParseAssignment("").empty());
   EXPECT_TRUE(ParseAssignment("garbage").empty());
+
+  // A malformed entry between good ones is skipped; its neighbours and the rest survive. So is
+  // an unterminated tail.
+  for (const char* bad :
+       {"x:0:p", "3:y:p", "3:0:q", "3:0", "", "3:0:p:extra", "99999999999:0:p"}) {
+    SCOPED_TRACE(bad);
+    parsed = ParseAssignment(std::string("3:0:p;") + bad + ";7:1:s;8:0:p");
+    ASSERT_EQ(parsed.size(), 2u);
+    EXPECT_EQ(parsed[0].shard, ShardId(3));
+    EXPECT_EQ(parsed[0].role, ReplicaRole::kPrimary);
+    EXPECT_EQ(parsed[1].shard, ShardId(7));
+    EXPECT_EQ(parsed[1].replica, 1);
+    EXPECT_EQ(parsed[1].role, ReplicaRole::kSecondary);
+  }
+
+  // The lease record "<holder>:<epoch>" shares the codec: the epoch follows the last colon,
+  // and a record without one (or without digits after it) reads as epoch 0.
+  CoordStore coord;
+  const std::string leader = "/sm/app/smr/leader";
+  EXPECT_EQ(LeaderLease::CurrentEpoch(&coord, "app"), 0);
+  ASSERT_TRUE(coord.Set(leader, "replica-0").ok());
+  EXPECT_EQ(LeaderLease::CurrentEpoch(&coord, "app"), 0);
+  EXPECT_EQ(LeaderLease::CurrentHolder(&coord, "app"), "");
+  ASSERT_TRUE(coord.Set(leader, "replica-0:").ok());
+  EXPECT_EQ(LeaderLease::CurrentEpoch(&coord, "app"), 0);
+  ASSERT_TRUE(coord.Set(leader, "host:7:12").ok());
+  EXPECT_EQ(LeaderLease::CurrentEpoch(&coord, "app"), 12);
+  EXPECT_EQ(LeaderLease::CurrentHolder(&coord, "app"), "host:7");
 }
 
 TEST(PartitionRegistryTest, PacksLeastLoadedAndRespectsCaps) {

@@ -1,5 +1,5 @@
 // Off-mode telemetry check, compiled with SHARDMAN_OBS_ENABLED=0 (see tests/CMakeLists.txt):
-// every SM_COUNTER_* / SM_GAUGE_* / SM_HISTOGRAM_* / SM_TRACE_* / SM_FLIGHT / SM_RED_* macro
+// every SM_COUNTER_* / SM_GAUGE_* / SM_HISTOGRAM_* / SM_TRACE_* / SM_FLIGHT macro
 // must expand to a no-op that registers nothing, records nothing, and does not even evaluate
 // its arguments, while the registry/tracer/accountant/recorder APIs themselves stay fully
 // functional so exporters and benches link and run regardless of the build flavour.
@@ -56,25 +56,10 @@ TEST(ObsOff, FlightMacroRecordsNothingAndSkipsArgEvaluation) {
   recorder.set_enabled(false);
 }
 
-TEST(ObsOff, RedMacrosRecordNothingAndSkipArgEvaluation) {
-  obs::RequestAccountant accountant;
-  accountant.Configure(obs::RequestAccountingOptions{});
-  int evaluations = 0;
-  auto expensive_arg = [&]() {
-    ++evaluations;
-    return 0;
-  };
-  SM_RED_PICK(&accountant, expensive_arg(), 0, 0);
-  SM_RED_ATTEMPT(&accountant, 0, expensive_arg(), 0, 0, 100, obs::AttemptOutcome::kOk);
-  SM_RED_REQUEST_DONE(&accountant, 0, expensive_arg(), 0, 0, 100, true);
-  EXPECT_EQ(evaluations, 0);
-  EXPECT_EQ(accountant.AppRegionTotals(0, 0).requests, 0u);
-  EXPECT_EQ(accountant.ServerTotals(0).completed, 0u);
-}
-
 TEST(ObsOff, AccountantAndRecorderDirectApiStillWork) {
-  // Like the registry/tracer: only the macros vanish in the OFF build; the classes behave
-  // identically so the health scorer and flight dumps stay usable from explicit call sites.
+  // The accountant has no macros: the health scorer and the split planner decide from it, so
+  // the OFF build records exactly what the ON build does. The recorder, like the registry and
+  // tracer, loses only its macro call sites.
   obs::RequestAccountant accountant;
   obs::RequestAccountingOptions options;
   options.stripes = 2;
