@@ -213,7 +213,7 @@ inline int EnvInt(const char* name, int fallback) {
 }
 
 // Sharded-simulator knobs (DESIGN.md §13) for Testbed-driven benches: SM_SIM_SHARDS /
-// SM_SIM_THREADS partition the event loop per region group and size its thread pool. The
+// SM_SIM_THREADS partition the event loop per region group and bound its window threads. The
 // defaults keep every bench on the classic single-shard path, byte-identical to before.
 inline int SimShardsFromEnv(int fallback = 1) { return EnvInt("SM_SIM_SHARDS", fallback); }
 inline int SimThreadsFromEnv(int fallback = 1) { return EnvInt("SM_SIM_THREADS", fallback); }

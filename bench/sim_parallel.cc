@@ -4,28 +4,29 @@
 //
 // Three phases:
 //
-//   1. Determinism gate: the identical fleet runs at sim_threads in {1, 2, 8}; the full-state
-//      digests (and their line-by-line reports) must match byte-for-byte. Any divergence
-//      prints both reports and exits nonzero — the same gate discipline as BENCH_delta.json
-//      and BENCH_smr_failover.json.
+//   1. Determinism gate: the identical fleet runs at sim_threads in {1, 2, 4, 8}; the
+//      full-state digests (and their line-by-line reports) must match byte-for-byte. Any
+//      divergence prints both reports and exits nonzero — the same gate discipline as
+//      BENCH_delta.json and BENCH_smr_failover.json. Each gate run's wall time is the measured
+//      scaling curve (`measured_wall_ms`).
 //   2. Serial baseline: the same fleet on the classic single-shard event loop (sim_shards=1),
 //      wall-clock timed.
 //   3. Scaling: the sharded run is profiled per conservative window (per-shard busy-ns +
 //      barrier drain-ns); the speedup at T threads is the critical path — LPT packing of each
 //      window's shard busy times onto T workers, plus the serial barrier — summed over
-//      windows. This is hardware-independent (CI runners and dev hosts report the same
-//      number, host_cores is recorded alongside), and the threads=1 measured wall validates
-//      the projection's numerator.
+//      windows. It is a projection, listed under `projected` in the JSON next to the measured
+//      walls; the threads=1 measured wall validates its numerator.
 //
 // Output: tables on stdout plus a single-line JSON document (SM_SIM_OUT, default
 // BENCH_sim_parallel.json). SM_BENCH_SCALE shrinks virtual time for CI; SM_SIM_REPS
 // (default 3) sets how many times each timed configuration repeats — the minimum-wall
-// (least host-contended) run is reported.
+// (least host-contended) run is reported. The JSON records its host (cores, compiler, build
+// type, git sha).
 //
 // Gate mode: with SM_SIM_THREADS set, runs the fleet once at that thread count, prints the
 // digest, and writes SM_METRICS_OUT (flat JSONL metrics incl. the digest gauges) and
 // SM_FLIGHT_OUT (flight-recorder rings: partition/heal events on the sim clock). The CI
-// sim-determinism lane runs this at 1/2/8 threads and diffs the dumps byte-for-byte.
+// sim-determinism lane runs this at 1/2/3/8 threads and diffs the dumps byte-for-byte.
 
 #include <chrono>
 #include <cstdlib>
@@ -33,7 +34,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -177,21 +177,19 @@ int main() {
               "DESIGN.md §13 — conservative-window sharded simulator; determinism across "
               "thread counts is the acceptance gate");
 
-  const int host_cores = static_cast<int>(std::thread::hardware_concurrency());
+  const std::string host = HostJson();
   std::cout << "fleet: 24 regions x (50 servers + 20 clients), 8 shards, "
-            << virtual_time / 1000000 << "s virtual, host_cores=" << host_cores << "\n\n";
+            << virtual_time / 1000000 << "s virtual, host=" << host << "\n\n";
 
   // Phase 1: determinism gate across thread counts.
   const int reps = std::max(1, static_cast<int>(EnvInt("SM_SIM_REPS", 3)));
-  const std::vector<int> kThreads = {1, 2, 8};
+  const std::vector<int> kThreads = {1, 2, 4, 8};
   std::vector<FleetRun> gate_runs;
   for (int threads : kThreads) {
     FleetSimConfig config = MakeFleetConfig(/*shards=*/8, threads);
-    // The threads=1 run doubles as the profiled scaling run, so it gets the full de-noising
-    // reps; the others only feed the determinism gate and run once.
-    gate_runs.push_back(threads == 1
-                            ? RunFleetBest(config, virtual_time, /*profile=*/true, reps)
-                            : RunFleet(config, virtual_time, /*profile=*/false));
+    // Every gate run is also a measured point of the scaling curve, so each gets the
+    // de-noising reps; the threads=1 run doubles as the profiled projection run.
+    gate_runs.push_back(RunFleetBest(config, virtual_time, /*profile=*/threads == 1, reps));
   }
   bool deterministic = true;
   for (size_t i = 1; i < gate_runs.size(); ++i) {
@@ -204,15 +202,16 @@ int main() {
                 << gate_runs[i].report;
     }
   }
-  TablePrinter gate({"threads", "digest", "events", "completed", "wall_ms"});
+  TablePrinter gate({"threads", "digest", "events", "completed", "wall_ms", "speedup_x"});
   for (size_t i = 0; i < gate_runs.size(); ++i) {
     gate.AddRowValues(kThreads[i], HexDigest(gate_runs[i].digest),
                       static_cast<int64_t>(gate_runs[i].events),
                       static_cast<int64_t>(gate_runs[i].totals.completed),
-                      FormatDouble(gate_runs[i].wall_ms, 1));
+                      FormatDouble(gate_runs[i].wall_ms, 1),
+                      FormatDouble(gate_runs[0].wall_ms / gate_runs[i].wall_ms, 2));
   }
   gate.Print(std::cout);
-  std::cout << (deterministic ? "deterministic: byte-identical digests across {1,2,8} threads\n"
+  std::cout << (deterministic ? "deterministic: byte-identical digests across {1,2,4,8} threads\n"
                               : "DIVERGED — see stderr\n");
   if (!deterministic) {
     return 1;
@@ -273,7 +272,7 @@ int main() {
             << sharded.cross_cancels << " cancels, " << sharded.windows << " windows\n";
 
   std::ostringstream json;
-  json << "{\"bench\":\"sim_parallel\",\"scale\":" << scale << ",\"host_cores\":" << host_cores
+  json << "{\"bench\":\"sim_parallel\",\"scale\":" << scale << ",\"host\":" << host
        << ",\"regions\":24,\"servers_per_region\":50,\"clients_per_region\":20"
        << ",\"sim_shards\":8,\"virtual_seconds\":" << virtual_time / 1000000
        << ",\"deterministic\":" << (deterministic ? "true" : "false")
@@ -284,7 +283,13 @@ int main() {
        << ",\"sharded_wall_ms_1t\":" << FormatDouble(sharded.wall_ms, 1)
        << ",\"sharded_events\":" << sharded.events << ",\"windows\":" << sharded.windows
        << ",\"cross_shard_messages\":" << sharded.cross_messages
-       << ",\"cross_shard_cancels\":" << sharded.cross_cancels << ",\"projection\":[";
+       << ",\"cross_shard_cancels\":" << sharded.cross_cancels << ",\"measured_wall_ms\":{";
+  for (size_t i = 0; i < gate_runs.size(); ++i) {
+    json << (i > 0 ? "," : "") << "\"" << kThreads[i]
+         << "\":" << FormatDouble(gate_runs[i].wall_ms, 1);
+  }
+  // Critical-path projections from the threads=1 window profiles, not wall measurements.
+  json << "},\"projected\":[\"projection\",\"speedup_8t_x\",\"fleet_size_x\"],\"projection\":[";
   for (size_t i = 0; i < points.size(); ++i) {
     json << (i > 0 ? "," : "") << "{\"threads\":" << points[i].threads
          << ",\"speedup_x\":" << FormatDouble(points[i].speedup, 2)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <utility>
 
 namespace shardman {
@@ -17,8 +16,8 @@ int64_t NowNanos() {
 
 }  // namespace
 
-// Identifies the shard whose events the calling thread is executing. Written only by the shard
-// window tasks (each pool thread runs one shard's window at a time) and read by the scheduling
+// Identifies the shard whose events the calling thread is executing. Written only around a
+// shard's window (each thread runs one shard's window at a time) and read by the scheduling
 // primitives to route work to the caller's own engine.
 struct CurrentShardTag {
   const ShardedSimulator* owner = nullptr;
@@ -27,7 +26,12 @@ struct CurrentShardTag {
 static thread_local CurrentShardTag g_current_shard;
 
 ShardedSimulator::ShardedSimulator(int num_shards, int threads, TimeMicros lookahead)
-    : num_shards_(num_shards), lookahead_(lookahead), pool_(threads) {
+    : num_shards_(num_shards),
+      lookahead_(lookahead),
+      // One shard needs no windows and so no workers.
+      num_workers_(num_shards > 1 ? std::min(std::max(threads, 1), num_shards) - 1 : 0),
+      claimed_(static_cast<size_t>(std::max(num_shards, 0))),
+      window_errors_(static_cast<size_t>(std::max(num_shards, 0))) {
   SM_CHECK_GE(num_shards_, 1);
   if (num_shards_ > 1) {
     // A zero lookahead would make every window zero-width: conservative synchronization needs a
@@ -44,9 +48,23 @@ ShardedSimulator::ShardedSimulator(int num_shards, int threads, TimeMicros looka
   pending_.resize(static_cast<size_t>(num_shards_));
   early_cancels_.resize(static_cast<size_t>(num_shards_));
   barrier_outboxes_.resize(static_cast<size_t>(num_shards_));
+  workers_.reserve(static_cast<size_t>(num_workers_));
+  for (int w = 0; w < num_workers_; ++w) {
+    workers_.emplace_back([this, w]() { WorkerLoop(w); });
+  }
 }
 
-ShardedSimulator::~ShardedSimulator() = default;
+ShardedSimulator::~ShardedSimulator() {
+  if (num_workers_ == 0) {
+    return;
+  }
+  stop_ = true;
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  for (std::thread& worker : workers_) {
+    worker.join();
+  }
+}
 
 int ShardedSimulator::current_shard() const {
   return g_current_shard.owner == this ? g_current_shard.shard : -1;
@@ -203,29 +221,98 @@ TimeMicros ShardedSimulator::NextActionTime() const {
   return next;
 }
 
+void ShardedSimulator::RunShardWindow(int shard) {
+  g_current_shard = CurrentShardTag{this, shard};
+  Simulator& engine = *shards_[static_cast<size_t>(shard)];
+  const int64_t t0 = window_profile_ != nullptr ? NowNanos() : 0;
+  try {
+    engine.RunUntil(window_end_);
+  } catch (...) {
+    // Forwarded to the RunUntil caller after the join; a worker thread must not unwind.
+    window_errors_[static_cast<size_t>(shard)] = std::current_exception();
+  }
+  if (window_profile_ != nullptr) {
+    window_profile_->shard_busy_ns[static_cast<size_t>(shard)] = NowNanos() - t0;
+  }
+  g_current_shard = CurrentShardTag{};
+}
+
+bool ShardedSimulator::Claim(int shard, uint32_t epoch) {
+  // Relaxed is enough: shard state is published by the epoch store and the done counter.
+  return claimed_[static_cast<size_t>(shard)].exchange(epoch, std::memory_order_relaxed) != epoch;
+}
+
+void ShardedSimulator::RunUnstarted(uint32_t epoch) {
+  // Shard 0 is never taken: it stays on the calling thread.
+  for (int i = num_shards_ - 1; i >= 1; --i) {
+    if (Claim(i, epoch)) {
+      RunShardWindow(i);
+    }
+  }
+}
+
+void ShardedSimulator::WorkerLoop(int worker) {
+  uint32_t seen = 0;
+  while (true) {
+    // Blocks (after a short bounded spin inside the library) until the caller publishes.
+    epoch_.wait(seen, std::memory_order_acquire);
+    seen = epoch_.load(std::memory_order_acquire);
+    if (stop_) {
+      return;
+    }
+    for (int i = 1 + worker; i < num_shards_; i += num_workers_) {
+      if (Claim(i, seen)) {
+        RunShardWindow(i);
+      }
+    }
+    RunUnstarted(seen);
+    // Release: this thread's shard state and outboxes happen-before the caller's drain. A
+    // worker touches no window state after this point, so the caller may publish the next.
+    if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        static_cast<uint32_t>(num_workers_)) {
+      done_.notify_one();
+    }
+  }
+}
+
 void ShardedSimulator::RunWindow(TimeMicros wend) {
-  WindowProfile* prof = nullptr;
+  window_end_ = wend;
+  window_profile_ = nullptr;
   if (profiling_) {
     profiles_.push_back(
         WindowProfile{wend, std::vector<int64_t>(static_cast<size_t>(num_shards_), 0), 0});
-    prof = &profiles_.back();
+    window_profile_ = &profiles_.back();
   }
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(static_cast<size_t>(num_shards_));
-  for (int i = 0; i < num_shards_; ++i) {
-    tasks.emplace_back([this, i, wend, prof]() {
-      g_current_shard = CurrentShardTag{this, i};
-      if (prof != nullptr) {
-        const int64_t t0 = NowNanos();
-        shards_[static_cast<size_t>(i)]->RunUntil(wend);
-        prof->shard_busy_ns[static_cast<size_t>(i)] = NowNanos() - t0;
-      } else {
-        shards_[static_cast<size_t>(i)]->RunUntil(wend);
-      }
-      g_current_shard = CurrentShardTag{};
-    });
+  if (num_workers_ == 0) {
+    for (int i = 0; i < num_shards_; ++i) {
+      RunShardWindow(i);
+    }
+    RethrowWindowError();
+    return;
   }
-  pool_.Run(std::move(tasks));
+  // Every worker reported done for the previous window, so none reads done_ or the window
+  // fields until the release store below publishes them.
+  done_.store(0, std::memory_order_relaxed);
+  const uint32_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
+  epoch_.store(epoch, std::memory_order_release);
+  epoch_.notify_all();
+  RunShardWindow(0);
+  RunUnstarted(epoch);
+  const uint32_t workers = static_cast<uint32_t>(num_workers_);
+  for (uint32_t done = done_.load(std::memory_order_acquire); done != workers;
+       done = done_.load(std::memory_order_acquire)) {
+    done_.wait(done, std::memory_order_acquire);
+  }
+  RethrowWindowError();
+}
+
+void ShardedSimulator::RethrowWindowError() {
+  // Lowest shard first, so the propagated error does not depend on thread scheduling.
+  for (std::exception_ptr& error : window_errors_) {
+    if (error) {
+      std::rethrow_exception(std::exchange(error, nullptr));
+    }
+  }
 }
 
 void ShardedSimulator::DrainMailboxes() {

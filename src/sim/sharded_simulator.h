@@ -24,25 +24,33 @@
 //     nothing. Because cells are fixed, which barriers happen depends only on which cells hold
 //     work: adding or removing no-op events never moves a barrier (DESIGN.md §13).
 //
-// Execution uses the work-stealing ThreadPool (DESIGN.md §8): one task per shard per window.
-// The pool only decides *where* a shard's window runs, never *what* it computes, so results
-// are independent of thread count by construction. threads == 1 degenerates to inline serial
-// execution, and num_shards == 1 bypasses the window machinery entirely — RunUntil delegates
-// straight to the wrapped Simulator, which is the fast path every existing single-shard test
-// and component runs on, unchanged.
+// Execution is shard-affine. Shard 0, the home shard (orchestrator, discovery, routers and
+// app servers in a testbed), always runs on the thread that called RunUntil; shards 1..K-1
+// have fixed home workers, dealt round-robin over min(threads, K) - 1 persistent threads, and a
+// thread that has finished its own shards takes any shard not yet started. Windows are
+// published and joined through an epoch counter and a done counter (std::atomic wait/notify):
+// a window takes no mutex and allocates nothing. Placement only decides *where* a shard's
+// window runs, never *what* it computes, so results are independent of thread count by
+// construction. threads == 1 degenerates to inline serial execution, and num_shards == 1
+// bypasses the window machinery entirely — RunUntil delegates straight to the wrapped
+// Simulator, which is the fast path every existing single-shard test and component runs on,
+// unchanged. An exception escaping an event is caught on the thread that ran it; once every
+// shard has finished the window, RunUntil rethrows the lowest-indexed shard's.
 
 #ifndef SRC_SIM_SHARDED_SIMULATOR_H_
 #define SRC_SIM_SHARDED_SIMULATOR_H_
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/common/sim_time.h"
 #include "src/common/small_function.h"
-#include "src/common/thread_pool.h"
 #include "src/sim/simulator.h"
 
 namespace shardman {
@@ -67,14 +75,14 @@ struct WindowProfile {
 class ShardedSimulator {
  public:
   // `lookahead` must be > 0 when num_shards > 1; it is the conservative window width and the
-  // minimum cross-shard send delay. `threads` sizes the ThreadPool (1 = inline serial).
+  // minimum cross-shard send delay. `threads` bounds the threads that run a window, the
+  // caller included (1 = inline serial); min(threads, num_shards) - 1 workers are spawned.
   ShardedSimulator(int num_shards, int threads, TimeMicros lookahead);
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
   ~ShardedSimulator();
 
   int num_shards() const { return num_shards_; }
-  int threads() const { return pool_.threads(); }
   TimeMicros lookahead() const { return lookahead_; }
 
   // The per-shard event engine. Scheduling directly on a shard is allowed from that shard's
@@ -158,13 +166,32 @@ class ShardedSimulator {
   TimeMicros NextBarrierTaskTime() const;
   TimeMicros NextActionTime() const;
   void RunWindow(TimeMicros wend);
+  void RunShardWindow(int shard);
+  // True for the first thread to claim `shard` in window `epoch`; it then runs the window.
+  bool Claim(int shard, uint32_t epoch);
+  // Claims and runs every shard of window `epoch` that no thread has started, last shard
+  // first (owners walk their homes first to last, so a thief meets them at the end).
+  void RunUnstarted(uint32_t epoch);
+  void WorkerLoop(int worker);
+  void RethrowWindowError();
   void DrainMailboxes();
 
   const int num_shards_;
   const TimeMicros lookahead_;
   std::vector<std::unique_ptr<Simulator>> shards_;
-  ThreadPool pool_;
   TimeMicros now_ = 0;
+
+  // Window runner. Worker w (0-based) is home to shards 1 + w, 1 + w + num_workers_, ...; the
+  // caller is home to shard 0. window_end_, window_profile_ and stop_ are written only by the
+  // caller before it publishes an epoch, and read by workers after they observe it.
+  const int num_workers_;
+  std::vector<std::atomic<uint32_t>> claimed_;  // per shard: the last epoch that started it
+  alignas(64) std::atomic<uint32_t> epoch_{0};  // bumped once per window (and at shutdown)
+  alignas(64) std::atomic<uint32_t> done_{0};   // workers finished with the current window
+  std::vector<std::exception_ptr> window_errors_;  // per shard; written by the thread running it
+  TimeMicros window_end_ = 0;
+  WindowProfile* window_profile_ = nullptr;
+  bool stop_ = false;
 
   // Single-writer outboxes: slot i is appended only by the thread executing shard i during a
   // window (slot num_shards_ belongs to the exclusive phase) and drained only at barriers.
@@ -191,6 +218,7 @@ class ShardedSimulator {
   bool running_ = false;  // RunUntil re-entrancy guard (barrier tasks must not call RunUntil)
   bool profiling_ = false;
   std::vector<WindowProfile> profiles_;
+  std::vector<std::thread> workers_;  // declared last: the workers use every other member
 };
 
 }  // namespace shardman

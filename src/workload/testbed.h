@@ -103,7 +103,8 @@ struct TestbedConfig {
   // every existing component schedules on shard 0 (the control shard), so with the default
   // sim_shards == 1 behavior is bit-identical to the historical single Simulator. Raising
   // sim_shards gives workload drivers (FleetSim, chaos soaks) spare shards synchronized by
-  // conservative windows; sim_threads sizes the worker pool that executes them.
+  // conservative windows; sim_threads bounds the threads that run them (shard 0 always runs
+  // on the thread that calls RunUntil).
   int sim_shards = 1;
   int sim_threads = 1;
   // Conservative window width. 0 = auto: 90% of wide_latency (the worst-case downward jitter

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/sim/network.h"
@@ -83,6 +88,89 @@ TEST(ShardedSimDeathTest, CrossShardSendBelowLookaheadDies) {
   ShardedSimulator sim(2, 1, kLookahead);
   sim.shard(0).ScheduleAt(10, [&]() { sim.Send(1, kLookahead - 1, []() {}); });
   EXPECT_DEATH(sim.RunUntil(100), "SM_CHECK");
+}
+
+TEST(ShardedSimDeathTest, CheckFailureOnWorkerShardDies) {
+  // Shard 0 holds the calling thread until shard 1's event has started, so shard 1 runs on its
+  // home worker; the failed check there must abort the process, not hang the window join.
+  EXPECT_DEATH(
+      {
+        ShardedSimulator sim(2, 2, 1000);
+        const std::thread::id caller = std::this_thread::get_id();
+        std::atomic<bool> started{false};
+        sim.shard(0).ScheduleAt(10, [&]() {
+          while (!started.load()) {
+            std::this_thread::yield();
+          }
+        });
+        sim.shard(1).ScheduleAt(10, [&]() {
+          started.store(true);
+          SM_CHECK(std::this_thread::get_id() == caller);
+        });
+        sim.RunUntil(100);
+      },
+      "SM_CHECK");
+}
+
+TEST(ShardedSim, EventExceptionReachesRunUntilCaller) {
+  // Thrown on shard 1's home worker (shard 0 holds the caller until it starts); RunUntil
+  // rethrows it once the window has joined, and the destructor still joins the worker.
+  ShardedSimulator sim(2, 2, 1000);
+  std::atomic<bool> started{false};
+  int shard0_events = 0;
+  sim.shard(0).ScheduleAt(10, [&]() {
+    while (!started.load()) {
+      std::this_thread::yield();
+    }
+    ++shard0_events;
+  });
+  sim.shard(1).ScheduleAt(10, [&]() {
+    started.store(true);
+    throw std::runtime_error("shard 1");
+  });
+  EXPECT_THROW(sim.RunUntil(100), std::runtime_error);
+  EXPECT_EQ(shard0_events, 1);
+}
+
+TEST(ShardedSim, HomeShardRunsOnCallingThread) {
+  // Records, per shard, the thread that ran each event. Each vector is written only by its own
+  // shard's events, and a shard runs on one thread at a time.
+  auto run = [](int shards, int threads) {
+    constexpr TimeMicros kLookahead = 1000;
+    ShardedSimulator sim(shards, threads, kLookahead);
+    std::vector<std::vector<std::thread::id>> ran_on(static_cast<size_t>(shards));
+    for (int s = 0; s < shards; ++s) {
+      sim.shard(s).SchedulePeriodic(10 + s, 250, [&sim, &ran_on, s, shards]() {
+        ran_on[static_cast<size_t>(s)].push_back(std::this_thread::get_id());
+        if (sim.shard(s).ExecutedEvents() % 3 == 0) {
+          sim.Send((s + 1) % shards, kLookahead, [&ran_on, &sim]() {
+            const int here = sim.current_shard();
+            ran_on[static_cast<size_t>(here)].push_back(std::this_thread::get_id());
+          });
+        }
+      });
+    }
+    sim.RunUntil(Millis(200));
+    return ran_on;
+  };
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int threads : {2, 8}) {
+    const auto ran_on = run(4, threads);
+    ASSERT_FALSE(ran_on[0].empty());
+    for (const std::thread::id& id : ran_on[0]) {
+      ASSERT_EQ(id, caller) << "threads " << threads;
+    }
+  }
+  // min(threads, shards) - 1 = 2 workers: no other thread ever runs an event.
+  std::set<std::thread::id> others;
+  for (const auto& shard_ids : run(3, 8)) {
+    for (const std::thread::id& id : shard_ids) {
+      if (id != caller) {
+        others.insert(id);
+      }
+    }
+  }
+  EXPECT_LE(others.size(), 2u);
 }
 
 TEST(ShardedSim, ArrivalExactlyOnWindowBarrier) {
@@ -227,15 +315,14 @@ struct PingPongResult {
   uint64_t cross_messages = 0;
 };
 
-PingPongResult RunPingPong(int threads) {
-  constexpr int kShards = 4;
+PingPongResult RunPingPong(int threads, int shards = 4) {
   constexpr TimeMicros kLookahead = 1000;
-  ShardedSimulator sim(kShards, threads, kLookahead);
+  ShardedSimulator sim(shards, threads, kLookahead);
   // Per-shard logs: each written only by its own shard's events, merged after the run in fixed
   // shard order — the same single-writer discipline real workloads use.
-  std::vector<std::vector<std::string>> logs(kShards);
-  PingPongContext ctx{&sim, &logs, kShards, kLookahead};
-  for (int s = 0; s < kShards; ++s) {
+  std::vector<std::vector<std::string>> logs(static_cast<size_t>(shards));
+  PingPongContext ctx{&sim, &logs, shards, kLookahead};
+  for (int s = 0; s < shards; ++s) {
     sim.shard(s).ScheduleAt(50 + s * 13, [&ctx, s]() { ctx.Tick(s, 0); });
   }
   sim.RunUntil(Seconds(2));
@@ -264,6 +351,20 @@ TEST(ShardedSimDeterminism, ByteIdenticalTraceAcrossThreads) {
   EXPECT_EQ(t1.executed, t8.executed);
   EXPECT_EQ(t1.windows, t2.windows);
   EXPECT_EQ(t1.windows, t8.windows);
+}
+
+TEST(ShardedSimDeterminism, UnevenHomesAndSurplusThreadsAreByteIdentical) {
+  // 5 shards at 3 threads: the two workers own {1, 3} and {2, 4}. 2 shards at 8 threads: one
+  // worker, six threads never spawned.
+  for (const auto& [shards, threads] : {std::pair{5, 3}, std::pair{2, 8}}) {
+    const PingPongResult serial = RunPingPong(1, shards);
+    const PingPongResult parallel = RunPingPong(threads, shards);
+    EXPECT_GT(serial.cross_messages, 0u);
+    EXPECT_EQ(serial.trace, parallel.trace) << shards << " shards at " << threads;
+    EXPECT_EQ(serial.executed, parallel.executed);
+    EXPECT_EQ(serial.windows, parallel.windows);
+    EXPECT_EQ(serial.cross_messages, parallel.cross_messages);
+  }
 }
 
 // A periodic chain whose every firing hops to the next shard and back: the chain lives on one
