@@ -4,13 +4,15 @@
 //
 // Three phases:
 //
-//   1. Determinism gate: the identical fleet runs at sim_threads in {1, 2, 4, 8}; the
+//   1. Serial baseline: the fleet on the classic single-shard event loop (sim_shards=1),
+//      wall-clock timed. It runs first, before any sharded run: timed after the twelve
+//      sharded gate runs of the same process, the same work read up to ~18% slower, which
+//      biased `serial_events_per_sec` and `fleet_size_x`.
+//   2. Determinism gate: the identical fleet runs at sim_threads in {1, 2, 4, 8}; the
 //      full-state digests (and their line-by-line reports) must match byte-for-byte. Any
 //      divergence prints both reports and exits nonzero — the same gate discipline as
 //      BENCH_delta.json and BENCH_smr_failover.json. Each gate run's wall time is the measured
 //      scaling curve (`measured_wall_ms`).
-//   2. Serial baseline: the same fleet on the classic single-shard event loop (sim_shards=1),
-//      wall-clock timed.
 //   3. Scaling: the sharded run is profiled per conservative window (per-shard busy-ns +
 //      barrier drain-ns); the speedup at T threads is the critical path — LPT packing of each
 //      window's shard busy times onto T workers, plus the serial barrier — summed over
@@ -181,8 +183,13 @@ int main() {
   std::cout << "fleet: 24 regions x (50 servers + 20 clients), 8 shards, "
             << virtual_time / 1000000 << "s virtual, host=" << host << "\n\n";
 
-  // Phase 1: determinism gate across thread counts.
   const int reps = std::max(1, static_cast<int>(EnvInt("SM_SIM_REPS", 3)));
+  // Phase 1: serial baseline — the identical fleet on the classic single-shard loop, timed
+  // before any sharded run has touched the process.
+  const FleetRun serial = RunFleetBest(MakeFleetConfig(/*shards=*/1, /*threads=*/1),
+                                       virtual_time, /*profile=*/false, reps);
+
+  // Phase 2: determinism gate across thread counts.
   const std::vector<int> kThreads = {1, 2, 4, 8};
   std::vector<FleetRun> gate_runs;
   for (int threads : kThreads) {
@@ -217,9 +224,6 @@ int main() {
     return 1;
   }
 
-  // Phase 2: serial baseline — the identical fleet on the classic single-shard loop.
-  const FleetRun serial = RunFleetBest(MakeFleetConfig(/*shards=*/1, /*threads=*/1),
-                                       virtual_time, /*profile=*/false, reps);
   const FleetRun& sharded = gate_runs[0];  // threads=1, profiled
 
   // Phase 3: critical-path scaling projection from the profiled window breakdown.

@@ -1,18 +1,25 @@
-// SmallFunction: a move-only `void()` callable with small-buffer optimization, used as the
-// simulator's event callback type.
+// SmallFn<void(Args...)>: a move-only callable with small-buffer optimization. SmallFunction
+// (= SmallFn<void()>) is the simulator's event callback type; ReplyCallback
+// (= SmallFn<void(const Reply&)>) is the data plane's reply continuation.
 //
 // std::function heap-allocates any capture larger than its tiny internal buffer (16 bytes on
 // libstdc++), which puts one malloc/free pair on every scheduled event of the hot simulation
-// loop. SmallFunction stores captures up to kInlineCapacity (48 bytes — sized to fit the
-// dissemination and retry closures, see DESIGN.md §9) inline in the event object itself and
-// only falls back to the heap beyond that. Move-only on purpose: event callbacks are consumed
-// exactly once, and copyability is what forces std::function to type-erase through an extra
-// indirection.
+// loop, and on every RPC reply whose closure carries a route and a call handle (32 bytes).
+// SmallFn stores captures up to kInlineCapacity (48 bytes — sized to fit the dissemination,
+// retry and reply closures, see DESIGN.md §9) inline in the object itself and only falls back
+// to the heap beyond that. Move-only on purpose: callbacks are consumed exactly once, and
+// copyability is what forces std::function to type-erase through an extra indirection.
+//
+// Most closures on the hot path capture only pointers, ids and handles. A capture that is
+// trivially copyable and trivially destructible gets no manager at all: moving it copies the
+// inline buffer and destroying it calls nothing, so moving an event through the slab costs a
+// fixed-size memcpy instead of an indirect call.
 
 #ifndef SRC_COMMON_SMALL_FUNCTION_H_
 #define SRC_COMMON_SMALL_FUNCTION_H_
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -21,24 +28,32 @@
 
 namespace shardman {
 
-class SmallFunction {
+template <typename Sig>
+class SmallFn;
+
+template <typename... Args>
+class SmallFn<void(Args...)> {
  public:
   // Captures up to this many bytes (with fundamental alignment) are stored inline.
   static constexpr size_t kInlineCapacity = 48;
 
-  SmallFunction() noexcept = default;
-  SmallFunction(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
+  SmallFn() noexcept = default;
+  SmallFn(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
 
   template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, SmallFunction> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  SmallFunction(F&& f) {  // NOLINT(runtime/explicit)
+            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, SmallFn> &&
+                                        std::is_invocable_r_v<void, std::decay_t<F>&, Args...>>>
+  SmallFn(F&& f) {  // NOLINT(runtime/explicit)
     using Fn = std::decay_t<F>;
     if constexpr (kInlineEligible<Fn>) {
+      if constexpr (kTrivial<Fn>) {
+        // A trivial capture moves as a copy of the whole buffer: define the bytes it leaves.
+        std::memset(storage_, 0, kInlineCapacity);
+      } else {
+        manage_ = &InlineManage<Fn>;
+      }
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       invoke_ = &InlineInvoke<Fn>;
-      manage_ = &InlineManage<Fn>;
     } else {
       *HeapSlot() = new Fn(std::forward<F>(f));
       invoke_ = &HeapInvoke<Fn>;
@@ -46,9 +61,9 @@ class SmallFunction {
     }
   }
 
-  SmallFunction(SmallFunction&& other) noexcept { MoveFrom(other); }
+  SmallFn(SmallFn&& other) noexcept { MoveFrom(other); }
 
-  SmallFunction& operator=(SmallFunction&& other) noexcept {
+  SmallFn& operator=(SmallFn&& other) noexcept {
     if (this != &other) {
       Destroy();
       MoveFrom(other);
@@ -56,14 +71,14 @@ class SmallFunction {
     return *this;
   }
 
-  SmallFunction(const SmallFunction&) = delete;
-  SmallFunction& operator=(const SmallFunction&) = delete;
+  SmallFn(const SmallFn&) = delete;
+  SmallFn& operator=(const SmallFn&) = delete;
 
-  ~SmallFunction() { Destroy(); }
+  ~SmallFn() { Destroy(); }
 
-  void operator()() {
+  void operator()(Args... args) {
     SM_CHECK(invoke_ != nullptr);
-    invoke_(storage_);
+    invoke_(storage_, std::forward<Args>(args)...);
   }
 
   explicit operator bool() const noexcept { return invoke_ != nullptr; }
@@ -81,9 +96,9 @@ class SmallFunction {
  private:
   enum class Op { kMoveTo, kDestroy };
 
-  using InvokeFn = void (*)(void*);
+  using InvokeFn = void (*)(void*, Args...);
   // kMoveTo: relocate the callable from `self` into `other` (leaving `self` destroyed);
-  // kDestroy: destroy the callable in `self`.
+  // kDestroy: destroy the callable in `self`. Null for a trivial inline capture.
   using ManageFn = void (*)(Op, void* self, void* other);
 
   // Inline storage requires fitting the buffer, fundamental alignment, and a noexcept move so
@@ -92,10 +107,14 @@ class SmallFunction {
   static constexpr bool kInlineEligible = sizeof(Fn) <= kInlineCapacity &&
                                           alignof(Fn) <= alignof(std::max_align_t) &&
                                           std::is_nothrow_move_constructible_v<Fn>;
+  // An inline capture that may be relocated by copying its bytes and dropped without a call.
+  template <typename Fn>
+  static constexpr bool kTrivial =
+      std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>;
 
   template <typename Fn>
-  static void InlineInvoke(void* s) {
-    (*std::launder(reinterpret_cast<Fn*>(s)))();
+  static void InlineInvoke(void* s, Args... args) {
+    (*std::launder(reinterpret_cast<Fn*>(s)))(std::forward<Args>(args)...);
   }
   template <typename Fn>
   static void InlineManage(Op op, void* self, void* other) {
@@ -107,8 +126,8 @@ class SmallFunction {
   }
 
   template <typename Fn>
-  static void HeapInvoke(void* s) {
-    (**static_cast<Fn**>(s))();
+  static void HeapInvoke(void* s, Args... args) {
+    (**static_cast<Fn**>(s))(std::forward<Args>(args)...);
   }
   template <typename Fn>
   static void HeapManage(Op op, void* self, void* other) {
@@ -126,12 +145,14 @@ class SmallFunction {
     return reinterpret_cast<void**>(storage_);
   }
 
-  void MoveFrom(SmallFunction& other) noexcept {
+  void MoveFrom(SmallFn& other) noexcept {
     invoke_ = other.invoke_;
     manage_ = other.manage_;
     heap_ = other.heap_;
-    if (other.invoke_ != nullptr) {
+    if (other.manage_ != nullptr) {
       other.manage_(Op::kMoveTo, other.storage_, storage_);
+    } else if (other.invoke_ != nullptr) {
+      std::memcpy(storage_, other.storage_, kInlineCapacity);
     }
     other.invoke_ = nullptr;
     other.manage_ = nullptr;
@@ -139,7 +160,7 @@ class SmallFunction {
   }
 
   void Destroy() noexcept {
-    if (invoke_ != nullptr) {
+    if (manage_ != nullptr) {
       manage_(Op::kDestroy, storage_, nullptr);
     }
   }
@@ -149,6 +170,8 @@ class SmallFunction {
   ManageFn manage_ = nullptr;
   bool heap_ = false;
 };
+
+using SmallFunction = SmallFn<void()>;
 
 }  // namespace shardman
 

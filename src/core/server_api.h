@@ -10,13 +10,13 @@
 #define SRC_CORE_SERVER_API_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/allocator/types.h"
 #include "src/common/ids.h"
 #include "src/common/resource.h"
 #include "src/common/sim_time.h"
+#include "src/common/small_function.h"
 #include "src/common/status.h"
 
 namespace shardman {
@@ -46,7 +46,9 @@ struct Reply {
   bool ok() const { return status.ok(); }
 };
 
-using ReplyCallback = std::function<void(const Reply&)>;
+// The caller's continuation for one request. Move-only with 48 bytes of inline storage, so the
+// RPC layer's reply closure (route plus call handle, 32 bytes) never touches the heap.
+using ReplyCallback = SmallFn<void(const Reply&)>;
 
 struct ShardLoadEntry {
   ShardId shard;

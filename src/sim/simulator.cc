@@ -36,6 +36,7 @@ uint32_t Simulator::AcquireSlot() {
     free_slots_.pop_back();
     return slot;
   }
+  SM_CHECK_LT(pool_.size(), kMaxSlots);
   pool_.emplace_back();
   heap_pos_.push_back(kNotQueued);
   return static_cast<uint32_t>(pool_.size() - 1);
@@ -101,12 +102,13 @@ Simulator::HeapItem Simulator::RemoveAt(size_t pos) {
 
 EventId Simulator::ScheduleAt(TimeMicros when, Callback cb) {
   SM_CHECK_GE(when, now_);
+  SM_CHECK_LT(next_seq_, kMaxSeq);
   uint32_t slot = AcquireSlot();
   Event& ev = pool_[slot];
   ev.cb = std::move(cb);
   uint64_t id = MakeEventId(ev.generation, slot);
   heap_.emplace_back();
-  SiftUp(heap_.size() - 1, HeapItem{when, next_seq_++, slot});
+  SiftUp(heap_.size() - 1, HeapItem{when, (next_seq_++ << kSlotBits) | slot});
   return EventId{id};
 }
 
@@ -181,8 +183,9 @@ bool Simulator::Step() {
   ++executed_;
   // Move the callback out and free the slot before running it, so the callback can schedule
   // new events (reusing this slot) or Cancel its own id (a generation-mismatch no-op).
-  Callback cb = std::move(pool_[top.slot].cb);
-  ReleaseSlot(top.slot);
+  const uint32_t slot = top.slot();
+  Callback cb = std::move(pool_[slot].cb);
+  ReleaseSlot(slot);
   cb();
   return true;
 }

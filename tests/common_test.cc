@@ -1,4 +1,5 @@
-// Unit tests for src/common: Status/Result, RNG, statistics, histogram, tables, resources, ids.
+// Unit tests for src/common: Status/Result, RNG, statistics, histogram, tables, resources, ids,
+// SmallFn.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/common/table.h"
+#include "src/core/server_api.h"
 
 namespace shardman {
 namespace {
@@ -387,6 +389,108 @@ TEST(SmallFunctionTest, DestructorReleasesCaptures) {
     EXPECT_FALSE(weak.expired());
   }
   EXPECT_TRUE(weak.expired());
+}
+
+TEST(SmallFunctionTest, ReplyCallbackStoresRpcSizedCaptureInline) {
+  // The shape of the RPC layer's reply closure: a pointer, two region ids and a 16-byte call
+  // handle, 32 bytes in all — twice std::function's inline buffer.
+  struct Route {
+    uint64_t* out;
+    int32_t from;
+    int32_t to;
+    uint32_t* slot_out;
+    uint32_t slot;
+    uint32_t generation;
+  };
+  uint64_t seen_value = 0;
+  uint32_t seen_slot = 0;
+  const Route route{&seen_value, 1, 2, &seen_slot, 7, 9};
+  auto reply_closure = [route](const Reply& reply) {
+    *route.out = reply.value;
+    *route.slot_out = route.slot;
+  };
+  static_assert(sizeof(reply_closure) == 32);
+  SmallFn<void(const Reply&)> fn(reply_closure);
+  EXPECT_TRUE(fn.is_inline());
+  Reply reply;
+  reply.value = 42;
+  fn(reply);
+  EXPECT_EQ(seen_value, 42u);
+  EXPECT_EQ(seen_slot, 7u);
+}
+
+TEST(SmallFunctionTest, TrivialCaptureSurvivesMoveChains) {
+  // Pointers and ints only: relocated by copying the inline buffer, never through a manager.
+  int hits = 0;
+  int* p = &hits;
+  uint64_t a = 0x1111, b = 0x2222, c = 0x3333, d = 0x4444;
+  auto add = [p, a, b, c, d]() { *p += static_cast<int>(a + b + c + d); };
+  static_assert(sizeof(add) == 40 && std::is_trivially_copyable_v<decltype(add)>);
+  SmallFunction first(add);
+  SmallFunction second(std::move(first));
+  SmallFunction third;
+  third = std::move(second);
+  SmallFunction fourth(std::move(third));
+  SmallFunction fifth([]() {});
+  fifth = std::move(fourth);
+  EXPECT_FALSE(static_cast<bool>(first));   // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(static_cast<bool>(second));  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(static_cast<bool>(third));   // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(static_cast<bool>(fourth));  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(fifth.is_inline());
+  fifth();
+  EXPECT_EQ(hits, 0x1111 + 0x2222 + 0x3333 + 0x4444);
+}
+
+TEST(SmallFunctionTest, NonTrivialCaptureReleasedExactlyOnceAcrossMoves) {
+  auto tracked = std::make_shared<int>(5);
+  std::weak_ptr<int> weak = tracked;
+  int seen = 0;
+  SmallFn<void(const Reply&)> a([tracked = std::move(tracked), &seen](const Reply&) {
+    seen = *tracked;
+  });
+  EXPECT_TRUE(a.is_inline());
+  EXPECT_EQ(weak.use_count(), 1);
+  SmallFn<void(const Reply&)> b(std::move(a));
+  EXPECT_EQ(weak.use_count(), 1);
+  SmallFn<void(const Reply&)> c;
+  c = std::move(b);
+  EXPECT_EQ(weak.use_count(), 1);
+  c(Reply());
+  EXPECT_EQ(seen, 5);
+  // Assigning over a live capture destroys it; resetting an emptied source does nothing.
+  auto other = std::make_shared<int>(6);
+  std::weak_ptr<int> other_weak = other;
+  SmallFn<void(const Reply&)> d([other = std::move(other)](const Reply&) { (void)*other; });
+  d = std::move(c);
+  EXPECT_TRUE(other_weak.expired());
+  EXPECT_EQ(weak.use_count(), 1);
+  a.reset();  // NOLINT(bugprone-use-after-move)
+  b.reset();  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(weak.use_count(), 1);
+  d.reset();
+  EXPECT_TRUE(weak.expired());
+  EXPECT_FALSE(static_cast<bool>(d));
+}
+
+TEST(SmallFunctionTest, LargeArgumentTakingCapturesFallBackToHeap) {
+  struct Big {
+    uint64_t words[7] = {};
+  };
+  static_assert(sizeof(Big) > SmallFn<void(const Reply&)>::kInlineCapacity);
+  Big big;
+  big.words[6] = 11;
+  uint64_t seen = 0;
+  uint64_t* out = &seen;
+  SmallFn<void(const Reply&)> fn(
+      [big, out](const Reply& reply) { *out = big.words[6] + reply.value; });
+  EXPECT_FALSE(fn.is_inline());
+  SmallFn<void(const Reply&)> moved(std::move(fn));
+  EXPECT_FALSE(moved.is_inline());
+  Reply reply;
+  reply.value = 100;
+  moved(reply);
+  EXPECT_EQ(seen, 111u);
 }
 
 }  // namespace

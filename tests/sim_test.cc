@@ -187,6 +187,41 @@ TEST(SimulatorTest, CancelFreesSlotForImmediateReuse) {
   EXPECT_EQ(sim.ExecutedEvents(), 100u);
 }
 
+TEST(SimulatorTest, SameInstantRunsInScheduleOrderWhenSlotsAreRecycledInReverse) {
+  // The free list is a stack, so slots freed in ascending order come back descending: below,
+  // every new event gets a lower slot than the one scheduled before it. Same-instant events
+  // must still run in scheduling order, which holds only if the heap key orders by sequence
+  // number before slot.
+  constexpr int kEvents = 64;
+  Simulator sim;
+  std::vector<EventId> cancelled;
+  for (int i = 0; i < kEvents; ++i) {
+    cancelled.push_back(sim.Schedule(Millis(1), []() {}));
+  }
+  for (int i = 0; i < kEvents; ++i) {
+    sim.Schedule(Millis(2) + i, []() {});
+  }
+  for (const EventId& id : cancelled) {
+    sim.Cancel(id);  // frees slots 0..63 in ascending order
+  }
+  sim.RunAll();  // frees slots 64..127 in ascending order
+  const size_t slots = sim.EventPoolSlots();
+  ASSERT_EQ(slots, 2u * kEvents);
+
+  std::vector<int> order;
+  const TimeMicros instant = sim.Now() + Millis(5);
+  for (int i = 0; i < 2 * kEvents; ++i) {
+    sim.ScheduleAt(instant, [&order, i]() { order.push_back(i); });
+  }
+  EXPECT_EQ(sim.EventPoolSlots(), slots);  // every event reused a recycled slot
+  sim.RunAll();
+  std::vector<int> expected(2 * kEvents);
+  for (int i = 0; i < 2 * kEvents; ++i) {
+    expected[static_cast<size_t>(i)] = i;
+  }
+  EXPECT_EQ(order, expected);
+}
+
 TEST(SimulatorTest, RandomScheduleCancelMatchesSortedReference) {
   // Property: whatever mix of schedules, cancels (of pending, fired and cancelled ids) and
   // partial runs, the executed events are exactly the uncancelled ones in (when, seq) order.
