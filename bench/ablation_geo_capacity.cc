@@ -77,7 +77,9 @@ int main() {
       continue;
     }
     double load = 0.0;
-    for (const auto& entry : bed.app_server(id)->ReportLoads().entries) {
+    ShardLoadReport report;
+    bed.app_server(id)->ReportLoads(report);
+    for (const auto& entry : report.entries) {
       load += entry.load[0];
     }
     if (load > per_server + 1e-6) {

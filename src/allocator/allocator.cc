@@ -1,7 +1,7 @@
 #include "src/allocator/allocator.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
@@ -21,26 +21,26 @@ std::string_view ReplicaRoleName(ReplicaRole role) {
 
 SmAllocator::SmAllocator(AllocatorOptions options) : options_(options) {}
 
-SmAllocator::BuiltProblem SmAllocator::BuildProblem(const PartitionSnapshot& snapshot) const {
-  BuiltProblem built;
-  SolverProblem& p = built.problem;
+void SmAllocator::BuildProblem(const PartitionSnapshot& snapshot, BuiltProblem* built) const {
+  SolverProblem& p = built->problem;
+  p.Clear();
+  built->entity_to_replica.clear();
+  built->server_to_bin.Reset(snapshot.servers.size());
   const int metrics = snapshot.config.metrics.size();
   SM_CHECK_GT(metrics, 0);
   p.num_metrics = metrics;
 
-  std::unordered_map<int32_t, int32_t>& server_to_bin = built.server_to_bin;
+  std::vector<double>& values = built->metric_scratch;
+  values.resize(static_cast<size_t>(metrics));
   for (const ServerState& server : snapshot.servers) {
-    std::vector<double> cap(static_cast<size_t>(metrics));
     SM_CHECK_EQ(server.capacity.dims(), metrics);
     for (int m = 0; m < metrics; ++m) {
-      cap[static_cast<size_t>(m)] = server.capacity[m];
+      values[static_cast<size_t>(m)] = server.capacity[m];
     }
-    int bin = p.AddBin(std::move(cap), server.region.value, server.data_center.value,
-                       server.rack.value);
+    int bin = p.AddBin(values, server.region.value, server.data_center.value, server.rack.value);
     p.bin_alive[static_cast<size_t>(bin)] = server.alive ? 1 : 0;
     p.bin_draining[static_cast<size_t>(bin)] = server.draining ? 1 : 0;
-    server_to_bin[server.id.value] = bin;
-    built.bin_to_server.push_back(static_cast<int32_t>(built.bin_to_server.size()));
+    built->server_to_bin.Assign(server.id.value, bin);  // of equal ids the last listed wins
   }
 
   for (size_t s = 0; s < snapshot.shards.size(); ++s) {
@@ -48,22 +48,15 @@ SmAllocator::BuiltProblem SmAllocator::BuildProblem(const PartitionSnapshot& sna
     for (size_t r = 0; r < shard.replicas.size(); ++r) {
       const ReplicaState& replica = shard.replicas[r];
       SM_CHECK_EQ(replica.load.dims(), metrics);
-      std::vector<double> load(static_cast<size_t>(metrics));
       for (int m = 0; m < metrics; ++m) {
-        load[static_cast<size_t>(m)] = replica.load[m];
+        values[static_cast<size_t>(m)] = replica.load[m];
       }
-      int32_t bin = -1;
-      if (replica.server.valid()) {
-        auto it = server_to_bin.find(replica.server.value);
-        if (it != server_to_bin.end()) {
-          bin = it->second;
-        }
-      }
-      p.AddEntity(std::move(load), static_cast<int32_t>(s), bin);
-      built.entity_to_replica.emplace_back(static_cast<int32_t>(s), static_cast<int32_t>(r));
+      const int32_t bin =
+          replica.server.valid() ? built->server_to_bin.Find(replica.server.value) : -1;
+      p.AddEntity(values, static_cast<int32_t>(s), bin);
+      built->entity_to_replica.emplace_back(static_cast<int32_t>(s), static_cast<int32_t>(r));
     }
   }
-  return built;
 }
 
 Rebalancer SmAllocator::BuildSpecs(const PartitionSnapshot& snapshot) const {
@@ -139,42 +132,49 @@ SolveOptions SmAllocator::BuildSolveOptions(AllocationMode mode) const {
   return solve;
 }
 
+SmAllocator::PartitionState& SmAllocator::Acquire(PartitionId id) const {
+  std::lock_guard<std::mutex> lock(partitions_mutex_);
+  PartitionState& state = partitions_[id.value];
+  SM_CHECK(!state.busy);  // one solve per partition at a time
+  state.busy = true;
+  return state;
+}
+
+void SmAllocator::Release(PartitionState& state) const {
+  std::lock_guard<std::mutex> lock(partitions_mutex_);
+  state.busy = false;
+}
+
 int64_t SmAllocator::SeedFromWarmCache(const PartitionSnapshot& snapshot,
-                                       BuiltProblem* built) const {
-  std::lock_guard<std::mutex> lock(warm_mutex_);
-  auto part = warm_cache_.find(snapshot.id.value);
-  if (part == warm_cache_.end()) {
-    return 0;
-  }
+                                       PartitionState* state) {
+  BuiltProblem& built = state->built;
+  SolverProblem& p = built.problem;
   int64_t seeded = 0;
-  SolverProblem& p = built->problem;
-  for (size_t e = 0; e < built->entity_to_replica.size(); ++e) {
+  for (size_t e = 0; e < built.entity_to_replica.size(); ++e) {
     if (p.assignment[e] >= 0) {
       continue;  // the snapshot already places this replica; trust it over the cache
     }
-    auto [shard_idx, replica_idx] = built->entity_to_replica[e];
+    auto [shard_idx, replica_idx] = built.entity_to_replica[e];
     const ShardDescriptor& shard = snapshot.shards[static_cast<size_t>(shard_idx)];
-    int64_t key = (static_cast<int64_t>(shard.id.value) << 16) | replica_idx;
-    auto cached = part->second.find(key);
-    if (cached == part->second.end()) {
+    const int32_t cached =
+        state->warm.Find((static_cast<int64_t>(shard.id.value) << 16) | replica_idx);
+    if (cached < 0) {
       continue;
     }
-    auto bin_it = built->server_to_bin.find(cached->second);
-    if (bin_it == built->server_to_bin.end() ||
-        p.bin_alive[static_cast<size_t>(bin_it->second)] == 0) {
+    const int32_t bin = built.server_to_bin.Find(cached);
+    if (bin < 0 || p.bin_alive[static_cast<size_t>(bin)] == 0) {
       continue;  // the cached server left the partition or died: leave unassigned
     }
-    p.assignment[e] = bin_it->second;
+    p.assignment[e] = bin;
     ++seeded;
   }
   return seeded;
 }
 
-void SmAllocator::UpdateWarmCache(const PartitionSnapshot& snapshot,
-                                  const BuiltProblem& built) const {
-  std::unordered_map<int64_t, int32_t> fresh;
-  fresh.reserve(built.entity_to_replica.size());
+void SmAllocator::UpdateWarmCache(const PartitionSnapshot& snapshot, PartitionState* state) {
+  const BuiltProblem& built = state->built;
   const SolverProblem& p = built.problem;
+  state->warm.Reset(built.entity_to_replica.size());
   for (size_t e = 0; e < built.entity_to_replica.size(); ++e) {
     int32_t bin = p.assignment[e];
     if (bin < 0) {
@@ -183,38 +183,49 @@ void SmAllocator::UpdateWarmCache(const PartitionSnapshot& snapshot,
     auto [shard_idx, replica_idx] = built.entity_to_replica[e];
     const ShardDescriptor& shard = snapshot.shards[static_cast<size_t>(shard_idx)];
     int64_t key = (static_cast<int64_t>(shard.id.value) << 16) | replica_idx;
-    fresh[key] = snapshot.servers[static_cast<size_t>(bin)].id.value;
+    state->warm.Assign(key, snapshot.servers[static_cast<size_t>(bin)].id.value);
   }
-  std::lock_guard<std::mutex> lock(warm_mutex_);
-  warm_cache_[snapshot.id.value] = std::move(fresh);
 }
 
 AllocationResult SmAllocator::Allocate(PartitionSnapshot& snapshot, AllocationMode mode) const {
-  BuiltProblem built = BuildProblem(snapshot);
+  Unrecorded solved = AllocateUnrecorded(snapshot, mode);
+  Record(solved);
+  return std::move(solved.result);
+}
+
+void SmAllocator::Record(const Unrecorded& solved) {
+  // Entities entering the solve already placed on a live server: the warm-start capital the
+  // incremental repair preserves (cache-seeded replicas are a subset).
+  SM_COUNTER_ADD("sm.solver.warm_start_reuse", solved.live);
+  SM_COUNTER_ADD("sm.solver.warm_cache_seeded", solved.seeded);
+  Rebalancer::RecordSolve(solved.solve);
+}
+
+SmAllocator::Unrecorded SmAllocator::AllocateUnrecorded(PartitionSnapshot& snapshot,
+                                                        AllocationMode mode) const {
+  Unrecorded solved;
+  PartitionState& state = Acquire(snapshot.id);
+  BuiltProblem& built = state.built;
+  BuildProblem(snapshot, &built);
   Rebalancer rebalancer = BuildSpecs(snapshot);
   SolveOptions solve_options = BuildSolveOptions(mode);
 
-  int64_t seeded = SeedFromWarmCache(snapshot, &built);
-  int64_t live = 0;
+  solved.seeded = SeedFromWarmCache(snapshot, &state);
   for (int32_t bin : built.problem.assignment) {
     if (bin >= 0 && built.problem.bin_alive[static_cast<size_t>(bin)] != 0) {
-      ++live;
+      ++solved.live;
     }
   }
-  // Entities entering the solve already placed on a live server: the warm-start capital the
-  // incremental repair preserves (cache-seeded replicas are a subset).
-  SM_COUNTER_ADD("sm.solver.warm_start_reuse", live);
-  SM_COUNTER_ADD("sm.solver.warm_cache_seeded", seeded);
 
-  SolveResult solved = rebalancer.Solve(built.problem, solve_options);
+  solved.solve = rebalancer.SolveUnrecorded(built.problem, solve_options);
 
-  AllocationResult result;
-  result.before = solved.initial_violations;
-  result.after = solved.final_violations;
-  result.solve_wall = solved.wall_time;
-  result.evaluations = solved.evaluations;
-  result.converged = solved.converged;
-  result.trace = std::move(solved.trace);
+  AllocationResult& result = solved.result;
+  result.before = solved.solve.initial_violations;
+  result.after = solved.solve.final_violations;
+  result.solve_wall = solved.solve.wall_time;
+  result.evaluations = solved.solve.evaluations;
+  result.converged = solved.solve.converged;
+  result.trace = std::move(solved.solve.trace);
 
   // Write back net changes by comparing each entity's final bin against the snapshot's
   // placement. This covers both solver moves and warm-cache seeding (which pre-dates the move
@@ -243,26 +254,36 @@ AllocationResult SmAllocator::Allocate(PartitionSnapshot& snapshot, AllocationMo
             [](const AssignmentChange& a, const AssignmentChange& b) {
               return a.replica < b.replica;
             });
-  UpdateWarmCache(snapshot, built);
-  return result;
+  UpdateWarmCache(snapshot, &state);
+  Release(state);
+  return solved;
 }
 
 std::vector<AllocationResult> SmAllocator::AllocateParallel(
     std::vector<PartitionSnapshot*> snapshots, AllocationMode mode, int threads) const {
   SM_CHECK_GT(threads, 0);
-  std::vector<AllocationResult> results(snapshots.size());
+  std::vector<Unrecorded> solved(snapshots.size());
   const auto n = static_cast<int64_t>(snapshots.size());
   ThreadPool pool(static_cast<int>(std::min<int64_t>(threads, n)));
   pool.ParallelFor(0, n, /*grain=*/1, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      results[static_cast<size_t>(i)] = Allocate(*snapshots[static_cast<size_t>(i)], mode);
+      solved[static_cast<size_t>(i)] =
+          AllocateUnrecorded(*snapshots[static_cast<size_t>(i)], mode);
     }
   });
+  // Metrics from this thread only, in partition order.
+  std::vector<AllocationResult> results;
+  results.reserve(solved.size());
+  for (Unrecorded& partition : solved) {
+    Record(partition);
+    results.push_back(std::move(partition.result));
+  }
   return results;
 }
 
 ViolationCounts SmAllocator::Count(const PartitionSnapshot& snapshot) const {
-  BuiltProblem built = BuildProblem(snapshot);
+  BuiltProblem built;
+  BuildProblem(snapshot, &built);
   Rebalancer rebalancer = BuildSpecs(snapshot);
   return rebalancer.Count(built.problem);
 }

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/allocator/types.h"
+#include "src/common/flat_id_map.h"
 #include "src/solver/rebalancer.h"
 
 namespace shardman {
@@ -87,11 +88,12 @@ class SmAllocator {
   Rebalancer BuildSpecs(const PartitionSnapshot& snapshot) const;
 
   // Solves one partition. Updates the snapshot's replica->server assignments in place and
-  // returns the changes plus before/after violation counts.
+  // returns the changes plus before/after violation counts. Calls for distinct partition ids
+  // may run concurrently; two at once for the same id SM_CHECK-fail.
   AllocationResult Allocate(PartitionSnapshot& snapshot, AllocationMode mode) const;
 
   // Solves several partitions concurrently on a ThreadPool of up to `threads` threads, one
-  // partition per task (§5.3 technique 1).
+  // partition per task (§5.3 technique 1). The snapshots' partition ids must be distinct.
   std::vector<AllocationResult> AllocateParallel(std::vector<PartitionSnapshot*> snapshots,
                                                  AllocationMode mode, int threads) const;
 
@@ -106,27 +108,53 @@ class SmAllocator {
     SolverProblem problem;
     // entity index -> (shard vector index, replica vector index)
     std::vector<std::pair<int32_t, int32_t>> entity_to_replica;
-    // bin index -> server vector index
-    std::vector<int32_t> bin_to_server;
-    // server id value -> bin index (for warm-cache seeding)
-    std::unordered_map<int32_t, int32_t> server_to_bin;
+    // server id value -> bin index
+    FlatIdMap server_to_bin;
+    std::vector<double> metric_scratch;  // one bin's capacity or one entity's load
   };
 
-  BuiltProblem BuildProblem(const PartitionSnapshot& snapshot) const;
+  // What a partition keeps between solves. Everything is rebuilt every round; the vectors
+  // keep their storage, so a round on an unchanged partition allocates little.
+  struct PartitionState {
+    BuiltProblem built;
+    // Warm-start cache: (shard id << 16) | replica index -> server id value of every placed
+    // replica after the last solve.
+    FlatIdMap warm;
+    bool busy = false;  // a solve of this partition is running; guarded by partitions_mutex_
+  };
+
+  // One partition's solve before its metrics are recorded (see Rebalancer::SolveUnrecorded).
+  struct Unrecorded {
+    AllocationResult result;
+    SolveResult solve;
+    int64_t live = 0;    // entities entering the solve already on a live server
+    int64_t seeded = 0;  // of those, placed from the warm cache
+  };
+  Unrecorded AllocateUnrecorded(PartitionSnapshot& snapshot, AllocationMode mode) const;
+  static void Record(const Unrecorded& solved);
+
+  // Refills `built` from the snapshot.
+  void BuildProblem(const PartitionSnapshot& snapshot, BuiltProblem* built) const;
   SolveOptions BuildSolveOptions(AllocationMode mode) const;
+
+  // Hands out partition `id`'s state for one solve, creating it on first use.
+  PartitionState& Acquire(PartitionId id) const;
+  void Release(PartitionState& state) const;
 
   // Seeds unassigned replicas from the warm cache (previous round's placement) when the cached
   // server is still alive. Returns the number of entities seeded.
-  int64_t SeedFromWarmCache(const PartitionSnapshot& snapshot, BuiltProblem* built) const;
-  void UpdateWarmCache(const PartitionSnapshot& snapshot, const BuiltProblem& built) const;
+  static int64_t SeedFromWarmCache(const PartitionSnapshot& snapshot, PartitionState* state);
+  static void UpdateWarmCache(const PartitionSnapshot& snapshot, PartitionState* state);
 
   AllocatorOptions options_;
 
-  // Warm-start cache: partition id -> ((shard id << 16) | replica index) -> server id value of
-  // the replica's placement after the last solve. Mutex-guarded because Allocate() is const and
-  // AllocateParallel() calls it from several threads (distinct partitions, one shared map).
-  mutable std::mutex warm_mutex_;
-  mutable std::unordered_map<int32_t, std::unordered_map<int64_t, int32_t>> warm_cache_;
+  // Per-partition state, by partition id. The mutex guards the map and the busy flags: while
+  // a partition is busy its state belongs to the one solve that acquired it, and
+  // unordered_map nodes stay put while other partitions are added, so that solve reads and
+  // writes it unlocked. Allocate() is const and AllocateParallel() calls it from several
+  // threads, hence mutable.
+  mutable std::mutex partitions_mutex_;
+  mutable std::unordered_map<int32_t, PartitionState> partitions_;
 };
 
 }  // namespace shardman

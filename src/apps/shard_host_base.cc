@@ -125,16 +125,17 @@ Status ShardHostBase::PrepareDropShard(ShardId shard, ServerId new_owner, Replic
   return Status::Ok();
 }
 
-ShardLoadReport ShardHostBase::ReportLoads() {
-  ShardLoadReport report;
+void ShardHostBase::ReportLoads(ShardLoadReport& report) {
   TimeMicros now = sim_->Now();
   double window_seconds = ToSeconds(now - last_report_);
   if (window_seconds <= 0.0) {
     window_seconds = 1.0;
   }
   last_report_ = now;
+  report.entries.resize(shards_.size());
+  size_t next = 0;
   for (auto& [shard_value, state] : shards_) {
-    ShardLoadEntry entry;
+    ShardLoadEntry& entry = report.entries[next++];
     entry.shard = ShardId(shard_value);
     entry.role = state.role;
     entry.load = state.base_load;
@@ -143,9 +144,7 @@ ShardLoadReport ShardHostBase::ReportLoads() {
                        (static_cast<double>(state.requests_since_report) / window_seconds);
     }
     state.requests_since_report = 0;
-    report.entries.push_back(std::move(entry));
   }
-  return report;
 }
 
 void ShardHostBase::HandleRequest(const Request& request, ReplyCallback done) {

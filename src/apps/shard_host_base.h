@@ -45,7 +45,7 @@ class ShardHostBase : public ShardServerApi {
   Status ChangeRole(ShardId shard, ReplicaRole current, ReplicaRole next) override;
   Status PrepareAddShard(ShardId shard, ServerId current_owner, ReplicaRole role) override;
   Status PrepareDropShard(ShardId shard, ServerId new_owner, ReplicaRole role) override;
-  ShardLoadReport ReportLoads() override;
+  void ReportLoads(ShardLoadReport& report) override;
   void HandleRequest(const Request& request, ReplyCallback done) override;
 
   // -- Simulation hooks --------------------------------------------------------------------------

@@ -51,7 +51,15 @@ ContainerId ClusterManager::NewContainer(AppId app, MachineId machine) {
   rec.generation = 1;
   containers_.emplace(id.value, rec);
   app_containers_[app.value].push_back(id);
+  live_containers_.erase(app.value);
   return id;
+}
+
+void ClusterManager::SetState(ContainerRecord& rec, ContainerState state) {
+  if ((rec.state == ContainerState::kStopped) != (state == ContainerState::kStopped)) {
+    live_containers_.erase(rec.app.value);
+  }
+  rec.state = state;
 }
 
 Result<std::vector<ContainerId>> ClusterManager::CreateJob(AppId app, int num_containers) {
@@ -147,18 +155,19 @@ Status ClusterManager::RequestMove(ContainerId container, MachineId target,
   return Status::Ok();
 }
 
-std::vector<ContainerId> ClusterManager::ContainersOf(AppId app) const {
-  auto it = app_containers_.find(app.value);
-  if (it == app_containers_.end()) {
-    return {};
-  }
-  std::vector<ContainerId> live;
-  for (ContainerId id : it->second) {
-    if (container(id).state != ContainerState::kStopped) {
-      live.push_back(id);
+const std::vector<ContainerId>& ClusterManager::ContainersOf(AppId app) const {
+  auto [live, missing] = live_containers_.try_emplace(app.value);
+  if (missing) {
+    auto it = app_containers_.find(app.value);
+    if (it != app_containers_.end()) {
+      for (ContainerId id : it->second) {
+        if (container(id).state != ContainerState::kStopped) {
+          live->second.push_back(id);
+        }
+      }
     }
   }
-  return live;
+  return live->second;
 }
 
 bool ClusterManager::Owns(ContainerId id) const { return containers_.count(id.value) > 0; }
@@ -299,13 +308,13 @@ void ClusterManager::ExecuteOp(AppId app, const ContainerOp& op) {
         FinishOp(app, op);
         return;
       }
-      rec.state = ContainerState::kRestarting;
+      SetState(rec, ContainerState::kRestarting);
       ++planned_restarts_;
       NotifyDown(op.container, /*planned=*/true);
       sim_->Schedule(op.downtime, [this, app, op]() {
         auto rec_it = containers_.find(op.container.value);
         if (rec_it != containers_.end() && rec_it->second.state == ContainerState::kRestarting) {
-          rec_it->second.state = ContainerState::kRunning;
+          SetState(rec_it->second, ContainerState::kRunning);
           ++rec_it->second.generation;
           NotifyUp(op.container);
         }
@@ -314,20 +323,20 @@ void ClusterManager::ExecuteOp(AppId app, const ContainerOp& op) {
       break;
     }
     case OpKind::kStop: {
-      rec.state = ContainerState::kStopped;
+      SetState(rec, ContainerState::kStopped);
       NotifyStopped(op.container);
       FinishOp(app, op);
       break;
     }
     case OpKind::kMove: {
-      rec.state = ContainerState::kRestarting;
+      SetState(rec, ContainerState::kRestarting);
       ++planned_restarts_;
       NotifyDown(op.container, /*planned=*/true);
       sim_->Schedule(op.downtime, [this, app, op]() {
         auto rec_it = containers_.find(op.container.value);
         if (rec_it != containers_.end()) {
           rec_it->second.machine = op.move_target;
-          rec_it->second.state = ContainerState::kRunning;
+          SetState(rec_it->second, ContainerState::kRunning);
           ++rec_it->second.generation;
           NotifyUp(op.container);
         }
@@ -336,7 +345,7 @@ void ClusterManager::ExecuteOp(AppId app, const ContainerOp& op) {
       break;
     }
     case OpKind::kStart: {
-      rec.state = ContainerState::kRunning;
+      SetState(rec, ContainerState::kRunning);
       ++rec.generation;
       NotifyUp(op.container);
       FinishOp(app, op);
@@ -421,7 +430,7 @@ void ClusterManager::FailContainer(ContainerId id, TimeMicros downtime) {
   if (it->second.state == ContainerState::kDown) {
     return;
   }
-  it->second.state = ContainerState::kDown;
+  SetState(it->second, ContainerState::kDown);
   ++unplanned_failures_;
   NotifyDown(id, /*planned=*/false);
   if (downtime >= 0) {
@@ -452,7 +461,7 @@ void ClusterManager::RecoverContainer(ContainerId id) {
   if (it == containers_.end() || it->second.state != ContainerState::kDown) {
     return;
   }
-  it->second.state = ContainerState::kRunning;
+  SetState(it->second, ContainerState::kRunning);
   ++it->second.generation;
   NotifyUp(id);
 }
@@ -515,7 +524,7 @@ void ClusterManager::BeginMaintenance(const MaintenanceEvent& event) {
       // (state loss vs. network loss) matters to the application layer, which observes it via
       // generation bumps on recovery for the state-loss classes.
       if (rec.state == ContainerState::kRunning) {
-        rec.state = ContainerState::kDown;
+        SetState(rec, ContainerState::kDown);
         NotifyDown(rec.id, /*planned=*/true);
       }
     }
@@ -528,7 +537,7 @@ void ClusterManager::EndMaintenance(const MaintenanceEvent& event) {
       if (rec.machine != m || rec.state != ContainerState::kDown) {
         continue;
       }
-      rec.state = ContainerState::kRunning;
+      SetState(rec, ContainerState::kRunning);
       if (event.impact != MaintenanceImpact::kNetworkLoss) {
         ++rec.generation;
       }

@@ -140,7 +140,10 @@ class ClusterManager {
   // target machine. Goes through TaskControl like any other planned operation.
   Status RequestMove(ContainerId container, MachineId target, TimeMicros downtime);
 
-  std::vector<ContainerId> ContainersOf(AppId app) const;
+  // The app's containers that are not stopped, in creation order. The list is built once and
+  // handed out until a container of the app is created, stopped or started again, so hold the
+  // reference only while none is.
+  const std::vector<ContainerId>& ContainersOf(AppId app) const;
   bool Owns(ContainerId id) const;
   const ContainerRecord& container(ContainerId id) const;
   bool IsUp(ContainerId id) const;
@@ -195,6 +198,8 @@ class ClusterManager {
 
   MachineId PickMachine();
   ContainerId NewContainer(AppId app, MachineId machine);
+  // Every state change goes through here, so ContainersOf's lists stay current.
+  void SetState(ContainerRecord& rec, ContainerState state);
   void Negotiate(AppId app);
   void ScheduleNegotiate(AppId app, TimeMicros delay);
   void ExecuteOp(AppId app, const ContainerOp& op);
@@ -215,6 +220,8 @@ class ClusterManager {
   int32_t next_container_;
   std::unordered_map<int32_t, ContainerRecord> containers_;
   std::unordered_map<int32_t, std::vector<ContainerId>> app_containers_;
+  // ContainersOf's lists per app; an entry is erased when its app's list changes.
+  mutable std::unordered_map<int32_t, std::vector<ContainerId>> live_containers_;
 
   std::unordered_map<int32_t, TaskControlHandler*> controllers_;
   std::unordered_map<int32_t, std::vector<ContainerLifecycleListener>> listeners_;

@@ -13,6 +13,10 @@
 namespace shardman {
 
 // A strongly typed, hashable, orderable integer id. `Tag` is a phantom type.
+//
+// Ids are labels, not indices. Some are sparse: a testbed numbers containers (and so servers)
+// region * 1,000,000 + 1 + n, so a table indexed by a raw server id spans millions of slots
+// for a few dozen servers. Map an id to a dense ordinal of your own before indexing by it.
 template <typename Tag>
 struct Id {
   int32_t value = -1;

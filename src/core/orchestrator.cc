@@ -268,6 +268,9 @@ void Orchestrator::LogOpStart(Op& op) {
 void Orchestrator::CountInbound(Op& op) {
   op.inbound = true;
   ++inbound_moves_[op.to.value];
+  if (ServerRow* row = FindRow(op.to)) {
+    ++row->inbound;
+  }
 }
 
 void Orchestrator::ReleaseInbound(const Op& op) {
@@ -277,6 +280,9 @@ void Orchestrator::ReleaseInbound(const Op& op) {
   auto it = inbound_moves_.find(op.to.value);
   if (--it->second == 0) {
     inbound_moves_.erase(it);
+  }
+  if (ServerRow* row = FindRow(op.to)) {
+    --row->inbound;
   }
 }
 
@@ -479,13 +485,19 @@ void Orchestrator::Bind(ShardId shard, int replica, ServerId server) {
   ReplicaRuntime& r = Replica(shard, replica);
   int64_t key = ReplicaKey(shard, replica);
   if (r.server.valid()) {
-    server_replicas_[r.server.value].erase(key);
-    server_load_totals_.erase(r.server.value);
+    const size_t erased = server_replicas_[r.server.value].erase(key);
+    if (ServerRow* row = FindRow(r.server)) {
+      row->bound -= static_cast<int32_t>(erased);
+      row->load_valid = false;
+    }
   }
   r.server = server;
   if (server.valid()) {
-    server_replicas_[server.value].insert(key);
-    server_load_totals_.erase(server.value);
+    const bool inserted = server_replicas_[server.value].insert(key).second;
+    if (ServerRow* row = FindRow(server)) {
+      row->bound += inserted ? 1 : 0;
+      row->load_valid = false;
+    }
   }
 }
 
@@ -772,7 +784,7 @@ void Orchestrator::ExecutePlace(Op op) {
   ReplicaRuntime& r = Replica(op.shard, op.replica);
   ServerId target = op.to;
   if (!target.valid()) {
-    target = PickDrainTarget(op.shard, op.replica, ServerId());
+    target = PickDrainTarget(op.shard, ServerId());
   }
   if (!target.valid()) {
     r.phase = ReplicaPhase::kPending;
@@ -815,7 +827,7 @@ void Orchestrator::ExecuteMoveSecondary(Op op) {
     return;
   }
   if (!op.to.valid()) {
-    op.to = PickDrainTarget(op.shard, op.replica, op.from);
+    op.to = PickDrainTarget(op.shard, op.from);
   }
   if (!op.to.valid()) {
     FinishOp(op, /*success=*/false);
@@ -918,7 +930,7 @@ void Orchestrator::ExecuteMovePrimaryGraceful(Op op) {
     return;
   }
   if (!op.to.valid()) {
-    op.to = PickDrainTarget(op.shard, op.replica, op.from);
+    op.to = PickDrainTarget(op.shard, op.from);
   }
   if (!op.to.valid()) {
     FinishOp(op, /*success=*/false);
@@ -1058,7 +1070,7 @@ void Orchestrator::ExecuteMovePrimaryAbrupt(Op op) {
     return;
   }
   if (!op.to.valid()) {
-    op.to = PickDrainTarget(op.shard, op.replica, op.from);
+    op.to = PickDrainTarget(op.shard, op.from);
   }
   if (!op.to.valid()) {
     FinishOp(op, /*success=*/false);
@@ -1299,6 +1311,9 @@ void Orchestrator::PromoteSurvivor(ShardId shard, int dead_replica) {
 void Orchestrator::DrainServer(ServerId server, bool drain_primaries, bool drain_secondaries,
                                std::function<void()> done) {
   server_draining_.insert(server.value);
+  if (ServerRow* row = FindRow(server)) {
+    row->draining = true;
+  }
   DrainState state;
   state.primaries = drain_primaries;
   state.secondaries = drain_secondaries;
@@ -1331,6 +1346,9 @@ void Orchestrator::DrainServer(ServerId server, bool drain_primaries, bool drain
 
 void Orchestrator::CancelDrain(ServerId server) {
   server_draining_.erase(server.value);
+  if (ServerRow* row = FindRow(server)) {
+    row->draining = false;
+  }
   drains_.erase(server.value);
 }
 
@@ -1344,18 +1362,8 @@ void Orchestrator::CheckDrainDone(ServerId server) {
     return;  // Old primaries on this server are still forwarding.
   }
   const DrainState& state = drain_it->second;
-  auto it = server_replicas_.find(server.value);
-  if (it != server_replicas_.end()) {
-    for (int64_t key : it->second) {
-      ShardId shard(static_cast<int32_t>(key >> 16));
-      int replica = static_cast<int>(key & 0xFFFF);
-      const ReplicaRuntime& r = Replica(shard, replica);
-      bool match = (r.role == ReplicaRole::kPrimary && state.primaries) ||
-                   (r.role == ReplicaRole::kSecondary && state.secondaries);
-      if (match) {
-        return;  // Still hosting a matching replica.
-      }
-    }
+  if (HostsRole(server, state.primaries, state.secondaries)) {
+    return;  // Still hosting a matching replica.
   }
   std::function<void()> done = std::move(drain_it->second.done);
   drains_.erase(drain_it);
@@ -1421,6 +1429,22 @@ std::vector<std::pair<ShardId, ReplicaRole>> Orchestrator::ReplicasOn(ServerId s
     out.emplace_back(shard, Replica(shard, replica).role);
   }
   return out;
+}
+
+bool Orchestrator::HostsRole(ServerId server, bool primaries, bool secondaries) const {
+  auto it = server_replicas_.find(server.value);
+  if (it == server_replicas_.end()) {
+    return false;
+  }
+  for (int64_t key : it->second) {
+    const ReplicaRole role =
+        Replica(ShardId(static_cast<int32_t>(key >> 16)), static_cast<int>(key & 0xFFFF)).role;
+    if ((role == ReplicaRole::kPrimary && primaries) ||
+        (role == ReplicaRole::kSecondary && secondaries)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 int Orchestrator::UnavailableReplicas(ShardId shard) const {
@@ -1736,7 +1760,9 @@ void Orchestrator::CommitSplit(ShardId parent) {
   for (ReplicaRuntime& r : parent_rt.replicas) {
     r.load *= 0.5;
   }
-  server_load_totals_.clear();
+  for (ServerRow& row : rows_) {
+    row.load_valid = false;
+  }
   child_rt.split_parent = ShardId();
   parent_rt.split_child = ShardId();
   parent_rt.split_key = 0;
@@ -1968,14 +1994,18 @@ void Orchestrator::CleanupInactiveShards() {
 // Allocation
 // ---------------------------------------------------------------------------------------------
 
-PartitionSnapshot Orchestrator::BuildSnapshot() const {
-  PartitionSnapshot snapshot;
+PartitionSnapshot& Orchestrator::BuildSnapshot() {
+  PartitionSnapshot& snapshot = snapshot_;
   snapshot.id = PartitionId(0);
   snapshot.config = spec_.placement;
 
-  for (ServerId id : registry_->ServersOf(spec_.id)) {
-    const ServerHandle* handle = registry_->Get(id);
-    ServerState state;
+  // Every field of every element is rewritten: the vectors keep their storage between rounds,
+  // and the allocator writes its placement back into the replica states.
+  const std::vector<ServerId>& servers = registry_->ServersOf(spec_.id);
+  snapshot.servers.resize(servers.size());
+  for (size_t i = 0; i < servers.size(); ++i) {
+    const ServerHandle* handle = registry_->Get(servers[i]);
+    ServerState& state = snapshot.servers[i];
     state.id = handle->id;
     state.machine = handle->machine;
     state.region = handle->region;
@@ -1983,8 +2013,7 @@ PartitionSnapshot Orchestrator::BuildSnapshot() const {
     state.rack = handle->rack;
     state.capacity = handle->capacity;
     state.alive = handle->alive;
-    state.draining = server_draining(id);
-    snapshot.servers.push_back(std::move(state));
+    state.draining = server_draining(handle->id);
   }
   std::sort(snapshot.servers.begin(), snapshot.servers.end(),
             [](const ServerState& a, const ServerState& b) { return a.id < b.id; });
@@ -1997,26 +2026,24 @@ PartitionSnapshot Orchestrator::BuildSnapshot() const {
     desc.preferred_region = rt.preferred_region;
     desc.preference_weight = rt.preference_weight;
     desc.min_replicas_in_preferred = rt.min_replicas_in_preferred;
-    if (!rt.active) {
-      continue;  // merged away: remaining copies are mid-drop, never placement candidates
-    }
-    for (size_t i = 0; i < rt.replicas.size(); ++i) {
+    // A merged-away shard lists no replicas: its remaining copies are mid-drop, never
+    // placement candidates.
+    desc.replicas.resize(rt.active ? rt.replicas.size() : 0);
+    for (size_t i = 0; i < desc.replicas.size(); ++i) {
       const ReplicaRuntime& r = rt.replicas[i];
-      ReplicaState state;
+      ReplicaState& state = desc.replicas[i];
       state.id = ReplicaId(desc.id, static_cast<int32_t>(i));
       state.role = r.role;
       state.load = r.load;
       // Pending replicas are unassigned; replicas on dead servers keep their binding (the
       // allocator treats dead bins as unassigned anyway).
       state.server = r.phase == ReplicaPhase::kPending ? ServerId() : r.server;
-      desc.replicas.push_back(std::move(state));
     }
   }
   return snapshot;
 }
 
-void Orchestrator::ApplyAllocation(const PartitionSnapshot& snapshot,
-                                   const AllocationResult& result, obs::TraceId alloc_trace) {
+void Orchestrator::ApplyAllocation(const AllocationResult& result, obs::TraceId alloc_trace) {
   for (const AssignmentChange& change : result.changes) {
     ShardId shard = change.replica.shard;
     int replica_idx = change.replica.index;
@@ -2063,19 +2090,20 @@ void Orchestrator::TriggerEmergencyAllocation() {
     SM_COUNTER_INC("sm.orchestrator.allocs_emergency");
     obs::TraceId alloc_trace = obs::DefaultTracer().NewTrace();
     SM_TRACE_BEGIN(alloc_trace, "allocator", "emergency_allocation");
-    PartitionSnapshot snapshot = BuildSnapshot();
+    PartitionSnapshot& snapshot = BuildSnapshot();
     AllocatorOptions opts = allocator_->options();
     opts.emergency_time_budget = config_.emergency_solver_budget;
     opts.emergency_eval_budget = config_.emergency_solver_evals;
     opts.solver_threads = config_.solver_threads;
     opts.solver_starts = config_.solver_starts;
+    opts.trace_interval = 0;  // nothing reads a control-loop solve's convergence trace
     // Reuse the shared allocator (not a throwaway copy) so its warm-start cache carries the
     // previous round's placement into this solve. The sim thread serializes Trigger* calls.
     allocator_->set_options(opts);
     AllocationResult result = allocator_->Allocate(snapshot, AllocationMode::kEmergency);
     SM_TRACE_END(alloc_trace, "allocator", "emergency_allocation",
                  obs::Arg("changes", static_cast<int64_t>(result.changes.size())));
-    ApplyAllocation(snapshot, result, alloc_trace);
+    ApplyAllocation(result, alloc_trace);
   });
 }
 
@@ -2086,17 +2114,18 @@ void Orchestrator::TriggerPeriodicAllocation() {
   SM_COUNTER_INC("sm.orchestrator.allocs_periodic");
   obs::TraceId alloc_trace = obs::DefaultTracer().NewTrace();
   SM_TRACE_BEGIN(alloc_trace, "allocator", "periodic_allocation");
-  PartitionSnapshot snapshot = BuildSnapshot();
+  PartitionSnapshot& snapshot = BuildSnapshot();
   AllocatorOptions opts = allocator_->options();
   opts.periodic_time_budget = config_.periodic_solver_budget;
   opts.periodic_eval_budget = config_.periodic_solver_evals;
   opts.solver_threads = config_.solver_threads;
   opts.solver_starts = config_.solver_starts;
+  opts.trace_interval = 0;
   allocator_->set_options(opts);
   AllocationResult result = allocator_->Allocate(snapshot, AllocationMode::kPeriodic);
   SM_TRACE_END(alloc_trace, "allocator", "periodic_allocation",
                obs::Arg("changes", static_cast<int64_t>(result.changes.size())));
-  ApplyAllocation(snapshot, result, alloc_trace);
+  ApplyAllocation(result, alloc_trace);
 }
 
 // ---------------------------------------------------------------------------------------------
@@ -2106,23 +2135,24 @@ void Orchestrator::TriggerPeriodicAllocation() {
 void Orchestrator::PollLoads() {
   // The report is read synchronously; load collection does not sit on any latency-critical
   // path, so the RPC hop is elided in the simulation.
-  for (ServerId id : registry_->ServersOf(spec_.id)) {
-    const ServerHandle* handle = registry_->Get(id);
-    if (handle == nullptr || !handle->alive || handle->api == nullptr) {
+  SyncServerRows();
+  for (ServerRow& row : rows_) {
+    const ServerHandle& handle = *row.handle;
+    if (!handle.alive || handle.api == nullptr) {
       continue;
     }
-    ShardLoadReport report = handle->api->ReportLoads();
-    for (const ShardLoadEntry& entry : report.entries) {
+    handle.api->ReportLoads(row.report);
+    for (const ShardLoadEntry& entry : row.report.entries) {
       if (!entry.shard.valid() ||
           entry.shard.value >= static_cast<int32_t>(shards_.size())) {
         continue;
       }
       ShardRuntime& rt = shards_[static_cast<size_t>(entry.shard.value)];
       for (ReplicaRuntime& r : rt.replicas) {
-        if (r.server == id && entry.load.dims() == r.load.dims()) {
+        if (r.server == handle.id && entry.load.dims() == r.load.dims()) {
           if (r.load != entry.load) {
             r.load = entry.load;
-            server_load_totals_.erase(id.value);
+            row.load_valid = false;
           }
           break;
         }
@@ -2131,37 +2161,67 @@ void Orchestrator::PollLoads() {
   }
 }
 
+void Orchestrator::SyncServerRows() {
+  if (registry_->size() == rows_synced_at_) {
+    return;  // nobody registered since the last sync
+  }
+  rows_synced_at_ = registry_->size();
+  for (ServerId id : registry_->ServersOf(spec_.id)) {
+    if (!row_of_.try_emplace(id.value, static_cast<int32_t>(rows_.size())).second) {
+      continue;
+    }
+    ServerRow& row = rows_.emplace_back();
+    row.handle = registry_->Get(id);
+    auto replicas = server_replicas_.find(id.value);
+    row.bound = replicas == server_replicas_.end() ? 0
+                                                   : static_cast<int32_t>(replicas->second.size());
+    auto inbound = inbound_moves_.find(id.value);
+    row.inbound = inbound == inbound_moves_.end() ? 0 : inbound->second;
+    row.draining = server_draining_.count(id.value) > 0;
+  }
+}
+
+Orchestrator::ServerRow* Orchestrator::FindRow(ServerId server) {
+  auto it = row_of_.find(server.value);
+  return it == row_of_.end() ? nullptr : &rows_[static_cast<size_t>(it->second)];
+}
+
+double Orchestrator::SumLoads(ServerId server) const {
+  double total = 0.0;
+  auto it = server_replicas_.find(server.value);
+  if (it != server_replicas_.end()) {
+    for (int64_t key : it->second) {
+      ShardId shard(static_cast<int32_t>(key >> 16));
+      int replica = static_cast<int>(key & 0xFFFF);
+      total += Replica(shard, replica).load.Total();
+    }
+  }
+  return total;
+}
+
+double Orchestrator::LoadTotal(const ServerRow& row) const {
+  // Summed in server_replicas_ order: a cached total is bit-identical to a fresh re-sum.
+  if (!row.load_valid) {
+    row.load_total = SumLoads(row.handle->id);
+    row.load_valid = true;
+  }
+  return row.load_total;
+}
+
 double Orchestrator::ServerLoadScore(ServerId server) const {
   const ServerHandle* handle = registry_->Get(server);
   if (handle == nullptr) {
     return 1e9;
   }
-  auto [cached, missing] = server_load_totals_.try_emplace(server.value, 0.0);
-  if (missing) {
-    // Summed in server_replicas_ order: a cached total is bit-identical to a fresh re-sum.
-    auto it = server_replicas_.find(server.value);
-    if (it != server_replicas_.end()) {
-      for (int64_t key : it->second) {
-        ShardId shard(static_cast<int32_t>(key >> 16));
-        int replica = static_cast<int>(key & 0xFFFF);
-        cached->second += Replica(shard, replica).load.Total();
-      }
-    }
-  }
-  double capacity = std::max(1e-9, handle->capacity.Total());
-  return cached->second / capacity;
+  auto it = row_of_.find(server.value);
+  const double total =
+      it == row_of_.end() ? SumLoads(server) : LoadTotal(rows_[static_cast<size_t>(it->second)]);
+  return total / std::max(1e-9, handle->capacity.Total());
 }
 
-ServerId Orchestrator::PickDrainTarget(ShardId shard, int replica, ServerId from) const {
+ServerId Orchestrator::PickDrainTarget(ShardId shard, ServerId from) {
+  SyncServerRows();
   const ShardRuntime& rt = shards_[static_cast<size_t>(shard.value)];
-  // Servers already hosting a replica of this shard are excluded (server-level spread).
-  std::unordered_set<int32_t> occupied;
-  for (const ReplicaRuntime& r : rt.replicas) {
-    if (r.server.valid()) {
-      occupied.insert(r.server.value);
-    }
-  }
-
   RegionId preferred = rt.preferred_region;
   RegionId from_region;
   if (from.valid()) {
@@ -2171,19 +2231,22 @@ ServerId Orchestrator::PickDrainTarget(ShardId shard, int replica, ServerId from
     }
   }
 
-  ServerId best;
+  // An argmin over a total order, so the rows' order does not matter.
+  const ServerRow* best = nullptr;
   double best_score = 0.0;
-  size_t best_count = 0;
+  int32_t best_count = 0;
   int best_tier = 3;
-  for (ServerId id : registry_->ServersOf(spec_.id)) {
-    if (id == from || occupied.count(id.value) > 0) {
+  for (const ServerRow& row : rows_) {
+    const ServerHandle& handle = *row.handle;
+    if (handle.id == from || !handle.alive || row.draining) {
       continue;
     }
-    const ServerHandle* handle = registry_->Get(id);
-    if (handle == nullptr || !handle->alive) {
-      continue;
+    // Servers already hosting a replica of this shard are excluded (server-level spread).
+    bool occupied = false;
+    for (const ReplicaRuntime& r : rt.replicas) {
+      occupied |= r.server == handle.id;
     }
-    if (server_draining(id)) {
+    if (occupied) {
       continue;
     }
     // Tier 0: the shard's preferred region; tier 1: the replica's current region (locality);
@@ -2191,33 +2254,30 @@ ServerId Orchestrator::PickDrainTarget(ShardId shard, int replica, ServerId from
     // the first poll) go to the server with fewer replicas, bound or inbound, then to the
     // lower id.
     int tier = 2;
-    if (preferred.valid() && handle->region == preferred) {
+    if (preferred.valid() && handle.region == preferred) {
       tier = 0;
-    } else if (from_region.valid() && handle->region == from_region) {
+    } else if (from_region.valid() && handle.region == from_region) {
       tier = 1;
     }
-    double score = ServerLoadScore(id);
+    // The same expression as ServerLoadScore.
+    const double score = LoadTotal(row) / std::max(1e-9, handle.capacity.Total());
     // Replicas on their way count too: a drain starts its moves in one instant, before any
     // of them binds.
-    auto replicas_it = server_replicas_.find(id.value);
-    auto inbound_it = inbound_moves_.find(id.value);
-    size_t count = (replicas_it == server_replicas_.end() ? 0 : replicas_it->second.size()) +
-                   (inbound_it == inbound_moves_.end() ? 0 : inbound_it->second);
-    bool better = !best.valid() || tier < best_tier;
+    const int32_t count = row.bound + row.inbound;
+    bool better = best == nullptr || tier < best_tier;
     if (!better && tier == best_tier) {
       better = score != best_score   ? score < best_score
                : count != best_count ? count < best_count
-                                     : id.value < best.value;
+                                     : handle.id < best->handle->id;
     }
     if (better) {
-      best = id;
+      best = &row;
       best_tier = tier;
       best_score = score;
       best_count = count;
     }
   }
-  (void)replica;
-  return best;
+  return best == nullptr ? ServerId() : best->handle->id;
 }
 
 }  // namespace shardman

@@ -169,6 +169,8 @@ class Orchestrator {
 
   // (shard, role) pairs currently bound to a server.
   std::vector<std::pair<ShardId, ReplicaRole>> ReplicasOn(ServerId server) const;
+  // True if a replica of a selected role is bound to `server`.
+  bool HostsRole(ServerId server, bool primaries, bool secondaries) const;
   // Number of currently unavailable replicas of a shard (down, pending, or mid-abrupt-move).
   int UnavailableReplicas(ShardId shard) const;
   // Replicas of a shard that *lost* availability: bound to a down server or mid-abrupt-move.
@@ -243,6 +245,8 @@ class Orchestrator {
   bool AllReady() const;
 
  private:
+  friend class OrchestratorTestPeer;  // tests: drain-target oracle and allocation budgets
+
   struct ReplicaRuntime {
     ReplicaRole role = ReplicaRole::kSecondary;
     ServerId server;       // current owner (invalid when pending)
@@ -282,6 +286,19 @@ class Orchestrator {
     bool primaries = false;
     bool secondaries = false;
     std::function<void()> done;
+  };
+  // One server of the app: what PickDrainTarget reads, kept current as replicas bind, ops
+  // start and finish, drains begin and end and loads are polled. Rows are indexed by a dense
+  // ordinal (row_of_), never by raw id: ids are sparse (ids.h).
+  struct ServerRow {
+    const ServerHandle* handle = nullptr;  // stable: the registry never erases
+    int32_t bound = 0;      // server_replicas_[id].size()
+    int32_t inbound = 0;    // inbound_moves_[id]
+    bool draining = false;  // server_draining_ holds id
+    // Sum of load.Total() over the bound replicas, in server_replicas_ order (LoadTotal).
+    mutable bool load_valid = false;
+    mutable double load_total = 0.0;
+    ShardLoadReport report;  // PollLoads refills it every poll
   };
 
   ReplicaRuntime& Replica(ShardId shard, int replica);
@@ -368,13 +385,24 @@ class Orchestrator {
   bool ShardBoundTo(ShardId shard, ServerId server) const;
 
   // -- Allocation --------------------------------------------------------------------------------
-  PartitionSnapshot BuildSnapshot() const;
-  void ApplyAllocation(const PartitionSnapshot& snapshot, const AllocationResult& result,
-                       obs::TraceId alloc_trace);
-  ServerId PickDrainTarget(ShardId shard, int replica, ServerId from) const;
+  // Refills snapshot_ from the current state and returns it.
+  PartitionSnapshot& BuildSnapshot();
+  void ApplyAllocation(const AllocationResult& result, obs::TraceId alloc_trace);
+  // The live, non-draining server outside `from` and the shard's current servers that is
+  // least in (tier, load score, bound + inbound replicas, id); invalid when none is.
+  ServerId PickDrainTarget(ShardId shard, ServerId from);
   void CheckDrainDone(ServerId server);
 
   void PollLoads();
+
+  // -- Server table ------------------------------------------------------------------------------
+  // Adds a row for every app server registered since the last call.
+  void SyncServerRows();
+  ServerRow* FindRow(ServerId server);
+  // The row's cached load total, summed afresh when a bind or poll invalidated it.
+  double LoadTotal(const ServerRow& row) const;
+  // Sum of load.Total() over the replicas bound to `server`, in server_replicas_ order.
+  double SumLoads(ServerId server) const;
 
   Simulator* sim_;
   Network* network_;
@@ -389,13 +417,17 @@ class Orchestrator {
   const std::string assign_prefix_;
 
   std::vector<ShardRuntime> shards_;
-  // server -> replicas bound to it (includes unavailable ones).
+  // server -> replicas bound to it (includes unavailable ones). Each set's iteration order
+  // feeds outcomes: drain enqueue order, load-sum order and assignment-record bytes.
   std::unordered_map<int32_t, std::unordered_set<int64_t>> server_replicas_;
-  // server -> sum of load.Total() over its replicas, filled by ServerLoadScore. An entry is
-  // erased when a replica binds to or leaves the server or its load changes.
-  mutable std::unordered_map<int32_t, double> server_load_totals_;
   // server -> started place/move ops targeting it that have not finished yet.
   std::unordered_map<int32_t, int> inbound_moves_;
+  // The app's servers (ServerRow), in the order SyncServerRows first saw them.
+  std::vector<ServerRow> rows_;
+  std::unordered_map<int32_t, int32_t> row_of_;  // server id -> index into rows_
+  size_t rows_synced_at_ = 0;                    // registry size at the last SyncServerRows
+  // The allocator's input, refilled in place every allocation round.
+  PartitionSnapshot snapshot_;
   std::unordered_map<int32_t, DrainState> drains_;
   std::unordered_map<int32_t, EventId> server_timers_;
   std::unordered_set<int32_t> server_draining_;

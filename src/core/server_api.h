@@ -81,8 +81,10 @@ class ShardServerApi {
   // Graceful migration step 2 (§4.3): start forwarding primary-type requests to `new_owner`.
   virtual Status PrepareDropShard(ShardId shard, ServerId new_owner, ReplicaRole role) = 0;
 
-  // Periodic load collection (§5): per-hosted-shard loads in the app's metric set.
-  virtual ShardLoadReport ReportLoads() = 0;
+  // Periodic load collection (§5): replaces `report`'s entries with one per hosted shard, in
+  // the app's metric set. The caller owns the report and may pass the same one every poll:
+  // entries that remain reuse their storage, and the entry count is exactly this poll's.
+  virtual void ReportLoads(ShardLoadReport& report) = 0;
 
   // Data plane: handle (or forward) a client request and reply asynchronously.
   virtual void HandleRequest(const Request& request, ReplyCallback done) = 0;

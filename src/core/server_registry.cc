@@ -12,6 +12,7 @@ void ServerRegistry::Register(ServerHandle handle) {
   SM_CHECK_EQ(servers_.count(handle.id.value), 0u);
   by_container_[handle.container.value] = handle.id;
   servers_.emplace(handle.id.value, std::move(handle));
+  servers_of_.clear();
 }
 
 ServerHandle* ServerRegistry::Get(ServerId id) {
@@ -44,14 +45,16 @@ bool ServerRegistry::IsAlive(ServerId id) const {
   return handle != nullptr && handle->alive;
 }
 
-std::vector<ServerId> ServerRegistry::ServersOf(AppId app) const {
-  std::vector<ServerId> out;
-  for (const auto& [id, handle] : servers_) {
-    if (handle.app == app) {
-      out.push_back(handle.id);
+const std::vector<ServerId>& ServerRegistry::ServersOf(AppId app) const {
+  auto [it, missing] = servers_of_.try_emplace(app.value);
+  if (missing) {
+    for (const auto& [id, handle] : servers_) {
+      if (handle.app == app) {
+        it->second.push_back(handle.id);
+      }
     }
   }
-  return out;
+  return it->second;
 }
 
 // The caller-side state of every RPC in flight against one registry. One pooled record per

@@ -41,6 +41,7 @@ class ServerRegistry {
   ServerRegistry& operator=(const ServerRegistry&) = delete;
 
   // Registers a server; the id must be unused. The registry does not own `handle.api`.
+  // Servers are never erased, so a handle's address is stable for the registry's lifetime.
   void Register(ServerHandle handle);
 
   ServerHandle* Get(ServerId id);
@@ -50,7 +51,12 @@ class ServerRegistry {
   void SetAlive(ServerId id, bool alive);
   bool IsAlive(ServerId id) const;
 
-  std::vector<ServerId> ServersOf(AppId app) const;
+  // The app's servers, in the registry's hash-table iteration order. That order feeds
+  // outcomes: the allocator's snapshot lists servers in it before sorting by id, and
+  // callers walk it when they act per server. The list is built once and handed out until the
+  // next Register, so hold the reference only while no server registers.
+  const std::vector<ServerId>& ServersOf(AppId app) const;
+  // Servers registered so far, over every app. Only grows: the registry never erases.
   size_t size() const { return servers_.size(); }
 
   // Caller-side records of the CallControl/CallData RPCs in flight against this registry.
@@ -60,8 +66,12 @@ class ServerRegistry {
   size_t RpcCallsInFlight() const;
 
  private:
+  // Keyed by raw id. Ids are sparse (see ids.h), so nothing here is indexed by one.
   std::unordered_map<int32_t, ServerHandle> servers_;
   std::unordered_map<int32_t, ServerId> by_container_;
+  // ServersOf's lists per app, cleared by Register (an insert may rehash and so reorder
+  // servers_).
+  mutable std::unordered_map<int32_t, std::vector<ServerId>> servers_of_;
   std::unique_ptr<RpcCalls> rpc_calls_;
 };
 

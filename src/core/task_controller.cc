@@ -59,14 +59,12 @@ int SmTaskController::DrainSlots() const {
 
 void SmTaskController::ReleaseAbandonedDrains(ClusterManager* cm,
                                               const std::vector<ContainerOp>& pending) {
-  std::unordered_set<int32_t> pending_containers;
-  for (const ContainerOp& op : pending) {
-    pending_containers.insert(op.container.value);
-  }
   for (auto it = drain_phase_.begin(); it != drain_phase_.end();) {
     const ContainerId container(it->first);
-    if (in_flight_.count(it->first) > 0 || pending_containers.count(it->first) > 0 ||
-        !cm->Owns(container)) {
+    const bool still_pending =
+        std::any_of(pending.begin(), pending.end(),
+                    [container](const ContainerOp& op) { return op.container == container; });
+    if (in_flight_.count(it->first) > 0 || still_pending || !cm->Owns(container)) {
       ++it;
       continue;
     }
@@ -79,15 +77,8 @@ void SmTaskController::ReleaseAbandonedDrains(ClusterManager* cm,
 }
 
 bool SmTaskController::NeedsDrain(const ServerHandle& server) const {
-  for (const auto& [shard, role] : orchestrator_->ReplicasOn(server.id)) {
-    if (role == ReplicaRole::kPrimary && spec_.drain.drain_primaries) {
-      return true;
-    }
-    if (role == ReplicaRole::kSecondary && spec_.drain.drain_secondaries) {
-      return true;
-    }
-  }
-  return false;
+  return orchestrator_->HostsRole(server.id, spec_.drain.drain_primaries,
+                                  spec_.drain.drain_secondaries);
 }
 
 std::vector<int64_t> SmTaskController::OnPendingOps(ClusterManager* cm, AppId app,

@@ -1,7 +1,6 @@
 #include "src/solver/local_search.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "src/common/check.h"
 
@@ -93,7 +92,9 @@ SolveResult LocalSearch::Run() {
   entity_class_.assign(static_cast<size_t>(entities), 0);
   int32_t num_classes = entities;
   if (options_.equivalence_classes) {
-    std::unordered_map<uint64_t, int32_t> class_ids;
+    // Dense ids in first-seen order of the class hashes.
+    class_ids_.Reset(static_cast<size_t>(entities));
+    int32_t next_class = 0;
     for (int e = 0; e < entities; ++e) {
       uint64_t h = 1469598103934665603ULL;
       for (int m = 0; m < problem_->num_metrics; ++m) {
@@ -104,10 +105,11 @@ SolveResult LocalSearch::Run() {
       // Grouped entities interact through spread/affinity; only ungrouped ones are freely
       // interchangeable, so fold the group id into the key for grouped entities.
       h = (h ^ static_cast<uint64_t>(g < 0 ? -1 : g)) * 1099511628211ULL;
-      auto [it, inserted] = class_ids.emplace(h, static_cast<int32_t>(class_ids.size()));
-      entity_class_[static_cast<size_t>(e)] = it->second;
+      const int32_t cls = class_ids_.FindOrInsert(static_cast<int64_t>(h), next_class);
+      next_class += cls == next_class ? 1 : 0;
+      entity_class_[static_cast<size_t>(e)] = cls;
     }
-    num_classes = static_cast<int32_t>(class_ids.size());
+    num_classes = next_class;
   } else {
     for (int e = 0; e < entities; ++e) {
       entity_class_[static_cast<size_t>(e)] = e;  // every entity its own class: no skipping
@@ -395,7 +397,9 @@ int LocalSearch::SampleCandidate(int entity) {
 }
 
 bool LocalSearch::TryImproveBin(int bin, uint32_t mask, const Deadline& deadline) {
-  std::vector<int32_t> entities = tracker_.bin_entities(bin);
+  const std::vector<int32_t>& on_bin = tracker_.bin_entities(bin);
+  std::vector<int32_t>& entities = visit_;
+  entities.assign(on_bin.begin(), on_bin.end());
   if (entities.empty()) {
     return false;
   }

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/flat_id_map.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/solver/incremental.h"
@@ -123,6 +124,7 @@ class LocalSearch {
   std::vector<std::vector<int32_t>> region_cold_bins_;  // per region, coldest-first
   std::vector<int32_t> all_live_bins_;
   int moves_since_refresh_ = 0;
+  std::vector<int32_t> visit_;  // TryImproveBin's ordering of the hot bin's entities
 
   // Incremental repair (active when options_.incremental and the dirty fraction stayed under
   // the fallback threshold).
@@ -130,7 +132,8 @@ class LocalSearch {
   GenStampSet dirty_groups_;
   std::vector<int32_t> scan_groups_;  // sorted scratch handed to the restricted scan
 
-  // Equivalence classes: dense class id per entity.
+  // Equivalence classes: dense class id per entity, numbered through class_ids_.
+  FlatIdMap class_ids_;  // class hash -> class id
   std::vector<int32_t> entity_class_;
   std::vector<uint32_t> class_fail_gen_;
   std::vector<int32_t> class_fail_bin_;

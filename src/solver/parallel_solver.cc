@@ -7,7 +7,6 @@
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
-#include "src/obs/metrics.h"
 #include "src/solver/local_search.h"
 
 namespace shardman {
@@ -90,10 +89,8 @@ SolveResult ParallelSolver::Solve(SolverProblem& problem, const SolveOptions& op
   result.wall_time = std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                            wall_start)
                          .count();
-
-  SM_COUNTER_ADD("sm.solver.portfolio_starts", starts);
-  SM_COUNTER_ADD("sm.solver.pool_steals", pool.steals());
-  SM_COUNTER_ADD("sm.solver.pool_tasks", pool.tasks_executed());
+  result.pool_steals = pool.steals();
+  result.pool_tasks = pool.tasks_executed();
   return result;
 }
 

@@ -29,7 +29,7 @@ void SolverProblem::Validate() const {
   }
 }
 
-int SolverProblem::AddBin(std::vector<double> capacity, int32_t region, int32_t dc,
+int SolverProblem::AddBin(const std::vector<double>& capacity, int32_t region, int32_t dc,
                           int32_t rack) {
   if (num_metrics == 0) {
     num_metrics = static_cast<int>(capacity.size());
@@ -47,12 +47,29 @@ int SolverProblem::AddBin(std::vector<double> capacity, int32_t region, int32_t 
   return num_bins() - 1;
 }
 
-int SolverProblem::AddEntity(std::vector<double> load, int32_t group, int32_t assigned_bin) {
+int SolverProblem::AddEntity(const std::vector<double>& load, int32_t group,
+                             int32_t assigned_bin) {
   SM_CHECK_EQ(static_cast<int>(load.size()), num_metrics);
   entity_load.insert(entity_load.end(), load.begin(), load.end());
   entity_group.push_back(group);
   assignment.push_back(assigned_bin);
   return num_entities() - 1;
+}
+
+void SolverProblem::Clear() {
+  num_metrics = 0;
+  bin_capacity.clear();
+  bin_region.clear();
+  bin_dc.clear();
+  bin_rack.clear();
+  bin_draining.clear();
+  bin_alive.clear();
+  entity_load.clear();
+  entity_group.clear();
+  assignment.clear();
+  num_regions = 0;
+  num_dcs = 0;
+  num_racks = 0;
 }
 
 }  // namespace shardman

@@ -99,8 +99,11 @@ struct SolverProblem {
   void Validate() const;
 
   // Convenience builder helpers.
-  int AddBin(std::vector<double> capacity, int32_t region, int32_t dc, int32_t rack);
-  int AddEntity(std::vector<double> load, int32_t group, int32_t assigned_bin = -1);
+  int AddBin(const std::vector<double>& capacity, int32_t region, int32_t dc, int32_t rack);
+  int AddEntity(const std::vector<double>& load, int32_t group, int32_t assigned_bin = -1);
+  // Empties the problem (no bins, no entities, no metrics) but keeps every array's storage, so
+  // a problem rebuilt every round allocates only when it grows.
+  void Clear();
 };
 
 struct SolverMove {

@@ -35,7 +35,20 @@ void Rebalancer::AddGoal(const DrainSpec& spec, double weight) {
 }
 
 SolveResult Rebalancer::Solve(SolverProblem& problem, const SolveOptions& options) const {
-  SolveResult result = ParallelSolver(this).Solve(problem, options);
+  SolveResult result = SolveUnrecorded(problem, options);
+  RecordSolve(result);
+  return result;
+}
+
+SolveResult Rebalancer::SolveUnrecorded(SolverProblem& problem,
+                                        const SolveOptions& options) const {
+  return ParallelSolver(this).Solve(problem, options);
+}
+
+void Rebalancer::RecordSolve(const SolveResult& result) {
+  SM_COUNTER_ADD("sm.solver.portfolio_starts", result.starts);
+  SM_COUNTER_ADD("sm.solver.pool_steals", result.pool_steals);
+  SM_COUNTER_ADD("sm.solver.pool_tasks", result.pool_tasks);
   // Wall-clock values go to metrics only, never into traces: trace output must stay
   // deterministic for a fixed seed, and solver wall time is host-dependent.
   SM_COUNTER_INC("sm.solver.solves");
@@ -51,7 +64,6 @@ SolveResult Rebalancer::Solve(SolverProblem& problem, const SolveOptions& option
     SM_GAUGE_SET("sm.solver.moves_per_sec", static_cast<double>(result.moves.size()) / wall_s);
     SM_GAUGE_SET("sm.solver.evals_per_sec", static_cast<double>(result.evaluations) / wall_s);
   }
-  return result;
 }
 
 ViolationCounts Rebalancer::Count(const SolverProblem& problem) const {

@@ -168,6 +168,8 @@ struct SolveResult {
   bool converged = false;              // no improving move remained (in the winning start)
   int starts = 1;                      // portfolio starts executed
   int winner_start = 0;                // index of the start whose result this is
+  int64_t pool_steals = 0;             // the solve's ThreadPool counters
+  int64_t pool_tasks = 0;
 
   // Incremental-repair stats (meaningful when SolveOptions::incremental was set).
   bool incremental_used = false;       // restricted scans ran (no fallback, not emergency)
@@ -193,8 +195,13 @@ class Rebalancer {
   void AddGoal(const DrainSpec& spec, double weight);
 
   // Solves in place: applies moves to problem.assignment and reports them in the result.
-  // Dispatches through ParallelSolver at every thread/start count.
+  // Dispatches through ParallelSolver at every thread/start count, then RecordSolve.
   SolveResult Solve(SolverProblem& problem, const SolveOptions& options) const;
+  // Solve without RecordSolve. The metrics registry is not thread-safe, so solves that run
+  // side by side (SmAllocator::AllocateParallel) record from one thread afterwards.
+  SolveResult SolveUnrecorded(SolverProblem& problem, const SolveOptions& options) const;
+  // Adds a finished solve to the sm.solver.* metrics.
+  static void RecordSolve(const SolveResult& result);
 
   // Counts violations of the configured specs for the problem's current assignment, without
   // solving. Used for monitoring and by the continuous-LB experiment.

@@ -22,16 +22,37 @@ void ViolationTracker::Init() {
   bin_load_.assign(static_cast<size_t>(bins) * static_cast<size_t>(metrics_), 0.0);
   bin_entities_.assign(static_cast<size_t>(bins), {});
 
+  // Counting pass: group sizes into the CSR offsets, bin sizes to reserve each bin's list.
   int32_t max_group = -1;
   for (int e = 0; e < entities; ++e) {
     max_group = std::max(max_group, problem_->entity_group[static_cast<size_t>(e)]);
   }
-  group_members_.assign(static_cast<size_t>(max_group + 1), {});
+  group_offsets_.assign(static_cast<size_t>(max_group) + 2, 0);
+  std::vector<int32_t> bin_sizes(static_cast<size_t>(bins), 0);
+  for (int e = 0; e < entities; ++e) {
+    int32_t g = problem_->entity_group[static_cast<size_t>(e)];
+    if (g >= 0) {
+      ++group_offsets_[static_cast<size_t>(g) + 1];
+    }
+    int32_t b = problem_->assignment[static_cast<size_t>(e)];
+    if (b >= 0) {
+      ++bin_sizes[static_cast<size_t>(b)];
+    }
+  }
+  for (size_t g = 1; g < group_offsets_.size(); ++g) {
+    group_offsets_[g] += group_offsets_[g - 1];
+  }
+  for (int b = 0; b < bins; ++b) {
+    bin_entities_[static_cast<size_t>(b)].reserve(
+        static_cast<size_t>(bin_sizes[static_cast<size_t>(b)]));
+  }
+  group_entities_.resize(static_cast<size_t>(group_offsets_.back()));
+  std::vector<int32_t> group_fill(group_offsets_.begin(), group_offsets_.end() - 1);
 
   for (int e = 0; e < entities; ++e) {
     int32_t g = problem_->entity_group[static_cast<size_t>(e)];
     if (g >= 0) {
-      group_members_[static_cast<size_t>(g)].push_back(e);
+      group_entities_[static_cast<size_t>(group_fill[static_cast<size_t>(g)]++)] = e;
     }
     int32_t b = problem_->assignment[static_cast<size_t>(e)];
     if (b >= 0) {
@@ -138,11 +159,13 @@ bool ViolationTracker::GroupColocated(int entity, int bin) const {
   return false;
 }
 
-const std::vector<int32_t>& ViolationTracker::GroupMembers(int32_t group) const {
-  if (group < 0 || static_cast<size_t>(group) >= group_members_.size()) {
-    return empty_group_;
+std::span<const int32_t> ViolationTracker::GroupMembers(int32_t group) const {
+  if (group < 0 || group >= num_groups()) {
+    return {};
   }
-  return group_members_[static_cast<size_t>(group)];
+  const int32_t* base = group_entities_.data();
+  return {base + group_offsets_[static_cast<size_t>(group)],
+          base + group_offsets_[static_cast<size_t>(group) + 1]};
 }
 
 std::vector<int32_t> ViolationTracker::GroupAffinityDeficitRegions(int32_t group) const {
@@ -213,7 +236,7 @@ double ViolationTracker::GroupPenalty(int32_t group, int moved_entity, int to) c
   if (group < 0) {
     return 0.0;
   }
-  const std::vector<int32_t>& members = GroupMembers(group);
+  const std::span<const int32_t> members = GroupMembers(group);
   double pen = 0.0;
 
   auto bin_of = [&](int32_t member) -> int32_t {
@@ -410,8 +433,8 @@ double ViolationTracker::ComputeExactObjective() const {
     obj += BinLoadPenalty(b, kGoalAll);
     obj += DrainPenaltyOf(b) * static_cast<double>(bin_entities_[static_cast<size_t>(b)].size());
   }
-  for (size_t g = 0; g < group_members_.size(); ++g) {
-    obj += GroupPenalty(static_cast<int32_t>(g), -1, -1);
+  for (int32_t g = 0; g < num_groups(); ++g) {
+    obj += GroupPenalty(g, -1, -1);
   }
   for (int e = 0; e < problem_->num_entities(); ++e) {
     int32_t b = problem_->assignment[static_cast<size_t>(e)];
@@ -465,8 +488,7 @@ ViolationCounts ViolationTracker::Count() const {
       }
     }
   }
-  for (size_t g = 0; g < group_members_.size(); ++g) {
-    int32_t group = static_cast<int32_t>(g);
+  for (int32_t group = 0; group < num_groups(); ++group) {
     auto aff_it = group_affinity_.find(group);
     if (aff_it != group_affinity_.end()) {
       for (const AffinityEntry& entry : aff_it->second) {
@@ -483,7 +505,7 @@ ViolationCounts ViolationTracker::Count() const {
       }
     }
     for (const auto& [spec, weight] : specs_->exclusions()) {
-      const std::vector<int32_t>& members = GroupMembers(group);
+      const std::span<const int32_t> members = GroupMembers(group);
       for (size_t i = 0; i < members.size(); ++i) {
         int32_t bi = problem_->assignment[static_cast<size_t>(members[i])];
         if (!BinLive(bi)) {
@@ -505,7 +527,7 @@ ViolationCounts ViolationTracker::Count() const {
 std::vector<double> ViolationTracker::ComputeBinPenalties(
     uint32_t mask, ThreadPool* pool, const std::vector<int32_t>* scan_groups) const {
   const int64_t bins = problem_->num_bins();
-  const int64_t groups = static_cast<int64_t>(group_members_.size());
+  const int64_t groups = num_groups();
   // Sharding is worth the task overhead only for large scans; below the threshold the pool is
   // ignored. Each sharded iteration writes its own slot, so the values never depend on the
   // chunking or on which thread ran them — the scan is a pure map.
@@ -554,7 +576,7 @@ std::vector<double> ViolationTracker::ComputeBinPenalties(
       if (pen <= kEps) {
         continue;
       }
-      for (int32_t member : group_members_[static_cast<size_t>(list[static_cast<size_t>(i)])]) {
+      for (int32_t member : GroupMembers(list[static_cast<size_t>(i)])) {
         int32_t b = problem_->assignment[static_cast<size_t>(member)];
         if (BinLive(b)) {
           penalties[static_cast<size_t>(b)] += pen;
@@ -575,12 +597,12 @@ std::vector<double> ViolationTracker::ComputeBinPenalties(
     } else {
       scan_all(0, groups);
     }
-    for (size_t g = 0; g < group_members_.size(); ++g) {
-      double pen = group_pen[g];
+    for (int32_t g = 0; g < num_groups(); ++g) {
+      double pen = group_pen[static_cast<size_t>(g)];
       if (pen <= kEps) {
         continue;
       }
-      for (int32_t member : group_members_[g]) {
+      for (int32_t member : GroupMembers(g)) {
         int32_t b = problem_->assignment[static_cast<size_t>(member)];
         if (BinLive(b)) {
           penalties[static_cast<size_t>(b)] += pen;
@@ -592,9 +614,9 @@ std::vector<double> ViolationTracker::ComputeBinPenalties(
 }
 
 void ViolationTracker::AppendViolatingGroups(std::vector<int32_t>* out) const {
-  for (size_t g = 0; g < group_members_.size(); ++g) {
-    if (GroupPenalty(static_cast<int32_t>(g), -1, -1) > kEps) {
-      out->push_back(static_cast<int32_t>(g));
+  for (int32_t g = 0; g < num_groups(); ++g) {
+    if (GroupPenalty(g, -1, -1) > kEps) {
+      out->push_back(g);
     }
   }
 }

@@ -12,6 +12,7 @@
 #define SRC_SOLVER_VIOLATION_TRACKER_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -99,7 +100,7 @@ class ViolationTracker {
   void AppendViolatingGroups(std::vector<int32_t>* out) const;
 
   // Number of group slots (max group id + 1).
-  int32_t num_groups() const { return static_cast<int32_t>(group_members_.size()); }
+  int32_t num_groups() const { return static_cast<int32_t>(group_offsets_.size()) - 1; }
 
   // Entities currently unassigned or stranded on dead bins.
   std::vector<int32_t> UnavailableEntities() const;
@@ -120,8 +121,8 @@ class ViolationTracker {
   // True if `bin` already hosts another replica of `entity`'s group. Two replicas of one shard
   // on one server is forbidden outright (a single container restart would take both down).
   bool GroupColocated(int entity, int bin) const;
-  // Group members (entity ids) of a group, empty for -1.
-  const std::vector<int32_t>& GroupMembers(int32_t group) const;
+  // Group members (entity ids, ascending) of a group, empty for -1.
+  std::span<const int32_t> GroupMembers(int32_t group) const;
   // Regions in which the group currently falls short of an affinity goal.
   std::vector<int32_t> GroupAffinityDeficitRegions(int32_t group) const;
   // Current affinity+exclusion penalty of a group (0 for ungrouped entities).
@@ -156,8 +157,11 @@ class ViolationTracker {
 
   std::vector<double> bin_load_;                     // bins x metrics
   std::vector<std::vector<int32_t>> bin_entities_;   // entity ids per bin
-  std::vector<std::vector<int32_t>> group_members_;  // entity ids per group
-  std::vector<int32_t> empty_group_;
+  // Group members in CSR layout: group g's entity ids, ascending, are
+  // group_entities_[group_offsets_[g] .. group_offsets_[g + 1]). Groups never change after
+  // Init, so one flat array replaces a vector per group.
+  std::vector<int32_t> group_offsets_{0};  // groups + 1
+  std::vector<int32_t> group_entities_;
   std::unordered_map<int32_t, std::vector<AffinityEntry>> group_affinity_;
   std::vector<BalanceState> balance_states_;
   std::vector<double> capacity_limit_;               // per metric; <0 if no capacity constraint

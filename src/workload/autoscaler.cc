@@ -16,6 +16,7 @@ void ContainerAutoscaler::Start() {
 }
 
 double ContainerAutoscaler::MeasureUtilization() const {
+  ShardLoadReport report;
   double load = 0.0;
   double capacity = 0.0;
   for (ServerId id : testbed_->servers()) {
@@ -24,7 +25,8 @@ double ContainerAutoscaler::MeasureUtilization() const {
       continue;
     }
     capacity += handle->capacity.Total();
-    for (const ShardLoadEntry& entry : handle->api->ReportLoads().entries) {
+    handle->api->ReportLoads(report);
+    for (const ShardLoadEntry& entry : report.entries) {
       load += entry.load.Total();
     }
   }
@@ -54,13 +56,15 @@ int ContainerAutoscaler::RunOnce() {
     // Scale in the least-loaded live server via the negotiated stop path.
     ServerId victim;
     double victim_load = 0.0;
+    ShardLoadReport report;
     for (ServerId id : testbed_->servers()) {
       const ServerHandle* handle = testbed_->registry().Get(id);
       if (handle == nullptr || !handle->alive || handle->api == nullptr) {
         continue;
       }
       double load = 0.0;
-      for (const ShardLoadEntry& entry : handle->api->ReportLoads().entries) {
+      handle->api->ReportLoads(report);
+      for (const ShardLoadEntry& entry : report.entries) {
         load += entry.load.Total();
       }
       if (!victim.valid() || load < victim_load) {

@@ -157,6 +157,53 @@ TEST(SmAllocatorTest, ParallelPartitionsSolveIndependently) {
   }
 }
 
+// Each partition keeps its problem and warm cache between solves. Two parallel rounds over
+// four partitions (the second warm-started from the first) give exactly what one allocator
+// solving the partitions one by one gives, so no partition's kept state leaks into another's.
+TEST(SmAllocatorTest, ParallelRoundsMatchSequentialRounds) {
+  auto make = [] {
+    std::vector<PartitionSnapshot> snapshots;
+    for (int p = 0; p < 4; ++p) {
+      snapshots.push_back(MakeSnapshot(2, 3 + p, 20 + 5 * p, 2, 0.5 + 0.25 * p));
+      snapshots.back().id = PartitionId(p);
+    }
+    return snapshots;
+  };
+  std::vector<PartitionSnapshot> parallel = make();
+  std::vector<PartitionSnapshot> sequential = make();
+  std::vector<PartitionSnapshot*> pointers;
+  for (auto& snapshot : parallel) {
+    pointers.push_back(&snapshot);
+  }
+  SmAllocator parallel_allocator;
+  SmAllocator sequential_allocator;
+  for (AllocationMode mode : {AllocationMode::kEmergency, AllocationMode::kPeriodic}) {
+    std::vector<AllocationResult> results = parallel_allocator.AllocateParallel(pointers, mode, 4);
+    ASSERT_EQ(results.size(), sequential.size());
+    for (size_t p = 0; p < sequential.size(); ++p) {
+      AllocationResult expected = sequential_allocator.Allocate(sequential[p], mode);
+      ASSERT_EQ(results[p].changes.size(), expected.changes.size()) << "partition " << p;
+      for (size_t c = 0; c < expected.changes.size(); ++c) {
+        EXPECT_EQ(results[p].changes[c].replica, expected.changes[c].replica);
+        EXPECT_EQ(results[p].changes[c].to, expected.changes[c].to);
+      }
+    }
+    // Before the second round: one server per partition dies, and every third shard's
+    // replicas lose their binding, which the warm cache restores where their server lives.
+    for (size_t p = 0; p < sequential.size(); ++p) {
+      for (std::vector<PartitionSnapshot>* side : {&parallel, &sequential}) {
+        PartitionSnapshot& snapshot = (*side)[p];
+        snapshot.servers[p].alive = false;
+        for (size_t s = 0; s < snapshot.shards.size(); s += 3) {
+          for (ReplicaState& replica : snapshot.shards[s].replicas) {
+            replica.server = ServerId();
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SmAllocatorTest, MultiMetricBalancing) {
   PartitionSnapshot snapshot = MakeSnapshot(1, 6, 0, 0);
   snapshot.config.metrics = MetricSet({"cpu", "storage", "shard_count"});

@@ -345,7 +345,7 @@ struct LoopbackServer : public ShardServerApi {
   Status ChangeRole(ShardId, ReplicaRole, ReplicaRole) override { return Status::Ok(); }
   Status PrepareAddShard(ShardId, ServerId, ReplicaRole) override { return Status::Ok(); }
   Status PrepareDropShard(ShardId, ServerId, ReplicaRole) override { return Status::Ok(); }
-  ShardLoadReport ReportLoads() override { return {}; }
+  void ReportLoads(ShardLoadReport& report) override { report.entries.clear(); }
   void HandleRequest(const Request&, ReplyCallback done) override {
     Reply reply;
     reply.served_by = self;

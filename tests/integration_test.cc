@@ -170,7 +170,8 @@ TEST(IntegrationTest, LoadBalancingKeepsUtilizationBounded) {
   for (ServerId id : bed.servers()) {
     ShardHostBase* app = bed.app_server(id);
     double load = 0.0;
-    ShardLoadReport report = app->ReportLoads();
+    ShardLoadReport report;
+    app->ReportLoads(report);
     for (const ShardLoadEntry& entry : report.entries) {
       load += entry.load[0];
     }
