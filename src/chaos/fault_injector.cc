@@ -188,11 +188,9 @@ int64_t FaultInjector::RecordInject(FaultKind kind, const std::string& detail) {
                    obs::Arg("fault_id", id) + "," + obs::Arg("detail", detail));
   SM_FLIGHT("chaos", FaultKindName(kind), detail);
   journal_.push_back(ChaosEvent{bed_->sim().Now(), id, kind, false, detail});
-#if SHARDMAN_OBS_ENABLED
   if (config_.dump_flight_on_fault) {
     obs::DefaultFlightRecorder().DumpOnTrigger(FaultKindName(kind), /*stderr_fallback=*/false);
   }
-#endif
   return id;
 }
 

@@ -47,13 +47,11 @@ void InvariantChecker::Record(const std::string& invariant, const std::string& d
   SM_TRACE_INSTANT("chaos", "invariant_violation",
                    obs::Arg("invariant", invariant) + "," + obs::Arg("detail", detail));
   SM_FLIGHT("invariant", invariant.c_str(), detail);
-#if SHARDMAN_OBS_ENABLED
   if (total_violations_ == 1) {
     // First violation of the run: snapshot the recent-event rings next to the violation (only
     // when $SM_FLIGHT_OUT names a destination — sweeps that tolerate violations stay quiet).
     obs::DefaultFlightRecorder().DumpOnTrigger("invariant_violation", /*stderr_fallback=*/false);
   }
-#endif
   if (static_cast<int>(violations_.size()) < config_.max_recorded_violations) {
     violations_.push_back(InvariantViolation{bed_->sim().Now(), invariant, detail});
   }

@@ -18,8 +18,7 @@
 // (flight-dump.jsonl -> flight-dump.12345.jsonl) so parallel ctest failures do not clobber
 // each other's dumps.
 //
-// The SM_FLIGHT macro compiles to a no-op under -DSHARDMAN_OBS=OFF; the class API itself stays
-// available so exporters and tests always link.
+// Recording is switched at run time only (enabled()); the SM_FLIGHT macro checks it first.
 
 #ifndef SRC_OBS_FLIGHT_RECORDER_H_
 #define SRC_OBS_FLIGHT_RECORDER_H_
@@ -31,10 +30,6 @@
 #include <vector>
 
 #include "src/common/sim_time.h"
-
-#ifndef SHARDMAN_OBS_ENABLED
-#define SHARDMAN_OBS_ENABLED 1
-#endif
 
 namespace shardman {
 namespace obs {
@@ -112,9 +107,7 @@ FlightRecorder& DefaultFlightRecorder();
 
 // -- Instrumentation macro ---------------------------------------------------------------------
 // `component` and `name` are string literals; `detail` is any expression convertible to
-// std::string, evaluated only while recording is enabled (and never under SHARDMAN_OBS=OFF).
-
-#if SHARDMAN_OBS_ENABLED
+// std::string, evaluated only while recording is enabled.
 
 #define SM_FLIGHT(component, name, ...)                                      \
   do {                                                                       \
@@ -124,11 +117,5 @@ FlightRecorder& DefaultFlightRecorder();
       sm_flight_recorder_.Record((component), (name), ##__VA_ARGS__);        \
     }                                                                        \
   } while (false)
-
-#else  // !SHARDMAN_OBS_ENABLED
-
-#define SM_FLIGHT(component, name, ...) ((void)0)
-
-#endif  // SHARDMAN_OBS_ENABLED
 
 #endif  // SRC_OBS_FLIGHT_RECORDER_H_

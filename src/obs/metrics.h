@@ -8,8 +8,8 @@
 //   * ResetValues() to zero every metric between experiment runs without invalidating any
 //     cached pointer.
 //
-// Instrumentation goes through the SM_COUNTER_* / SM_GAUGE_* / SM_HISTOGRAM_* macros below,
-// which compile to no-ops when the tree is configured with -DSHARDMAN_OBS=OFF.
+// Instrumentation goes through the SM_COUNTER_* / SM_GAUGE_* / SM_HISTOGRAM_* macros below.
+// There is one build flavour: every build records every metric.
 //
 // Metric naming scheme (see DESIGN.md §7): dot-separated "sm.<subsystem>.<what>", e.g.
 // "sm.orchestrator.ops_retried", "sm.discovery.staleness_ms". Histograms carry their unit as a
@@ -26,11 +26,6 @@
 #include <vector>
 
 #include "src/common/stats.h"
-
-// Compile-time master switch; CMake defines it 0 for SHARDMAN_OBS=OFF builds.
-#ifndef SHARDMAN_OBS_ENABLED
-#define SHARDMAN_OBS_ENABLED 1
-#endif
 
 namespace shardman {
 namespace obs {
@@ -147,10 +142,7 @@ MetricsRegistry& DefaultMetrics();
 
 // -- Instrumentation macros --------------------------------------------------------------------
 // `name` must be a string literal (the pointer is cached in a function-local static, keyed by
-// the call site). With SHARDMAN_OBS=OFF these compile to nothing; the registry API itself stays
-// available so exporters and benches always link.
-
-#if SHARDMAN_OBS_ENABLED
+// the call site), so a call costs one pointer load after its first run.
 
 #define SM_COUNTER_ADD(name, delta)                                          \
   do {                                                                       \
@@ -172,14 +164,6 @@ MetricsRegistry& DefaultMetrics();
         ::shardman::obs::DefaultMetrics().GetHistogram(name);                \
     sm_obs_hist_->Observe(value);                                            \
   } while (false)
-
-#else  // !SHARDMAN_OBS_ENABLED
-
-#define SM_COUNTER_ADD(name, delta) ((void)0)
-#define SM_GAUGE_SET(name, value) ((void)0)
-#define SM_HISTOGRAM_OBSERVE(name, value) ((void)0)
-
-#endif  // SHARDMAN_OBS_ENABLED
 
 #define SM_COUNTER_INC(name) SM_COUNTER_ADD(name, 1)
 

@@ -28,8 +28,7 @@
 // tests (factor >= 2 thresholds).
 //
 // The accountant is not telemetry: the gray-failure scorer and the split planner decide from
-// its planes, so it has no macros. Callers use its API directly, and every build flavour,
-// -DSHARDMAN_OBS=OFF included, records the same cells.
+// its planes, so it has no macros and no switch. Callers use its API directly.
 
 #ifndef SRC_OBS_REQUEST_ACCOUNTING_H_
 #define SRC_OBS_REQUEST_ACCOUNTING_H_

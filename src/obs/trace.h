@@ -9,7 +9,7 @@
 // Timestamps come from the global sim clock (src/common/clock.h): the same seed produces a
 // byte-identical exported trace (asserted by the `obs`-labelled ctest). Tracing is off by
 // default — call DefaultTracer().Enable() (or set it up in a bench) to record; the SM_TRACE_*
-// macros are no-ops while disabled and compile out entirely under SHARDMAN_OBS=OFF.
+// macros are no-ops while disabled. The switch is at run time only: every build can trace.
 //
 // Export is Chrome trace_event JSON: load in chrome://tracing or https://ui.perfetto.dev.
 // Spans use async begin/end events ('b'/'e') keyed by the TraceId; instants use 'i'.
@@ -24,10 +24,6 @@
 #include <vector>
 
 #include "src/common/sim_time.h"
-
-#ifndef SHARDMAN_OBS_ENABLED
-#define SHARDMAN_OBS_ENABLED 1
-#endif
 
 namespace shardman {
 namespace obs {
@@ -104,10 +100,7 @@ Tracer& DefaultTracer();
 }  // namespace shardman
 
 // -- Instrumentation macros --------------------------------------------------------------------
-// The enabled() guard keeps arg-string construction off the hot path while tracing is off;
-// SHARDMAN_OBS=OFF removes even the guard.
-
-#if SHARDMAN_OBS_ENABLED
+// The enabled() guard keeps arg-string construction off the hot path while tracing is off.
 
 #define SM_TRACE_BEGIN(id, category, name, ...)                              \
   do {                                                                       \
@@ -132,13 +125,5 @@ Tracer& DefaultTracer();
                                                ##__VA_ARGS__);               \
     }                                                                        \
   } while (false)
-
-#else  // !SHARDMAN_OBS_ENABLED
-
-#define SM_TRACE_BEGIN(id, category, name, ...) ((void)0)
-#define SM_TRACE_END(id, category, name, ...) ((void)0)
-#define SM_TRACE_INSTANT(category, name, ...) ((void)0)
-
-#endif  // SHARDMAN_OBS_ENABLED
 
 #endif  // SRC_OBS_TRACE_H_

@@ -360,7 +360,6 @@ void GrayHealthScorer::PublishFlags() {
 }
 
 void GrayHealthScorer::ExportSloGauges() {
-#if SHARDMAN_OBS_ENABLED
   // Per-(app, client region) rolling SLO gauges from the app plane. Names are dynamic, so
   // this goes through the registry API directly (the SM_GAUGE_SET macro needs literals); the
   // registry's find-or-create keeps it cheap at a handful of slots.
@@ -379,7 +378,6 @@ void GrayHealthScorer::ExportSloGauges() {
       obs::DefaultMetrics().GetGauge(name)->Set(window.error_ratio());
     }
   }
-#endif
 }
 
 void GrayHealthScorer::Tick() {

@@ -326,9 +326,9 @@ void ServiceRouter::Send(uint32_t slot) {
 void ServiceRouter::Finish(uint32_t slot, const Reply& reply) {
   Attempt& attempt = attempts_[slot];
   // Per-attempt RED accounting: the replica/link signal the gray-failure scorer consumes. It
-  // is a decision input, not telemetry, so every build flavour records it. Timeouts carry no
-  // failure detail from the server, so classify by elapsed time — an attempt that consumed the
-  // full timeout budget is a timeout whatever the status text says.
+  // is a decision input, not telemetry. Timeouts carry no failure detail from the server, so
+  // classify by elapsed time — an attempt that consumed the full timeout budget is a timeout
+  // whatever the status text says.
   if (accountant_ != nullptr && attempt.target.valid()) {
     const TimeMicros attempt_latency = sim_->Now() - attempt.sent_at;
     obs::AttemptOutcome attempt_outcome = obs::AttemptOutcome::kOk;
@@ -367,7 +367,7 @@ void ServiceRouter::Finish(uint32_t slot, const Reply& reply) {
     SM_COUNTER_INC("sm.router.requests_failed");
   }
   if (accountant_ != nullptr && attempt.request.shard.valid()) {
-    // The split planner's per-shard demand signal: recorded in every build flavour too.
+    // The split planner's per-shard demand signal.
     accountant_->RecordRequestDone(stripe_, app_slot_, region_index_,
                                    static_cast<int64_t>(attempt.request.shard.value),
                                    outcome.latency, outcome.success);

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/obs/flight_recorder.h"
-#include "src/obs/metrics.h"
 
 namespace shardman {
 
@@ -40,15 +39,15 @@ TimeMicros LatencyModel::Latency(RegionId a, RegionId b) const {
 Network::Network(Simulator* sim, LatencyModel model, uint64_t seed)
     : sim_(sim),
       model_(std::move(model)),
-      rng_(seed),
+      seed_(seed),
       partitioned_(static_cast<size_t>(model_.num_regions()), false),
       blocked_(static_cast<size_t>(model_.num_regions()) *
                    static_cast<size_t>(model_.num_regions()),
                false),
       links_(static_cast<size_t>(model_.num_regions()) *
-             static_cast<size_t>(model_.num_regions())),
-      region_stats_(static_cast<size_t>(model_.num_regions())) {
+             static_cast<size_t>(model_.num_regions())) {
   SM_CHECK(sim != nullptr);
+  lanes_.emplace_back(seed_, static_cast<size_t>(model_.num_regions()));
 }
 
 size_t Network::LinkIndex(RegionId from, RegionId to) const {
@@ -58,13 +57,6 @@ size_t Network::LinkIndex(RegionId from, RegionId to) const {
          static_cast<size_t>(to.value);
 }
 
-RegionNetStats* Network::StatsFor(RegionId region, std::vector<RegionNetStats>& stats) const {
-  if (!region.valid() || region.value >= model_.num_regions()) {
-    return nullptr;
-  }
-  return &stats[static_cast<size_t>(region.value)];
-}
-
 void Network::CheckExclusivePhase() const {
   if (sharded_ != nullptr) {
     SM_CHECK_LT(sharded_->current_shard(), 0);
@@ -72,6 +64,9 @@ void Network::CheckExclusivePhase() const {
 }
 
 Network::Lane& Network::CurrentLane() {
+  if (sharded_ == nullptr) {
+    return lanes_[0];
+  }
   const int shard = sharded_->current_shard();
   return lanes_[static_cast<size_t>(shard < 0 ? sharded_->num_shards() : shard)];
 }
@@ -105,7 +100,7 @@ TimeMicros Network::ShardedLookaheadBound(const LatencyModel& model,
 void Network::EnableShardedMode(ShardedSimulator* sharded, std::vector<int> region_to_shard) {
   SM_CHECK(sharded != nullptr);
   SM_CHECK(sharded_ == nullptr);
-  SM_CHECK_EQ(messages_sent_, 0u);  // must precede all traffic
+  SM_CHECK_EQ(messages_sent(), 0u);  // must precede all traffic
   SM_CHECK_EQ(static_cast<int>(region_to_shard.size()), model_.num_regions());
   for (int shard : region_to_shard) {
     SM_CHECK(shard >= 0 && shard < sharded->num_shards());
@@ -116,11 +111,13 @@ void Network::EnableShardedMode(ShardedSimulator* sharded, std::vector<int> regi
   }
   sharded_ = sharded;
   region_to_shard_ = std::move(region_to_shard);
+  // The per-shard lanes replace the unsharded lane. They fork from the network seed in lane
+  // order: deterministic per seed, independent of which thread later runs each shard.
+  Rng fork(seed_);
+  lanes_.clear();
   lanes_.reserve(static_cast<size_t>(sharded->num_shards()) + 1);
   for (int i = 0; i <= sharded->num_shards(); ++i) {
-    // Forked from the network seed in lane order: deterministic per seed, independent of which
-    // thread later runs each shard.
-    lanes_.emplace_back(rng_.Next(), static_cast<size_t>(model_.num_regions()));
+    lanes_.emplace_back(fork.Next(), static_cast<size_t>(model_.num_regions()));
   }
 }
 
@@ -132,11 +129,18 @@ struct SharedDelivery {
   void operator()() const { (*deliver)(); }
 };
 
+RegionNetStats* StatsFor(RegionId region, std::vector<RegionNetStats>& stats) {
+  if (!region.valid() || static_cast<size_t>(region.value) >= stats.size()) {
+    return nullptr;
+  }
+  return &stats[static_cast<size_t>(region.value)];
+}
+
 }  // namespace
 
-int Network::ShardedSend(RegionId from, RegionId to, SmallFunction deliver) {
+int Network::Send(RegionId from, RegionId to, SmallFunction deliver) {
   Lane& lane = CurrentLane();
-  const int src_shard = sharded_->current_shard();
+  const int src_shard = sharded_ != nullptr ? sharded_->current_shard() : -1;
   const bool link_known = from.valid() && from.value < model_.num_regions() && to.valid() &&
                           to.value < model_.num_regions();
   if (src_shard >= 0) {
@@ -172,19 +176,29 @@ int Network::ShardedSend(RegionId from, RegionId to, SmallFunction deliver) {
   if (quality != nullptr && quality->latency_multiplier != 1.0) {
     base = static_cast<TimeMicros>(static_cast<double>(base) * quality->latency_multiplier);
   }
-  auto jittered = [this, &lane, base]() {
-    double factor = lane.rng.Uniform(1.0 - jitter_fraction_, 1.0 + jitter_fraction_);
+  // Delivery is the one mode-dependent step: the destination shard's queue, or the simulator.
+  int dest_shard = 0;
+  if (sharded_ != nullptr) {
+    dest_shard = link_known ? region_to_shard_[static_cast<size_t>(to.value)]
+                            : std::max(src_shard, 0);
+  }
+  auto schedule = [this, &lane, base, dest_shard](SmallFunction&& fn) {
+    const double factor = lane.rng.Uniform(1.0 - jitter_fraction_, 1.0 + jitter_fraction_);
     TimeMicros delay = static_cast<TimeMicros>(static_cast<double>(base) * factor);
-    return delay < 1 ? 1 : delay;
+    delay = delay < 1 ? 1 : delay;
+    if (sharded_ != nullptr) {
+      sharded_->Send(dest_shard, delay, std::move(fn));
+    } else {
+      sim_->Schedule(delay, std::move(fn));
+    }
   };
-  const int dest_shard = link_known ? region_to_shard_[static_cast<size_t>(to.value)]
-                                    : (src_shard < 0 ? 0 : src_shard);
 
   bool duplicate = quality != nullptr && quality->duplicate_probability > 0.0 &&
                    lane.rng.Bernoulli(quality->duplicate_probability);
   if (duplicate) {
+    // Both copies race with independent jitter, like a retransmit-induced duplicate.
     SharedDelivery shared{std::make_shared<SmallFunction>(std::move(deliver))};
-    sharded_->Send(dest_shard, jittered(), shared);
+    schedule(SmallFunction(shared));
     deliver = std::move(shared);
     ++lane.duplicated;
     if (from_stats != nullptr) {
@@ -194,74 +208,7 @@ int Network::ShardedSend(RegionId from, RegionId to, SmallFunction deliver) {
       ++to_stats->delivered_in;
     }
   }
-  sharded_->Send(dest_shard, jittered(), std::move(deliver));
-  if (to_stats != nullptr) {
-    ++to_stats->delivered_in;
-  }
-  return duplicate ? 2 : 1;
-}
-
-int Network::Send(RegionId from, RegionId to, SmallFunction deliver) {
-  if (sharded_ != nullptr) {
-    // Parallel-safe path: per-lane state only, and no global SM_COUNTER/SM_FLIGHT (the
-    // metrics registry and flight recorder are not thread-safe).
-    return ShardedSend(from, to, std::move(deliver));
-  }
-  ++messages_sent_;
-  SM_COUNTER_INC("sm.net.sent");
-  RegionNetStats* from_stats = StatsFor(from, region_stats_);
-  RegionNetStats* to_stats = StatsFor(to, region_stats_);
-  if (from_stats != nullptr) {
-    ++from_stats->sent;
-  }
-
-  const bool link_known = from.valid() && from.value < model_.num_regions() && to.valid() &&
-                          to.value < model_.num_regions();
-  const LinkQuality* quality = link_known ? &links_[LinkIndex(from, to)] : nullptr;
-  bool drop = IsPartitioned(from) || IsPartitioned(to) ||
-              (link_known && blocked_[LinkIndex(from, to)]);
-  if (!drop && quality != nullptr && quality->loss_probability > 0.0) {
-    drop = rng_.Bernoulli(quality->loss_probability);
-  }
-  if (drop) {
-    ++messages_dropped_;
-    SM_COUNTER_INC("sm.net.dropped");
-    if (from_stats != nullptr) {
-      ++from_stats->dropped_out;
-    }
-    if (to_stats != nullptr) {
-      ++to_stats->dropped_in;
-    }
-    return 0;
-  }
-
-  TimeMicros base = model_.Latency(from, to);
-  if (quality != nullptr && quality->latency_multiplier != 1.0) {
-    base = static_cast<TimeMicros>(static_cast<double>(base) * quality->latency_multiplier);
-  }
-  auto jittered = [this, base]() {
-    double factor = rng_.Uniform(1.0 - jitter_fraction_, 1.0 + jitter_fraction_);
-    TimeMicros delay = static_cast<TimeMicros>(static_cast<double>(base) * factor);
-    return delay < 1 ? 1 : delay;
-  };
-
-  bool duplicate = quality != nullptr && quality->duplicate_probability > 0.0 &&
-                   rng_.Bernoulli(quality->duplicate_probability);
-  if (duplicate) {
-    // Both copies race with independent jitter, like a retransmit-induced duplicate.
-    SharedDelivery shared{std::make_shared<SmallFunction>(std::move(deliver))};
-    sim_->Schedule(jittered(), shared);
-    deliver = std::move(shared);
-    ++messages_duplicated_;
-    SM_COUNTER_INC("sm.net.duplicated");
-    if (from_stats != nullptr) {
-      ++from_stats->duplicated;
-    }
-    if (to_stats != nullptr) {
-      ++to_stats->delivered_in;
-    }
-  }
-  sim_->Schedule(jittered(), std::move(deliver));
+  schedule(std::move(deliver));
   if (to_stats != nullptr) {
     ++to_stats->delivered_in;
   }
@@ -322,7 +269,6 @@ void Network::SetLinkQuality(RegionId from, RegionId to, const LinkQuality& qual
   SM_CHECK_LE(quality.duplicate_probability, 1.0);
   SM_CHECK_GT(quality.latency_multiplier, 0.0);
   links_[LinkIndex(from, to)] = quality;
-#if SHARDMAN_OBS_ENABLED
   if (obs::DefaultFlightRecorder().enabled()) {
     char detail[96];
     std::snprintf(detail, sizeof(detail), "r%d->r%d loss=%.3f dup=%.3f lat_x=%.2f", from.value,
@@ -330,7 +276,6 @@ void Network::SetLinkQuality(RegionId from, RegionId to, const LinkQuality& qual
                   quality.latency_multiplier);
     SM_FLIGHT("net", "set_link_quality", detail);
   }
-#endif
 }
 
 void Network::ResetLink(RegionId from, RegionId to) {
@@ -345,9 +290,6 @@ const LinkQuality& Network::link_quality(RegionId from, RegionId to) const {
 }
 
 uint64_t Network::messages_sent() const {
-  if (sharded_ == nullptr) {
-    return messages_sent_;
-  }
   CheckExclusivePhase();
   uint64_t total = 0;
   for (const Lane& lane : lanes_) {
@@ -357,9 +299,6 @@ uint64_t Network::messages_sent() const {
 }
 
 uint64_t Network::messages_dropped() const {
-  if (sharded_ == nullptr) {
-    return messages_dropped_;
-  }
   CheckExclusivePhase();
   uint64_t total = 0;
   for (const Lane& lane : lanes_) {
@@ -369,9 +308,6 @@ uint64_t Network::messages_dropped() const {
 }
 
 uint64_t Network::messages_duplicated() const {
-  if (sharded_ == nullptr) {
-    return messages_duplicated_;
-  }
   CheckExclusivePhase();
   uint64_t total = 0;
   for (const Lane& lane : lanes_) {
@@ -380,22 +316,19 @@ uint64_t Network::messages_duplicated() const {
   return total;
 }
 
-const RegionNetStats& Network::region_stats(RegionId region) const {
+RegionNetStats Network::region_stats(RegionId region) const {
   SM_CHECK(region.valid() && region.value < model_.num_regions());
-  if (sharded_ == nullptr) {
-    return region_stats_[static_cast<size_t>(region.value)];
-  }
   CheckExclusivePhase();
-  aggregated_stats_ = RegionNetStats{};
+  RegionNetStats total;
   for (const Lane& lane : lanes_) {
     const RegionNetStats& s = lane.region_stats[static_cast<size_t>(region.value)];
-    aggregated_stats_.sent += s.sent;
-    aggregated_stats_.delivered_in += s.delivered_in;
-    aggregated_stats_.dropped_out += s.dropped_out;
-    aggregated_stats_.dropped_in += s.dropped_in;
-    aggregated_stats_.duplicated += s.duplicated;
+    total.sent += s.sent;
+    total.delivered_in += s.delivered_in;
+    total.dropped_out += s.dropped_out;
+    total.dropped_in += s.dropped_in;
+    total.duplicated += s.duplicated;
   }
-  return aggregated_stats_;
+  return total;
 }
 
 }  // namespace shardman

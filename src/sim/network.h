@@ -84,11 +84,10 @@ class Network {
   //   * topology mutators (partitions, blocks, link quality, jitter) and the stats accessors
   //     are exclusive-phase only (schedule faults via ShardedSimulator barrier tasks);
   //   * cross-shard LinkQuality latency multipliers must be >= 1 so no delivery undercuts the
-  //     conservative lookahead bound;
-  //   * global SM_COUNTER/SM_FLIGHT accounting is skipped on the send path (the registry is not
-  //     thread-safe); per-lane counters are aggregated on read instead.
-  // Must be called before any traffic. `sharded->lookahead()` must not exceed
-  // ShardedLookaheadBound for this model/placement/jitter (SM_CHECK enforced).
+  //     conservative lookahead bound.
+  // The send path is the same in both modes; only the final delivery differs (the destination
+  // shard's queue instead of `sim()`). Must be called before any traffic. `sharded->lookahead()`
+  // must not exceed ShardedLookaheadBound for this model/placement/jitter (SM_CHECK enforced).
   void EnableShardedMode(ShardedSimulator* sharded, std::vector<int> region_to_shard);
   bool sharded() const { return sharded_ != nullptr; }
 
@@ -133,15 +132,16 @@ class Network {
 
   // Every Send() attempt counts as sent, whether or not it is later dropped — so
   // messages_sent() >= messages_dropped() holds under any mix of partitions and loss.
-  // In sharded mode these aggregate the per-shard lanes: exclusive-phase only.
+  // These sum the lanes; in sharded mode they are exclusive-phase only.
   uint64_t messages_sent() const;
   uint64_t messages_dropped() const;
   uint64_t messages_duplicated() const;
-  const RegionNetStats& region_stats(RegionId region) const;
+  RegionNetStats region_stats(RegionId region) const;
 
  private:
-  // One per shard plus one for the exclusive phase: everything the send path mutates, so
-  // concurrent windows never share a cache line of mutable state.
+  // Everything the send path mutates. An unsharded network has one lane; sharded mode has one
+  // per shard plus one for the exclusive phase, so concurrent windows never share a cache line
+  // of mutable state.
   struct Lane {
     explicit Lane(uint64_t seed, size_t num_regions) : rng(seed), region_stats(num_regions) {}
     Rng rng;
@@ -152,28 +152,21 @@ class Network {
   };
 
   size_t LinkIndex(RegionId from, RegionId to) const;
-  RegionNetStats* StatsFor(RegionId region, std::vector<RegionNetStats>& stats) const;
-  int ShardedSend(RegionId from, RegionId to, SmallFunction deliver);
   Lane& CurrentLane();
   // SM_CHECKs that no shard window is executing (mutators/stat reads in sharded mode).
   void CheckExclusivePhase() const;
 
   Simulator* sim_;
   LatencyModel model_;
-  Rng rng_;
+  uint64_t seed_;
   double jitter_fraction_ = 0.1;
   std::vector<bool> partitioned_;
   std::vector<bool> blocked_;       // row-major directed from x to
   std::vector<LinkQuality> links_;  // row-major directed from x to
-  std::vector<RegionNetStats> region_stats_;
-  uint64_t messages_sent_ = 0;
-  uint64_t messages_dropped_ = 0;
-  uint64_t messages_duplicated_ = 0;
 
   ShardedSimulator* sharded_ = nullptr;
   std::vector<int> region_to_shard_;
   std::vector<Lane> lanes_;
-  mutable RegionNetStats aggregated_stats_;  // scratch for region_stats() in sharded mode
 };
 
 }  // namespace shardman

@@ -38,7 +38,6 @@ HotspotSim::HotspotSim(HotspotSimConfig config) : config_(config) {
   tb.app = MakeUniformAppSpec(AppId(1), "hotspot", config_.initial_shards,
                               ReplicationStrategy::kPrimaryOnly, 1);
   tb.app.placement.metrics = MetricSet({"cpu"});
-  tb.request_accounting = true;
   tb.accounting_shard_buckets = config_.max_shards;
   tb.server_service_rate = config_.server_service_rate;
   if (config_.server_service_rate > 0.0) {

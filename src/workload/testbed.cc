@@ -70,19 +70,14 @@ Testbed::Testbed(TestbedConfig config)
         &sim_, &topology_, region, static_cast<int32_t>(r) * 1000000 + 1, rng_.Next()));
   }
 
-  if (config_.health_scoring) {
-    config_.request_accounting = true;  // the scorer reads the accountant's windows
-  }
-  if (config_.request_accounting) {
-    obs::RequestAccountingOptions acct;
-    acct.regions = static_cast<int>(config_.regions.size());
-    // Headroom for ScaleOut: server ids are container ids, which grow past the initial fleet.
-    const int initial_servers =
-        config_.servers_per_region * static_cast<int>(config_.regions.size());
-    acct.max_servers = std::max(1024, initial_servers * 4);
-    acct.shard_buckets = std::max(acct.shard_buckets, config_.accounting_shard_buckets);
-    accountant_.Configure(acct);
-  }
+  obs::RequestAccountingOptions acct;
+  acct.regions = static_cast<int>(config_.regions.size());
+  // Headroom for ScaleOut: server ids are container ids, which grow past the initial fleet.
+  const int initial_servers =
+      config_.servers_per_region * static_cast<int>(config_.regions.size());
+  acct.max_servers = std::max(1024, initial_servers * 4);
+  acct.shard_buckets = std::max(acct.shard_buckets, config_.accounting_shard_buckets);
+  accountant_.Configure(acct);
   if (config_.health_scoring) {
     health_scorer_ = std::make_unique<GrayHealthScorer>(&sim_, &accountant_, config_.health);
   }
@@ -311,11 +306,9 @@ std::unique_ptr<ServiceRouter> Testbed::CreateRouter(RegionId region, RouterConf
   auto router = std::make_unique<ServiceRouter>(&sim_, network_.get(), discovery_.get(),
                                                 &registry_, &config_.app, region, config,
                                                 rng_.Next());
-  if (accountant_.configured()) {
-    // Round-robin stripes across routers: concurrent writers (future parallel sim workers)
-    // land on distinct cache-line slabs.
-    router->SetAccounting(&accountant_, next_stripe_++ % accountant_.options().stripes);
-  }
+  // Round-robin stripes across routers: concurrent writers (future parallel sim workers) land
+  // on distinct cache-line slabs.
+  router->SetAccounting(&accountant_, next_stripe_++ % accountant_.options().stripes);
   if (health_scorer_ != nullptr) {
     router->SetDemotionView(health_scorer_->gray_flags(), health_scorer_->gray_flags_size());
   }

@@ -85,9 +85,9 @@ struct TestbedConfig {
   // benchmark program assigns it; deleted with the next change to the benchmark definition.
   bool delta_dissemination = false;
 
-  // Per-request RED accounting (DESIGN.md §12): routers from CreateRouter attach to the
-  // testbed's RequestAccountant (each on its own stripe, round-robin). On by default — it
-  // changes no routing decision and its memory is fixed at Configure time.
+  // Ignored: every testbed configures its RequestAccountant (DESIGN.md §12), and routers from
+  // CreateRouter attach to it, each on its own stripe, round-robin. Kept only because the
+  // benchmark program assigns it; deleted with the next change to the benchmark definition.
   bool request_accounting = true;
   // App-plane shard buckets (rounded up to a power of two). The split/merge planner's
   // per-shard signal is exact only while live shards <= buckets, so hotspot experiments
@@ -95,7 +95,7 @@ struct TestbedConfig {
   int accounting_shard_buckets = 32;
   // Gray-failure health scoring + router demotion. Opt-in: once a replica is flagged the
   // router's pick stream changes, so determinism baselines that predate the scorer stay
-  // byte-identical unless a test asks for it. Implies request_accounting.
+  // byte-identical unless a test asks for it.
   bool health_scoring = false;
   GrayHealthConfig health;
 
@@ -186,7 +186,7 @@ class Testbed {
   ReplicaPeerDirectory& peer_directory() { return peer_directory_; }
   DataBus& data_bus() { return data_bus_; }
 
-  // The testbed-wide RED accountant (unconfigured when request_accounting is off).
+  // The testbed-wide RED accountant.
   obs::RequestAccountant& accounting() { return accountant_; }
   // Null unless health_scoring is on.
   GrayHealthScorer* health_scorer() { return health_scorer_.get(); }

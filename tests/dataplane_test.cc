@@ -63,12 +63,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace shardman {
 namespace {
 
-#if SHARDMAN_OBS_ENABLED
-#define SM_REQUIRE_OBS() ((void)0)
-#else
-#define SM_REQUIRE_OBS() GTEST_SKIP() << "instrumentation compiled out (SHARDMAN_OBS=OFF)"
-#endif
-
 ShardMap MakeMap(AppId app, int64_t version, int shards) {
   ShardMap map;
   map.app = app;
@@ -362,7 +356,6 @@ TEST(RouterFastPath, RouteRoundTripAllocationBudget) {
 // -- Retry accounting --------------------------------------------------------------------------
 
 TEST(RouterRetries, TimedOutAttemptExcludesItsTargetAndCountsRetry) {
-  SM_REQUIRE_OBS();
   TestbedConfig config;
   config.regions = {"r0", "r1"};
   config.servers_per_region = 4;
@@ -478,7 +471,6 @@ DeterminismRun RunSeededScenario(uint64_t seed, int solver_threads) {
 }
 
 TEST(DataplaneDeterminism, SameSeedIsByteIdenticalAcrossRuns) {
-  SM_REQUIRE_OBS();
   DeterminismRun a = RunSeededScenario(31337, 1);
   DeterminismRun b = RunSeededScenario(31337, 1);
   EXPECT_GT(a.probe_succeeded, 0);
@@ -504,7 +496,6 @@ std::string StripSolverExecutionLines(const std::string& text) {
 }
 
 TEST(DataplaneDeterminism, SolverThreadCountDoesNotChangeResults) {
-  SM_REQUIRE_OBS();
   DeterminismRun one = RunSeededScenario(424243, 1);
   DeterminismRun eight = RunSeededScenario(424243, 8);
   EXPECT_GT(one.probe_succeeded, 0);

@@ -34,13 +34,9 @@
 namespace shardman {
 namespace {
 
-#if SHARDMAN_OBS_ENABLED
 int64_t ObsCounter(const char* name) {
   return obs::DefaultMetrics().Snapshot().CounterValue(name);
 }
-#else
-int64_t ObsCounter(const char*) { return 0; }
-#endif
 
 ShardMap MakeMap(AppId app, int64_t version, int shards) {
   ShardMap map;
@@ -375,11 +371,7 @@ TEST(DeltaChurn, FallbackCountMatchesInjectedGapsExactly) {
   EXPECT_EQ(discovery.dropped_deliveries(), 3);
   EXPECT_EQ(discovery.delta_deliveries(), 6);  // A: v2,v5; B: v5; b2: v6,v7,v8
   EXPECT_EQ(discovery.delta_entries_shipped(), 6 * kTouched);
-#if SHARDMAN_OBS_ENABLED
   EXPECT_EQ(ObsCounter("sm.discovery.snapshot_fallbacks") - obs_fallbacks_before, 4);
-#else
-  (void)obs_fallbacks_before;
-#endif
 
   // Everyone converged to the authoritative map despite every kind of gap.
   std::string truth = SerializeShardMap(*discovery.Current(AppId(1)));

@@ -15,15 +15,6 @@
 #include "src/obs/obs.h"
 #include "src/workload/testbed.h"
 
-// Tests below that assert instrumentation *output* (macro writes, testbed lifecycle traces)
-// skip when the tree is configured with -DSHARDMAN_OBS=OFF — the whole point of that flavour
-// is that the macros record nothing. The registry/tracer API tests run in both flavours.
-#if SHARDMAN_OBS_ENABLED
-#define SM_REQUIRE_OBS() ((void)0)
-#else
-#define SM_REQUIRE_OBS() GTEST_SKIP() << "instrumentation compiled out (SHARDMAN_OBS=OFF)"
-#endif
-
 namespace shardman {
 namespace {
 
@@ -192,7 +183,6 @@ TEST(MetricsRegistry, WriteJsonlOneObjectPerLine) {
 }
 
 TEST(MetricsMacros, WriteToDefaultRegistry) {
-  SM_REQUIRE_OBS();
   obs::DefaultMetrics().ResetValues();
   SM_COUNTER_INC("sm.test.macro_counter");
   SM_COUNTER_ADD("sm.test.macro_counter", 4);
@@ -375,7 +365,6 @@ ObsRunResult RunInstrumentedChaos(uint64_t seed) {
 // The determinism contract from trace.h: same seed => byte-identical exported trace. This is
 // the `obs`-labelled ctest referenced by DESIGN.md §7.
 TEST(TraceDeterminism, SameSeedProducesByteIdenticalChromeTrace) {
-  SM_REQUIRE_OBS();
   ObsRunResult a = RunInstrumentedChaos(7001);
   ObsRunResult b = RunInstrumentedChaos(7001);
   EXPECT_GT(a.events.size(), 0u);
@@ -384,7 +373,6 @@ TEST(TraceDeterminism, SameSeedProducesByteIdenticalChromeTrace) {
 }
 
 TEST(TraceDeterminism, DifferentSeedsDiverge) {
-  SM_REQUIRE_OBS();
   ObsRunResult a = RunInstrumentedChaos(7001);
   ObsRunResult b = RunInstrumentedChaos(7002);
   EXPECT_NE(a.trace_json, b.trace_json);
@@ -394,7 +382,6 @@ TEST(TraceDeterminism, DifferentSeedsDiverge) {
 // orchestrator's reaction (a failover/migration op span) begins on the same timeline at or
 // after it.
 TEST(LifecycleTrace, FaultInstantIsFollowedByOrchestratorReaction) {
-  SM_REQUIRE_OBS();
   ObsRunResult run = RunInstrumentedChaos(7003);
   ASSERT_GT(run.injector_faults, 0);
 
@@ -423,7 +410,6 @@ TEST(LifecycleTrace, FaultInstantIsFollowedByOrchestratorReaction) {
 // instants, and the client-visible map application. (TaskControl negotiation is exercised by
 // the upgrade run below — container restarts, not shard moves, are what get negotiated.)
 TEST(LifecycleTrace, AllLifecycleStagesAreRecorded) {
-  SM_REQUIRE_OBS();
   ObsRunResult run = RunInstrumentedChaos(7004);
 
   auto has = [&](const char* category, char phase) {
@@ -511,7 +497,6 @@ ObsRunResult RunInstrumentedUpgrade(uint64_t seed) {
 // the cluster manager proposes a restart and close at approval, with the wait recorded in the
 // approval-delay histogram.
 TEST(LifecycleTrace, UpgradeRecordsTaskControlNegotiation) {
-  SM_REQUIRE_OBS();
   ObsRunResult run = RunInstrumentedUpgrade(8001);
 
   bool begin = false;
@@ -533,7 +518,6 @@ TEST(LifecycleTrace, UpgradeRecordsTaskControlNegotiation) {
 // views must agree on the same run (this is what lets fig17/chaos_availability switch their
 // reporting source without changing semantics).
 TEST(BenchEquivalence, RegistryCountersMatchComponentAccessors) {
-  SM_REQUIRE_OBS();
   ObsRunResult run = RunInstrumentedUpgrade(8002);
 
   EXPECT_GT(run.orch_graceful, 0);  // drained primaries move gracefully during the upgrade
@@ -570,7 +554,6 @@ TEST(BenchEquivalence, RegistryCountersMatchComponentAccessors) {
 // crashes forcing retries and exhausted requests, plus one drain under total delivery loss. A name in this list going to zero means the
 // counter regressed into registered-but-never-incremented.
 TEST(CounterAudit, DeltaDataPlaneCountersAreExercised) {
-  SM_REQUIRE_OBS();
   obs::DefaultMetrics().ResetValues();
   {
     TestbedConfig config = ObsBedConfig(9001);
@@ -634,7 +617,6 @@ TEST(CounterAudit, DeltaDataPlaneCountersAreExercised) {
 // and online reconfiguration must tick elections, lease losses, failovers (with the failover
 // gap histogram), and membership changes.
 TEST(CounterAudit, SmrControlPlaneCountersAreExercised) {
-  SM_REQUIRE_OBS();
   obs::DefaultMetrics().ResetValues();
   {
     TestbedConfig config = ObsBedConfig(9011);
@@ -678,6 +660,19 @@ TEST(CounterAudit, SmrControlPlaneCountersAreExercised) {
   EXPECT_LE(failover_ms->hist_count, snapshot.CounterValue("sm.smr.failovers"));
 }
 
+// -- FlightRecorder ----------------------------------------------------------------------------
+
+TEST(FlightRecorder, StandaloneWriteJsonlCarriesHeaderAndComponent) {
+  obs::FlightRecorder recorder;
+  recorder.set_enabled(true);
+  recorder.Record("net", "drop", "r0->r1");
+  ASSERT_EQ(recorder.Events("net").size(), 1u);
+  std::ostringstream os;
+  recorder.WriteJsonl(os, "test");
+  EXPECT_NE(os.str().find("\"flight_dump\""), std::string::npos);
+  EXPECT_NE(os.str().find("\"component\":\"net\""), std::string::npos);
+}
+
 // -- Flight-recorder dump determinism (ISSUE 7 satellite) --------------------------------------
 
 // One chaos run with the flight recorder live; returns the full JSONL dump. Clear() resets
@@ -709,7 +704,6 @@ std::string RunFlightRecorderChaos(uint64_t seed) {
 // the seed — ring contents, sequence numbers, timestamps, and serialization all ride the sim
 // clock and deterministic event order.
 TEST(FlightDumpDeterminism, SameSeedProducesByteIdenticalDump) {
-  SM_REQUIRE_OBS();
   std::string a = RunFlightRecorderChaos(9101);
   std::string b = RunFlightRecorderChaos(9101);
   EXPECT_NE(a.find("\"flight_dump\""), std::string::npos);
@@ -718,7 +712,6 @@ TEST(FlightDumpDeterminism, SameSeedProducesByteIdenticalDump) {
 }
 
 TEST(FlightDumpDeterminism, DifferentSeedsDiverge) {
-  SM_REQUIRE_OBS();
   EXPECT_NE(RunFlightRecorderChaos(9101), RunFlightRecorderChaos(9102));
 }
 

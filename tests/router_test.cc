@@ -179,16 +179,12 @@ TEST(ServiceRouterTest, DestroyedRouterReceivesNoMaps) {
   ASSERT_NE(router->map(), nullptr);
   router.reset();
 
-#if SHARDMAN_OBS_ENABLED
   const int64_t applied = obs::DefaultMetrics().Snapshot().CounterValue("sm.router.maps_applied");
-#endif
   const int64_t publishes = bed.discovery().publishes();
   bed.orchestrator().DrainServer(bed.servers().front(), true, true, []() {});
   bed.sim().RunFor(Minutes(1));
   EXPECT_GT(bed.discovery().publishes(), publishes);
-#if SHARDMAN_OBS_ENABLED
   EXPECT_EQ(obs::DefaultMetrics().Snapshot().CounterValue("sm.router.maps_applied"), applied);
-#endif
 }
 
 }  // namespace

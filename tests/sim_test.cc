@@ -1,4 +1,4 @@
-// Unit tests for the discrete-event simulator and the simulated network.
+// Unit tests for the discrete-event simulator and the simulated network (plain and sharded).
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 
 #include "src/common/rng.h"
 #include "src/sim/network.h"
+#include "src/sim/sharded_simulator.h"
 #include "src/sim/simulator.h"
 
 namespace shardman {
@@ -337,25 +338,56 @@ TEST(NetworkTest, JitterBoundsDelivery) {
   }
 }
 
-TEST(NetworkTest, PartitionDropsMessages) {
-  Simulator sim;
-  Network net(&sim, LatencyModel(2, Millis(1), Millis(40)), 1);
+// The accounting cases run on a plain network and on a 2-region, 2-shard sharded one (one
+// region per shard, sends from the exclusive phase). Both modes share one send path; only the
+// delivery step differs, so the same bodies must hold in both.
+enum class NetMode { kPlain, kSharded };
+
+struct NetBed {
+  NetBed(NetMode mode, uint64_t seed)
+      : sharded(/*num_shards=*/2, /*threads=*/1, /*lookahead=*/Millis(10)),
+        net(mode == NetMode::kPlain ? &plain : &sharded.shard(0),
+            LatencyModel(2, Millis(1), Millis(40)), seed) {
+    if (mode == NetMode::kSharded) {
+      net.EnableShardedMode(&sharded, {0, 1});
+    }
+  }
+
+  // Delivers everything sent so far.
+  void Run() {
+    if (net.sharded()) {
+      sharded.RunFor(Seconds(1));
+    } else {
+      plain.RunAll();
+    }
+  }
+
+  Simulator plain;
+  ShardedSimulator sharded;
+  Network net;
+};
+
+class NetworkAccountingTest : public ::testing::TestWithParam<NetMode> {};
+
+TEST_P(NetworkAccountingTest, PartitionDropsMessages) {
+  NetBed bed(GetParam(), 1);
+  Network& net = bed.net;
   net.PartitionRegion(RegionId(1));
   int delivered = 0;
   net.Send(RegionId(0), RegionId(1), [&]() { ++delivered; });
   net.Send(RegionId(1), RegionId(0), [&]() { ++delivered; });
-  sim.RunAll();
+  bed.Run();
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(net.messages_dropped(), 2u);
   net.HealRegion(RegionId(1));
   net.Send(RegionId(0), RegionId(1), [&]() { ++delivered; });
-  sim.RunAll();
+  bed.Run();
   EXPECT_EQ(delivered, 1);
 }
 
-TEST(NetworkTest, AsymmetricBlockDropsOneDirectionOnly) {
-  Simulator sim;
-  Network net(&sim, LatencyModel(2, Millis(1), Millis(40)), 1);
+TEST_P(NetworkAccountingTest, AsymmetricBlockDropsOneDirectionOnly) {
+  NetBed bed(GetParam(), 1);
+  Network& net = bed.net;
   net.BlockLink(RegionId(0), RegionId(1));
   EXPECT_TRUE(net.LinkBlocked(RegionId(0), RegionId(1)));
   EXPECT_FALSE(net.LinkBlocked(RegionId(1), RegionId(0)));
@@ -363,7 +395,7 @@ TEST(NetworkTest, AsymmetricBlockDropsOneDirectionOnly) {
   int reverse = 0;
   net.Send(RegionId(0), RegionId(1), [&]() { ++forward; });
   net.Send(RegionId(1), RegionId(0), [&]() { ++reverse; });
-  sim.RunAll();
+  bed.Run();
   EXPECT_EQ(forward, 0);
   EXPECT_EQ(reverse, 1);
   // Accounting: both sends counted, one drop attributed to the right regions.
@@ -375,13 +407,13 @@ TEST(NetworkTest, AsymmetricBlockDropsOneDirectionOnly) {
   EXPECT_EQ(net.region_stats(RegionId(0)).delivered_in, 1u);
   net.UnblockLink(RegionId(0), RegionId(1));
   net.Send(RegionId(0), RegionId(1), [&]() { ++forward; });
-  sim.RunAll();
+  bed.Run();
   EXPECT_EQ(forward, 1);
 }
 
-TEST(NetworkTest, LinkLossDropsAFractionOfMessages) {
-  Simulator sim;
-  Network net(&sim, LatencyModel(2, Millis(1), Millis(40)), 7);
+TEST_P(NetworkAccountingTest, LinkLossDropsAFractionOfMessages) {
+  NetBed bed(GetParam(), 7);
+  Network& net = bed.net;
   LinkQuality lossy;
   lossy.loss_probability = 0.5;
   net.SetLinkQuality(RegionId(0), RegionId(1), lossy);
@@ -390,22 +422,22 @@ TEST(NetworkTest, LinkLossDropsAFractionOfMessages) {
   for (int i = 0; i < kSends; ++i) {
     net.Send(RegionId(0), RegionId(1), [&]() { ++delivered; });
   }
-  sim.RunAll();
+  bed.Run();
   EXPECT_GT(delivered, kSends / 4);
   EXPECT_LT(delivered, 3 * kSends / 4);
   EXPECT_EQ(net.messages_dropped(), static_cast<uint64_t>(kSends - delivered));
   // The reverse direction is untouched.
   int reverse = 0;
   net.Send(RegionId(1), RegionId(0), [&]() { ++reverse; });
-  sim.RunAll();
+  bed.Run();
   EXPECT_EQ(reverse, 1);
   net.ResetLink(RegionId(0), RegionId(1));
   EXPECT_FALSE(net.link_quality(RegionId(0), RegionId(1)).degraded());
 }
 
-TEST(NetworkTest, DuplicationDeliversTwice) {
-  Simulator sim;
-  Network net(&sim, LatencyModel(2, Millis(1), Millis(40)), 1);
+TEST_P(NetworkAccountingTest, DuplicationDeliversTwice) {
+  NetBed bed(GetParam(), 1);
+  Network& net = bed.net;
   LinkQuality dupey;
   dupey.duplicate_probability = 1.0;
   net.SetLinkQuality(RegionId(0), RegionId(1), dupey);
@@ -413,11 +445,35 @@ TEST(NetworkTest, DuplicationDeliversTwice) {
   // Both copies run the one callback; Send reports how many it scheduled.
   EXPECT_EQ(net.Send(RegionId(0), RegionId(1), [&]() { ++delivered; }), 2);
   EXPECT_EQ(net.Send(RegionId(1), RegionId(0), []() {}), 1);
-  sim.RunAll();
+  bed.Run();
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(net.messages_duplicated(), 1u);
   EXPECT_EQ(net.region_stats(RegionId(1)).delivered_in, 2u);
 }
+
+// region_stats returns a value: two regions' stats held at once stay apart. (A reference into
+// one shared scratch record would make both read the region summed last.)
+TEST_P(NetworkAccountingTest, RegionStatsOfTwoRegionsHeldAtOnceDiffer) {
+  NetBed bed(GetParam(), 1);
+  Network& net = bed.net;
+  for (int i = 0; i < 3; ++i) {
+    net.Send(RegionId(0), RegionId(1), []() {});
+  }
+  net.Send(RegionId(1), RegionId(0), []() {});
+  bed.Run();
+  const RegionNetStats& r0 = net.region_stats(RegionId(0));
+  const RegionNetStats& r1 = net.region_stats(RegionId(1));
+  EXPECT_EQ(r0.sent, 3u);
+  EXPECT_EQ(r0.delivered_in, 1u);
+  EXPECT_EQ(r1.sent, 1u);
+  EXPECT_EQ(r1.delivered_in, 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, NetworkAccountingTest,
+                         ::testing::Values(NetMode::kPlain, NetMode::kSharded),
+                         [](const ::testing::TestParamInfo<NetMode>& info) {
+                           return info.param == NetMode::kPlain ? "Plain" : "Sharded";
+                         });
 
 TEST(NetworkTest, LatencyMultiplierScalesDelivery) {
   Simulator sim;
