@@ -1,5 +1,6 @@
 // Shared helpers for the figure-reproduction benchmarks: the ZippyDB-like solver workload of
-// §8.4 (heterogeneous capacities, 20x shard-load spread, three LB metrics) and output helpers.
+// §8.4 (heterogeneous capacities, 20x shard-load spread, three LB metrics), output helpers and
+// the one writer of every BENCH_<bench>.json (BenchJson, DESIGN.md §16).
 
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
@@ -8,10 +9,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -202,6 +206,108 @@ inline std::string HostJson() {
   json += ",\"git_sha\":\"" + sha + "\"}";
   return json;
 }
+
+// Relative drift from the committed baseline that a tolerance gate allows: shared runners are
+// noisy, so wall-clock rates move by this much without a code change.
+inline constexpr double kBenchTolerance = 0.20;
+
+// One gate of a BENCH file: `metric` must sit on the `direction` side ("higher", "lower" or
+// "equal") of `bound` (a JSON literal such as "5" or "true"; empty = none) and, against the
+// baseline file's value of the same key, may drift the wrong way by at most `tolerance`
+// (relative; unset = no comparison). `same_scale` restricts the baseline comparison to runs at
+// equal SM_BENCH_SCALE. A broken `hard` gate fails scripts/check_bench_regression.py; any
+// other is a warning.
+struct BenchGate {
+  std::string metric;
+  const char* direction = "higher";
+  std::optional<double> tolerance;
+  std::string bound;
+  bool hard = false;
+  bool same_scale = false;
+};
+
+// Builds one BENCH_<bench>.json in the shared schema: bench, scale, host, measured{},
+// projected{} and gates[]. Keys name their point ("kill_interval_s=15/success_rate"); a value
+// is a scalar or a {median,min,max,n} record over repeated runs.
+class BenchJson {
+ public:
+  BenchJson(std::string bench, double scale) : bench_(std::move(bench)), scale_(scale) {}
+
+  void Measure(const std::string& key, double value) { measured_.emplace_back(key, Num(value)); }
+  void MeasureFlag(const std::string& key, bool value) {
+    measured_.emplace_back(key, value ? "true" : "false");
+  }
+  void MeasureText(const std::string& key, const std::string& value) {
+    measured_.emplace_back(key, "\"" + value + "\"");
+  }
+  // A {median,min,max,n} record of `samples` (at least one).
+  void MeasureSpread(const std::string& key, std::vector<double> samples) {
+    std::sort(samples.begin(), samples.end());
+    const size_t n = samples.size();
+    const double median = (samples[(n - 1) / 2] + samples[n / 2]) / 2.0;
+    measured_.emplace_back(key, "{\"median\": " + Num(median) + ", \"min\": " +
+                                    Num(samples.front()) + ", \"max\": " + Num(samples.back()) +
+                                    ", \"n\": " + std::to_string(n) + "}");
+  }
+  void Project(const std::string& key, double value) { projected_.emplace_back(key, Num(value)); }
+  void Gate(BenchGate gate) { gates_.push_back(std::move(gate)); }
+  // A hard gate: the measured flag `key` must be true (a determinism or equivalence contract).
+  void Require(const std::string& key) {
+    Gate({.metric = key, .direction = "equal", .bound = "true", .hard = true});
+  }
+
+  // Writes BENCH_<bench>.json into the working directory.
+  void Write() const {
+    std::string json = "{\n  \"bench\": \"" + bench_ + "\",\n  \"scale\": " + Num(scale_) +
+                       ",\n  \"host\": " + HostJson() + ",\n  \"measured\": " +
+                       Object(measured_) + ",\n  \"projected\": " + Object(projected_) +
+                       ",\n  \"gates\": [";
+    for (size_t i = 0; i < gates_.size(); ++i) {
+      const BenchGate& g = gates_[i];
+      json += std::string(i > 0 ? "," : "") + "\n    {\"metric\": \"" + g.metric +
+              "\", \"direction\": \"" + g.direction + "\"";
+      if (g.tolerance.has_value()) {
+        json += ", \"tolerance\": " + Num(*g.tolerance);
+      }
+      if (!g.bound.empty()) {
+        json += ", \"bound\": " + g.bound;
+      }
+      json += std::string(", \"hard\": ") + (g.hard ? "true" : "false");
+      if (g.same_scale) {
+        json += ", \"same_scale\": true";
+      }
+      json += "}";
+    }
+    json += gates_.empty() ? "]\n}\n" : "\n  ]\n}\n";
+    const std::string path = "BENCH_" + bench_ + ".json";
+    std::ofstream(path) << json;
+    std::cout << "\nJSON written to " << path << "\n";
+  }
+
+ private:
+  static std::string Num(double value) {
+    if (!std::isfinite(value)) {
+      return "null";
+    }
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.10g", value);
+    return buf;
+  }
+  static std::string Object(const std::vector<std::pair<std::string, std::string>>& fields) {
+    std::string json = "{";
+    for (size_t i = 0; i < fields.size(); ++i) {
+      json += std::string(i > 0 ? "," : "") + "\n    \"" + fields[i].first + "\": " +
+              fields[i].second;
+    }
+    return json + (fields.empty() ? "}" : "\n  }");
+  }
+
+  std::string bench_;
+  double scale_;
+  std::vector<std::pair<std::string, std::string>> measured_;
+  std::vector<std::pair<std::string, std::string>> projected_;
+  std::vector<BenchGate> gates_;
+};
 
 inline int EnvInt(const char* name, int fallback) {
   const char* env = std::getenv(name);

@@ -12,11 +12,11 @@
 // every size converges to zero violations, and time grows mildly super-linearly with size.
 //
 // A second phase sweeps the parallel portfolio solver (starts=8, fixed eval budget) over
-// thread counts on the mid-size problem and writes BENCH_solver_parallel.json. The sweep
-// doubles as a determinism check: every thread count must produce the identical objective and
-// violation count, or the rows are flagged and the process exits nonzero.
+// thread counts on the mid-size problem and writes BENCH_solver_parallel.json into the working
+// directory (shared schema, DESIGN.md §16). The sweep doubles as a determinism check: every
+// thread count must produce the identical objective and violation count, or the rows are
+// flagged and the process exits nonzero.
 
-#include <fstream>
 #include <iostream>
 
 #include "bench/bench_util.h"
@@ -77,26 +77,29 @@ bool RunParallelSweep(double scale) {
   }
   table.Print(std::cout);
 
-  // Machine-readable sweep for CI artifacts; SM_BENCH_JSON_OUT overrides the output path.
-  const char* json_path = std::getenv("SM_BENCH_JSON_OUT");
-  std::ofstream os(json_path != nullptr ? json_path : "BENCH_solver_parallel.json");
-  os << "{\"experiment\":\"solver_parallel\",\"bench\":\"solver_parallel\",\"scale\":" << scale
-     << ",\"servers\":" << spec.servers
-     << ",\"shards\":" << spec.servers * spec.shards_per_server
-     << ",\"starts\":" << options.starts << ",\"eval_budget\":" << options.eval_budget
-     << ",\"deterministic\":" << (deterministic ? "true" : "false") << ",\"points\":[";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& row = rows[i];
-    os << (i > 0 ? "," : "") << "{\"threads\":" << row.threads
-       << ",\"solve_seconds\":" << row.seconds
-       << ",\"speedup\":" << (row.seconds > 0 ? rows[0].seconds / row.seconds : 0.0)
-       << ",\"objective\":" << row.objective << ",\"violations\":" << row.violations
-       << ",\"evaluations\":" << row.evaluations << ",\"winner_start\":" << row.winner_start
-       << "}";
+  BenchJson json("solver_parallel", scale);
+  json.Measure("servers", spec.servers);
+  json.Measure("shards", spec.servers * spec.shards_per_server);
+  json.Measure("starts", options.starts);
+  json.Measure("eval_budget", options.eval_budget);
+  json.MeasureFlag("deterministic", deterministic);
+  json.Require("deterministic");
+  for (const SweepRow& row : rows) {
+    const std::string point = "threads=" + std::to_string(row.threads) + "/";
+    json.Measure(point + "solve_seconds", row.seconds);
+    json.Measure(point + "speedup", row.seconds > 0 ? rows[0].seconds / row.seconds : 0.0);
+    json.Measure(point + "objective", row.objective);
+    json.Measure(point + "violations", row.violations);
+    json.Measure(point + "evaluations", row.evaluations);
+    json.Measure(point + "winner_start", row.winner_start);
+    // Same scale and seed fix the trajectory: any drift is a solver change whose baseline
+    // needs regenerating.
+    for (const char* metric : {"objective", "violations"}) {
+      json.Gate({.metric = point + metric, .direction = "equal", .tolerance = 0.0,
+                 .same_scale = true});
+    }
   }
-  os << "]}\n";
-  std::cout << "Sweep JSON written to "
-            << (json_path != nullptr ? json_path : "BENCH_solver_parallel.json") << "\n";
+  json.Write();
   if (!deterministic) {
     std::cout << "ERROR: results differ across thread counts — determinism contract broken\n";
   }

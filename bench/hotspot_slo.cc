@@ -16,9 +16,8 @@
 //      must match byte-for-byte. Any divergence prints both reports and exits nonzero.
 //   3. Peak comparison: adaptive vs static failure rate and goodput at the highest intensity.
 //
-// Output: tables on stdout plus a single-line JSON document (SM_HOTSPOT_OUT, default
-// BENCH_hotspot.json) that records the host it ran on. SM_BENCH_SCALE shrinks the flash hold
-// and tail for CI.
+// Output: tables on stdout plus BENCH_hotspot.json in the working directory (shared schema,
+// DESIGN.md §16). SM_BENCH_SCALE shrinks the flash hold and tail for CI.
 //
 // Gate mode: with SM_SIM_THREADS set, runs the peak-intensity adaptive scenario once at that
 // thread count, prints the digest, and writes SM_METRICS_OUT (flat JSONL metrics including
@@ -125,8 +124,8 @@ ScenarioRun RunScenario(const HotspotSimConfig& config, TimeMicros duration) {
   return run;
 }
 
-// Every failure reason that occurred as `<q>CODE<q>:count`, joined by `sep`.
-std::string FailureList(const StatusCounts& failures, const std::string& q, const char* sep) {
+// Every failure reason that occurred as `CODE:count`, space-separated.
+std::string FailureList(const StatusCounts& failures) {
   std::string list;
   for (int i = 0; i < kStatusCodeCount; ++i) {
     const StatusCode code = static_cast<StatusCode>(i);
@@ -134,22 +133,31 @@ std::string FailureList(const StatusCounts& failures, const std::string& q, cons
       continue;
     }
     if (!list.empty()) {
-      list += sep;
+      list += " ";
     }
-    list += q + std::string(StatusCodeName(code)) + q + ":" + std::to_string(failures.count(code));
+    list += std::string(StatusCodeName(code)) + ":" + std::to_string(failures.count(code));
   }
   return list;
 }
 
-// One side's hold-window fields, each name prefixed with `side` ("static" or "adaptive").
-void WriteSideJson(std::ostream& json, const std::string& side, const HotspotTotals& totals) {
+// One side's hold-window metrics, each key `<point><side>_<name>` (side "static" or
+// "adaptive"); failures by reason are keyed `<point><side>_failures/<CODE>`.
+void MeasureSide(BenchJson& json, const std::string& point, const std::string& side,
+                 const HotspotTotals& totals) {
   const SloAccount& hold = totals.hold;
-  json << ",\"" << side << "_hold_p99_ms\":" << FormatDouble(hold.PercentileMs(0.99), 2);
-  json << ",\"" << side << "_hold_p999_ms\":" << FormatDouble(hold.PercentileMs(0.999), 2);
-  json << ",\"" << side << "_failure_rate\":" << FormatDouble(hold.failure_rate(), 6);
-  json << ",\"" << side << "_goodput_per_s\":" << FormatDouble(totals.hold_goodput_per_s, 1);
-  json << ",\"" << side << "_violations\":" << hold.slo_violations;
-  json << ",\"" << side << "_failures\":{" << FailureList(hold.failures, "\"", ",") << "}";
+  const std::string prefix = point + side + "_";
+  json.Measure(prefix + "hold_p99_ms", hold.PercentileMs(0.99));
+  json.Measure(prefix + "hold_p999_ms", hold.PercentileMs(0.999));
+  json.Measure(prefix + "failure_rate", hold.failure_rate());
+  json.Measure(prefix + "goodput_per_s", totals.hold_goodput_per_s);
+  json.Measure(prefix + "violations", hold.slo_violations);
+  for (int i = 0; i < kStatusCodeCount; ++i) {
+    const StatusCode code = static_cast<StatusCode>(i);
+    if (hold.failures.count(code) > 0) {
+      json.Measure(prefix + "failures/" + std::string(StatusCodeName(code)),
+                   hold.failures.count(code));
+    }
+  }
 }
 
 std::string HexDigest(uint64_t digest) {
@@ -226,7 +234,7 @@ int main() {
                        FormatDouble(t.hold.failure_rate(), 4),
                        FormatDouble(t.hold_goodput_per_s, 1),
                        static_cast<int64_t>(t.hold.slo_violations), t.splits, t.merges,
-                       t.active_shards, FailureList(t.hold.failures, "", " "));
+                       t.active_shards, FailureList(t.hold.failures));
   };
   for (const SweepPoint& point : sweep) {
     add_row(point.intensity, "static", point.static_run.totals);
@@ -259,7 +267,7 @@ int main() {
                     ? " — byte-identical across same-seed repeat and sim_threads {1,2,8}\n"
                     : " — DIVERGED, see stderr\n");
 
-  // Phase 3: the peak comparison the regression checker reads.
+  // Phase 3: the peak comparison, gated in the JSON.
   const HotspotTotals& peak_static = sweep.back().static_run.totals;
   const HotspotTotals& peak_adaptive = sweep.back().adaptive_run.totals;
   std::cout << "hold window at intensity " << FormatDouble(peak_intensity, 0)
@@ -268,30 +276,39 @@ int main() {
             << ", goodput static " << FormatDouble(peak_static.hold_goodput_per_s, 1)
             << "/s adaptive " << FormatDouble(peak_adaptive.hold_goodput_per_s, 1) << "/s\n";
 
-  std::ostringstream json;
-  json << "{\"bench\":\"hotspot\",\"host\":" << HostJson() << ",\"scale\":" << scale
-       << ",\"regions\":2,\"servers_per_region\":8,\"initial_shards\":8,\"max_shards\":64"
-       << ",\"requests_per_second\":800,\"server_service_rate\":900"
-       << ",\"virtual_seconds\":" << times.duration() / 1000000
-       << ",\"deterministic\":" << (deterministic ? "true" : "false")
-       << ",\"digest\":\"" << HexDigest(reference.digest) << "\",\"sweep\":[";
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& point = sweep[i];
+  BenchJson json("hotspot", scale);
+  json.Measure("virtual_seconds", times.duration() / 1000000);
+  json.Measure("peak_intensity", peak_intensity);
+  json.MeasureFlag("deterministic", deterministic);
+  json.MeasureText("digest", HexDigest(reference.digest));
+  json.Require("deterministic");
+  for (const SweepPoint& point : sweep) {
     const HotspotTotals& adaptive = point.adaptive_run.totals;
-    json << (i > 0 ? "," : "") << "{\"intensity\":" << FormatDouble(point.intensity, 0);
-    WriteSideJson(json, "static", point.static_run.totals);
-    WriteSideJson(json, "adaptive", adaptive);
-    json << ",\"requests\":" << adaptive.run.sent
-         << ",\"measured_requests\":" << adaptive.hold.sent
-         << ",\"splits\":" << adaptive.splits
-         << ",\"merges\":" << adaptive.merges
-         << ",\"active_shards\":" << adaptive.active_shards << "}";
+    const std::string prefix = "intensity=" + FormatDouble(point.intensity, 0) + "/";
+    MeasureSide(json, prefix, "static", point.static_run.totals);
+    MeasureSide(json, prefix, "adaptive", adaptive);
+    json.Measure(prefix + "requests", adaptive.run.sent);
+    json.Measure(prefix + "measured_requests", adaptive.hold.sent);
+    json.Measure(prefix + "splits", adaptive.splits);
+    json.Measure(prefix + "merges", adaptive.merges);
+    json.Measure(prefix + "active_shards", adaptive.active_shards);
+    // The sweep curve depends on the flash hold, so baselines compare at equal scale only: the
+    // success-only tail must not grow, and a planner that split must keep splitting.
+    json.MeasureFlag(prefix + "adaptive_splits_any", adaptive.splits > 0);
+    json.Gate({.metric = prefix + "adaptive_hold_p999_ms", .direction = "lower",
+               .tolerance = kBenchTolerance, .same_scale = true});
+    json.Gate({.metric = prefix + "adaptive_splits_any", .tolerance = 0.0, .same_scale = true});
   }
-  json << "],\"peak_intensity\":" << FormatDouble(peak_intensity, 0) << "}";
-  std::cout << "\nJSON: " << json.str() << "\n";
-
-  const char* out_path = std::getenv("SM_HOTSPOT_OUT");
-  std::ofstream file(out_path != nullptr ? out_path : "BENCH_hotspot.json");
-  file << json.str() << "\n";
+  // At the peak, adaptive split/merge must beat static sharding on both failure rate and
+  // goodput.
+  json.MeasureFlag("peak/adaptive_failure_rate_below_static",
+                   peak_adaptive.hold.failure_rate() < peak_static.hold.failure_rate());
+  json.MeasureFlag("peak/adaptive_goodput_above_static",
+                   peak_adaptive.hold_goodput_per_s > peak_static.hold_goodput_per_s);
+  json.Gate({.metric = "peak/adaptive_failure_rate_below_static", .direction = "equal",
+             .bound = "true"});
+  json.Gate({.metric = "peak/adaptive_goodput_above_static", .direction = "equal",
+             .bound = "true"});
+  json.Write();
   return deterministic ? 0 : 1;
 }

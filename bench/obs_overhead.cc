@@ -16,7 +16,7 @@
 // exits nonzero if detection misses an intensity, picks allocate, or demotion fails to improve
 // p99 at the highest intensity.
 //
-// Emits one JSON object (stdout + SM_OBS_OUT, default BENCH_obs_overhead.json).
+// Writes BENCH_obs_overhead.json into the working directory (shared schema, DESIGN.md §16).
 // SM_BENCH_SCALE shrinks the wall-clock-bound part 1; part 2 is sim-time and stays full size.
 
 #include <algorithm>
@@ -24,7 +24,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <new>
@@ -351,42 +350,33 @@ struct GrayPoint {
 // ---------------------------------------------------------------------------------------------
 
 void WriteJson(const PickResult& pick, const std::vector<GrayPoint>& curve, bool detected_all,
-               double scale, std::ostream& os) {
-  char buffer[512];
-  std::snprintf(buffer, sizeof(buffer),
-                "{\n"
-                "  \"bench\": \"obs_overhead\",\n"
-                "  \"host\": %s,\n"
-                "  \"scale\": %g,\n"
-                "  \"pick_off_per_sec\": %.0f,\n"
-                "  \"pick_on_per_sec\": %.0f,\n"
-                "  \"pick_overhead_pct\": %.2f,\n"
-                "  \"allocs_per_pick\": %.4f,\n"
-                "  \"red_cell_bytes\": %zu,\n"
-                "  \"accountant_footprint_bytes\": %zu,\n"
-                "  \"gray_points\": [\n",
-                bench::HostJson().c_str(), scale, pick.pick_off_per_sec, pick.pick_on_per_sec,
-                pick.pick_overhead_pct, pick.allocs_per_pick, sizeof(obs::RedCell),
-                pick.accountant_footprint_bytes);
-  os << buffer;
-  for (size_t i = 0; i < curve.size(); ++i) {
-    const GrayPoint& point = curve[i];
-    std::snprintf(buffer, sizeof(buffer),
-                  "    {\"latency_multiplier\": %g, \"loss\": %g, \"detect_ms\": %.0f,"
-                  " \"flagged_replicas\": %d, \"p99_demoted_ms\": %.2f,"
-                  " \"p99_detect_off_ms\": %.2f, \"improvement_x\": %.2f}%s\n",
-                  point.intensity.latency_multiplier, point.intensity.loss,
-                  point.demoted.detect_ms, point.demoted.flagged_replicas,
-                  point.demoted.p99_ms, point.detect_off.p99_ms, point.improvement_x,
-                  i + 1 < curve.size() ? "," : "");
-    os << buffer;
+               double scale) {
+  bench::BenchJson json("obs_overhead", scale);
+  json.Measure("pick_off_per_sec", pick.pick_off_per_sec);
+  json.Measure("pick_on_per_sec", pick.pick_on_per_sec);
+  json.Measure("pick_overhead_pct", pick.pick_overhead_pct);
+  json.Measure("allocs_per_pick", pick.allocs_per_pick);
+  json.Measure("red_cell_bytes", sizeof(obs::RedCell));
+  json.Measure("accountant_footprint_bytes", pick.accountant_footprint_bytes);
+  json.MeasureFlag("detected_all", detected_all);
+  json.Gate({.metric = "pick_overhead_pct", .direction = "lower", .bound = "5"});
+  json.Gate({.metric = "allocs_per_pick", .direction = "lower", .bound = "0", .hard = true});
+  json.Require("detected_all");
+  for (const GrayPoint& point : curve) {
+    char prefix[64];
+    std::snprintf(prefix, sizeof(prefix), "latency_multiplier=%g,loss=%g/",
+                  point.intensity.latency_multiplier, point.intensity.loss);
+    const std::string key = prefix;
+    json.Measure(key + "detect_ms", point.demoted.detect_ms);
+    json.Measure(key + "flagged_replicas", point.demoted.flagged_replicas);
+    json.Measure(key + "p99_demoted_ms", point.demoted.p99_ms);
+    json.Measure(key + "p99_detect_off_ms", point.detect_off.p99_ms);
+    json.Measure(key + "improvement_x", point.improvement_x);
+    json.Gate({.metric = key + "detect_ms", .direction = "lower",
+               .tolerance = bench::kBenchTolerance});
+    json.Gate({.metric = key + "improvement_x", .bound = "1"});
   }
-  std::snprintf(buffer, sizeof(buffer),
-                "  ],\n"
-                "  \"detected_all\": %s\n"
-                "}\n",
-                detected_all ? "true" : "false");
-  os << buffer;
+  json.Write();
 }
 
 int Run() {
@@ -413,12 +403,7 @@ int Run() {
     curve.push_back(point);
   }
 
-  WriteJson(pick, curve, detected_all, scale, std::cout);
-  const char* out_path = std::getenv("SM_OBS_OUT");
-  std::ofstream file(out_path != nullptr ? out_path : "BENCH_obs_overhead.json");
-  if (file) {
-    WriteJson(pick, curve, detected_all, scale, file);
-  }
+  WriteJson(pick, curve, detected_all, scale);
 
   // Hard gates — all deterministic (sim-time or exact counts), so safe to fail CI on:
   int failures = 0;
@@ -437,8 +422,7 @@ int Run() {
                  curve.back().improvement_x);
     ++failures;
   }
-  // The <=5% overhead target is wall-clock and advisory here (checked by
-  // scripts/check_bench_regression.py against the committed baseline).
+  // The <=5% overhead target is wall-clock and advisory here (a gate in the JSON).
   return failures > 0 ? 1 : 0;
 }
 

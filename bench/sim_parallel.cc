@@ -19,17 +19,17 @@
 //      windows. It is a projection, listed under `projected` in the JSON next to the measured
 //      walls; the threads=1 measured wall validates its numerator.
 //
-// Output: tables on stdout plus a single-line JSON document (SM_SIM_OUT, default
-// BENCH_sim_parallel.json). SM_BENCH_SCALE shrinks virtual time for CI; SM_SIM_REPS
-// (default 3) sets how many times each timed configuration repeats — the minimum-wall
-// (least host-contended) run is reported. The JSON records its host (cores, compiler, build
-// type, git sha).
+// Output: tables on stdout plus BENCH_sim_parallel.json in the working directory (shared
+// schema, DESIGN.md §16). SM_BENCH_SCALE shrinks virtual time for CI; SM_SIM_REPS (default 3)
+// sets how many times each timed configuration repeats — every wall is recorded as a
+// {median,min,max,n} record over the reps, and the median run stands for the configuration.
 //
 // Gate mode: with SM_SIM_THREADS set, runs the fleet once at that thread count, prints the
 // digest, and writes SM_METRICS_OUT (flat JSONL metrics incl. the digest gauges) and
 // SM_FLIGHT_OUT (flight-recorder rings: partition/heal events on the sim clock). The CI
 // sim-determinism lane runs this at 1/2/3/8 threads and diffs the dumps byte-for-byte.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -101,21 +101,30 @@ FleetRun RunFleet(const FleetSimConfig& config, TimeMicros virtual_time, bool pr
   return run;
 }
 
-// Wall-clock ratios from single runs are hopelessly noisy on shared hosts (the serial/sharded
-// ratio has been observed to swing ±40% run-to-run under contention). Every measured
-// configuration runs `reps` times and the least-contended (minimum-wall) run is kept; the
+// Wall-clock ratios from single runs are noisy on shared hosts (4-thread walls of one build
+// have spread 358-1441 ms), so every measured configuration runs `reps` times. The run with
+// the median wall stands for the configuration and `walls_ms` keeps every rep's wall; the
 // digest must agree across reps — it is a pure function of (config, seed).
-FleetRun RunFleetBest(const FleetSimConfig& config, TimeMicros virtual_time, bool profile,
-                      int reps) {
-  FleetRun best = RunFleet(config, virtual_time, profile);
-  for (int r = 1; r < reps; ++r) {
-    FleetRun run = RunFleet(config, virtual_time, profile);
-    SM_CHECK_EQ(run.digest, best.digest);
-    if (run.wall_ms < best.wall_ms) {
-      best = std::move(run);
-    }
+struct FleetReps {
+  FleetRun median;
+  std::vector<double> walls_ms;
+};
+
+FleetReps RunFleetReps(const FleetSimConfig& config, TimeMicros virtual_time, bool profile,
+                       int reps) {
+  std::vector<FleetRun> runs;
+  for (int r = 0; r < reps; ++r) {
+    runs.push_back(RunFleet(config, virtual_time, profile));
+    SM_CHECK_EQ(runs.back().digest, runs.front().digest);
   }
-  return best;
+  std::sort(runs.begin(), runs.end(),
+            [](const FleetRun& a, const FleetRun& b) { return a.wall_ms < b.wall_ms; });
+  FleetReps result;
+  for (const FleetRun& run : runs) {
+    result.walls_ms.push_back(run.wall_ms);
+  }
+  result.median = std::move(runs[(runs.size() - 1) / 2]);
+  return result;
 }
 
 std::string HexDigest(uint64_t digest) {
@@ -179,43 +188,43 @@ int main() {
               "DESIGN.md §13 — conservative-window sharded simulator; determinism across "
               "thread counts is the acceptance gate");
 
-  const std::string host = HostJson();
   std::cout << "fleet: 24 regions x (50 servers + 20 clients), 8 shards, "
-            << virtual_time / 1000000 << "s virtual, host=" << host << "\n\n";
+            << virtual_time / 1000000 << "s virtual, host=" << HostJson() << "\n\n";
 
   const int reps = std::max(1, static_cast<int>(EnvInt("SM_SIM_REPS", 3)));
   // Phase 1: serial baseline — the identical fleet on the classic single-shard loop, timed
   // before any sharded run has touched the process.
-  const FleetRun serial = RunFleetBest(MakeFleetConfig(/*shards=*/1, /*threads=*/1),
-                                       virtual_time, /*profile=*/false, reps);
+  const FleetReps serial_reps = RunFleetReps(MakeFleetConfig(/*shards=*/1, /*threads=*/1),
+                                             virtual_time, /*profile=*/false, reps);
+  const FleetRun& serial = serial_reps.median;
 
   // Phase 2: determinism gate across thread counts.
   const std::vector<int> kThreads = {1, 2, 4, 8};
-  std::vector<FleetRun> gate_runs;
+  std::vector<FleetReps> gate_reps;
   for (int threads : kThreads) {
     FleetSimConfig config = MakeFleetConfig(/*shards=*/8, threads);
-    // Every gate run is also a measured point of the scaling curve, so each gets the
-    // de-noising reps; the threads=1 run doubles as the profiled projection run.
-    gate_runs.push_back(RunFleetBest(config, virtual_time, /*profile=*/threads == 1, reps));
+    // Every gate run is also a measured point of the scaling curve, so each gets the reps;
+    // the threads=1 run doubles as the profiled projection run.
+    gate_reps.push_back(RunFleetReps(config, virtual_time, /*profile=*/threads == 1, reps));
   }
   bool deterministic = true;
-  for (size_t i = 1; i < gate_runs.size(); ++i) {
-    if (gate_runs[i].digest != gate_runs[0].digest ||
-        gate_runs[i].report != gate_runs[0].report) {
+  for (size_t i = 1; i < gate_reps.size(); ++i) {
+    if (gate_reps[i].median.digest != gate_reps[0].median.digest ||
+        gate_reps[i].median.report != gate_reps[0].median.report) {
       deterministic = false;
       std::cerr << "FATAL: threads=" << kThreads[i] << " diverged from threads=1\n"
                 << "--- threads=1 ---\n"
-                << gate_runs[0].report << "--- threads=" << kThreads[i] << " ---\n"
-                << gate_runs[i].report;
+                << gate_reps[0].median.report << "--- threads=" << kThreads[i] << " ---\n"
+                << gate_reps[i].median.report;
     }
   }
   TablePrinter gate({"threads", "digest", "events", "completed", "wall_ms", "speedup_x"});
-  for (size_t i = 0; i < gate_runs.size(); ++i) {
-    gate.AddRowValues(kThreads[i], HexDigest(gate_runs[i].digest),
-                      static_cast<int64_t>(gate_runs[i].events),
-                      static_cast<int64_t>(gate_runs[i].totals.completed),
-                      FormatDouble(gate_runs[i].wall_ms, 1),
-                      FormatDouble(gate_runs[0].wall_ms / gate_runs[i].wall_ms, 2));
+  for (size_t i = 0; i < gate_reps.size(); ++i) {
+    gate.AddRowValues(kThreads[i], HexDigest(gate_reps[i].median.digest),
+                      static_cast<int64_t>(gate_reps[i].median.events),
+                      static_cast<int64_t>(gate_reps[i].median.totals.completed),
+                      FormatDouble(gate_reps[i].median.wall_ms, 1),
+                      FormatDouble(gate_reps[0].median.wall_ms / gate_reps[i].median.wall_ms, 2));
   }
   gate.Print(std::cout);
   std::cout << (deterministic ? "deterministic: byte-identical digests across {1,2,4,8} threads\n"
@@ -224,7 +233,7 @@ int main() {
     return 1;
   }
 
-  const FleetRun& sharded = gate_runs[0];  // threads=1, profiled
+  const FleetRun& sharded = gate_reps[0].median;  // threads=1, profiled
 
   // Phase 3: critical-path scaling projection from the profiled window breakdown.
   const double projected_1t = ProjectNs(sharded.profiles, 1);
@@ -275,36 +284,32 @@ int main() {
   std::cout << "cross-shard: " << sharded.cross_messages << " messages, "
             << sharded.cross_cancels << " cancels, " << sharded.windows << " windows\n";
 
-  std::ostringstream json;
-  json << "{\"bench\":\"sim_parallel\",\"scale\":" << scale << ",\"host\":" << host
-       << ",\"regions\":24,\"servers_per_region\":50,\"clients_per_region\":20"
-       << ",\"sim_shards\":8,\"virtual_seconds\":" << virtual_time / 1000000
-       << ",\"deterministic\":" << (deterministic ? "true" : "false")
-       << ",\"digest\":\"" << HexDigest(sharded.digest) << "\""
-       << ",\"serial_wall_ms\":" << FormatDouble(serial.wall_ms, 1)
-       << ",\"serial_events\":" << serial.events
-       << ",\"serial_events_per_sec\":" << FormatDouble(serial_eps, 0)
-       << ",\"sharded_wall_ms_1t\":" << FormatDouble(sharded.wall_ms, 1)
-       << ",\"sharded_events\":" << sharded.events << ",\"windows\":" << sharded.windows
-       << ",\"cross_shard_messages\":" << sharded.cross_messages
-       << ",\"cross_shard_cancels\":" << sharded.cross_cancels << ",\"measured_wall_ms\":{";
-  for (size_t i = 0; i < gate_runs.size(); ++i) {
-    json << (i > 0 ? "," : "") << "\"" << kThreads[i]
-         << "\":" << FormatDouble(gate_runs[i].wall_ms, 1);
+  BenchJson json("sim_parallel", scale);
+  json.MeasureFlag("deterministic", deterministic);
+  json.MeasureText("digest", HexDigest(sharded.digest));
+  json.MeasureSpread("serial_wall_ms", serial_reps.walls_ms);
+  json.Measure("serial_events", serial.events);
+  json.Measure("serial_events_per_sec", serial_eps);
+  json.Measure("sharded_events", sharded.events);
+  json.Measure("windows", sharded.windows);
+  json.Measure("cross_shard_messages", sharded.cross_messages);
+  json.Measure("cross_shard_cancels", sharded.cross_cancels);
+  for (size_t i = 0; i < gate_reps.size(); ++i) {
+    json.MeasureSpread("threads=" + std::to_string(kThreads[i]) + "/wall_ms",
+                       gate_reps[i].walls_ms);
   }
   // Critical-path projections from the threads=1 window profiles, not wall measurements.
-  json << "},\"projected\":[\"projection\",\"speedup_8t_x\",\"fleet_size_x\"],\"projection\":[";
-  for (size_t i = 0; i < points.size(); ++i) {
-    json << (i > 0 ? "," : "") << "{\"threads\":" << points[i].threads
-         << ",\"speedup_x\":" << FormatDouble(points[i].speedup, 2)
-         << ",\"events_per_sec\":" << FormatDouble(points[i].events_per_sec, 0) << "}";
+  for (const Point& point : points) {
+    const std::string prefix = "threads=" + std::to_string(point.threads) + "/";
+    json.Project(prefix + "speedup_x", point.speedup);
+    json.Project(prefix + "events_per_sec", point.events_per_sec);
   }
-  json << "],\"speedup_8t_x\":" << FormatDouble(speedup_8t, 2)
-       << ",\"fleet_size_x\":" << FormatDouble(fleet_size_x, 2) << "}";
-  std::cout << "\nJSON: " << json.str() << "\n";
-
-  const char* out_path = std::getenv("SM_SIM_OUT");
-  std::ofstream file(out_path != nullptr ? out_path : "BENCH_sim_parallel.json");
-  file << json.str() << "\n";
+  json.Project("speedup_8t_x", speedup_8t);
+  json.Project("fleet_size_x", fleet_size_x);
+  json.Require("deterministic");
+  json.Gate({.metric = "speedup_8t_x", .tolerance = kBenchTolerance});
+  json.Gate({.metric = "fleet_size_x", .tolerance = kBenchTolerance, .bound = "5"});
+  json.Gate({.metric = "serial_events_per_sec", .tolerance = kBenchTolerance});
+  json.Write();
   return 0;
 }

@@ -6,12 +6,11 @@
 // Each level runs the identical testbed + probe with only the kill clock changed; level 0
 // kills no leaders (the ceiling). Every level runs TWICE with the same seed and the two
 // fingerprints must match byte-for-byte — the bench exits nonzero on divergence, making it a
-// determinism gate as well as a perf curve. Output ends with a single-line JSON document
-// (stdout + SM_SMR_OUT, default BENCH_smr_failover.json) for plotting/CI ingestion.
+// determinism gate as well as a perf curve. Writes BENCH_smr_failover.json into the working
+// directory (shared schema, DESIGN.md §16).
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -164,25 +163,28 @@ int main() {
   }
   table.Print(std::cout);
 
-  std::ostringstream json;
-  json << "{\"bench\":\"smr_failover\",\"scale\":" << scale
-       << ",\"deterministic\":" << (deterministic ? "true" : "false") << ",\"points\":[";
-  for (size_t i = 0; i < curve.size(); ++i) {
-    const LevelResult& p = curve[i];
-    json << (i > 0 ? "," : "") << "{\"kill_interval_s\":" << p.kill_interval_s
-         << ",\"kills\":" << p.kills << ",\"failovers\":" << p.failovers
-         << ",\"final_epoch\":" << p.final_epoch
-         << ",\"mean_leaderless_ms\":" << p.mean_leaderless_ms
-         << ",\"max_leaderless_ms\":" << p.max_leaderless_ms << ",\"requests\":" << p.requests
-         << ",\"requests_lost\":" << p.requests_lost << ",\"success_rate\":" << p.success_rate
-         << ",\"violations\":" << p.violations << "}";
+  BenchJson json("smr_failover", scale);
+  json.MeasureFlag("deterministic", deterministic);
+  json.Require("deterministic");
+  for (const LevelResult& p : curve) {
+    const std::string point = "kill_interval_s=" + FormatDouble(p.kill_interval_s, 0) + "/";
+    json.Measure(point + "kills", p.kills);
+    json.Measure(point + "failovers", p.failovers);
+    json.Measure(point + "final_epoch", p.final_epoch);
+    json.Measure(point + "mean_leaderless_ms", p.mean_leaderless_ms);
+    json.Measure(point + "max_leaderless_ms", p.max_leaderless_ms);
+    json.Measure(point + "requests", p.requests);
+    json.Measure(point + "requests_lost", p.requests_lost);
+    json.Measure(point + "success_rate", p.success_rate);
+    json.Measure(point + "violations", p.violations);
+    json.Gate({.metric = point + "success_rate", .tolerance = kBenchTolerance});
+    json.Gate({.metric = point + "mean_leaderless_ms", .direction = "lower",
+               .tolerance = kBenchTolerance});
+    json.Gate({.metric = point + "max_leaderless_ms", .direction = "lower",
+               .tolerance = kBenchTolerance});
+    json.Gate({.metric = point + "violations", .direction = "lower", .bound = "0"});
   }
-  json << "]}";
-  std::cout << "\nJSON: " << json.str() << "\n";
-
-  const char* out_path = std::getenv("SM_SMR_OUT");
-  std::ofstream file(out_path != nullptr ? out_path : "BENCH_smr_failover.json");
-  file << json.str() << "\n";
+  json.Write();
 
   if (!deterministic) {
     std::cerr << "\nFAIL: same-seed replay diverged — the failover path is nondeterministic.\n";

@@ -15,13 +15,10 @@
 // The second phase re-runs each mode at one budget across threads {1, 2, 8} and requires the
 // final assignment to be byte-identical at every thread count; any divergence exits nonzero.
 //
-// Output: BENCH_solver_scale.json (override path via SM_BENCH_JSON_OUT; shrink via
-// SM_BENCH_SCALE).
+// Output: BENCH_solver_scale.json in the working directory (shared schema, DESIGN.md §16);
+// shrink via SM_BENCH_SCALE.
 
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "bench/bench_util.h"
 
@@ -194,32 +191,38 @@ int main() {
   deterministic &= ThreadIdentity("cold", cold_base, rb, cold_proto, cold_budgets.front());
   deterministic &= ThreadIdentity("warm", warm_base, rb, warm_proto, warm_budgets[1]);
 
-  const char* json_path = std::getenv("SM_BENCH_JSON_OUT");
-  std::string out_path = json_path != nullptr ? json_path : "BENCH_solver_scale.json";
-  std::ofstream os(out_path);
-  os << "{\"experiment\":\"solver_scale\",\"bench\":\"solver_scale\",\"scale\":" << scale
-     << ",\"servers\":" << spec.servers << ",\"shards\":" << shards
-     << ",\"target_violations\":" << target
-     << ",\"warm_base_violations\":" << warm_base_violations
-     << ",\"deterministic\":" << (deterministic ? "true" : "false")
-     << ",\"ratio_cold_over_warm\":" << ratio_warm
-     << ",\"ratio_is_lower_bound\":" << (ratio_is_lower_bound ? "true" : "false") << ",\"modes\":[";
-  const ModeResult* modes[] = {&cold, &warm};
-  for (size_t m = 0; m < 2; ++m) {
-    const ModeResult& mode = *modes[m];
-    os << (m > 0 ? "," : "") << "{\"mode\":\"" << mode.mode
-       << "\",\"evals_to_convergence\":" << mode.evals_to_convergence << ",\"points\":[";
-    for (size_t i = 0; i < mode.points.size(); ++i) {
-      const BudgetPoint& p = mode.points[i];
-      os << (i > 0 ? "," : "") << "{\"budget\":" << p.budget << ",\"evaluations\":" << p.evaluations
-         << ",\"violations\":" << p.violations << ",\"moves\":" << p.moves
-         << ",\"seconds\":" << p.seconds << ",\"converged\":" << (p.converged ? "true" : "false")
-         << "}";
+  BenchJson json("solver_scale", scale);
+  json.Measure("servers", spec.servers);
+  json.Measure("shards", shards);
+  json.Measure("target_violations", target);
+  json.Measure("warm_base_violations", warm_base_violations);
+  json.MeasureFlag("deterministic", deterministic);
+  json.Measure("ratio_cold_over_warm", ratio_warm);
+  json.MeasureFlag("ratio_is_lower_bound", ratio_is_lower_bound);
+  json.Require("deterministic");
+  // Evals-to-convergence depend on the problem size, so baselines compare at equal scale only;
+  // the 5x floor holds at every scale.
+  json.Gate({.metric = "ratio_cold_over_warm", .tolerance = kBenchTolerance, .bound = "5",
+             .same_scale = true});
+  for (const ModeResult* mode : {&cold, &warm}) {
+    const std::string prefix = "mode=" + mode->mode + "/";
+    json.Measure(prefix + "evals_to_convergence", mode->evals_to_convergence);
+    for (const BudgetPoint& p : mode->points) {
+      const std::string point = prefix + "budget=" + std::to_string(p.budget) + "/";
+      json.Measure(point + "evaluations", p.evaluations);
+      json.Measure(point + "violations", p.violations);
+      json.Measure(point + "moves", p.moves);
+      json.Measure(point + "seconds", p.seconds);
+      json.MeasureFlag(point + "converged", p.converged);
     }
-    os << "]}";
+    // Only a converged mode carries this gate, so a baseline mode that converged and a fresh
+    // one that no longer does shows up as a dropped gate.
+    if (mode->evals_to_convergence >= 0) {
+      json.Gate({.metric = prefix + "evals_to_convergence", .direction = "lower",
+                 .tolerance = kBenchTolerance, .same_scale = true});
+    }
   }
-  os << "]}\n";
-  std::cout << "JSON written to " << out_path << "\n";
+  json.Write();
 
   if (!deterministic) {
     std::cout << "ERROR: assignments differ across thread counts — determinism contract broken\n";

@@ -10,17 +10,14 @@ namespace shardman {
 
 namespace {
 
-// Window width for sim_shards > 1: explicit knob, else 90% of the wide-area latency — the
-// worst-case downward jitter at the default 0.1 jitter fraction keeps cross-region deliveries
-// beyond the window (DESIGN.md §13).
+// Window width for sim_shards > 1: 90% of the wide-area latency — the worst-case downward
+// jitter at the default 0.1 jitter fraction keeps cross-region deliveries beyond the window
+// (DESIGN.md §13).
 TimeMicros TestbedLookahead(const TestbedConfig& config) {
   if (config.sim_shards <= 1) {
     return 0;
   }
-  TimeMicros lookahead =
-      config.sim_lookahead > 0
-          ? config.sim_lookahead
-          : static_cast<TimeMicros>(static_cast<double>(config.wide_latency) * 0.9);
+  TimeMicros lookahead = static_cast<TimeMicros>(static_cast<double>(config.wide_latency) * 0.9);
   return lookahead < 1 ? 1 : lookahead;
 }
 
@@ -78,9 +75,6 @@ Testbed::Testbed(TestbedConfig config)
   acct.max_servers = std::max(1024, initial_servers * 4);
   acct.shard_buckets = std::max(acct.shard_buckets, config_.accounting_shard_buckets);
   accountant_.Configure(acct);
-  if (config_.health_scoring) {
-    health_scorer_ = std::make_unique<GrayHealthScorer>(&sim_, &accountant_, config_.health);
-  }
 }
 
 Testbed::~Testbed() { ExchangeSimTimeSource(std::move(prev_time_source_)); }
@@ -172,10 +166,6 @@ void Testbed::CreateServer(ClusterManager& cm, ContainerId container) {
 void Testbed::Start() {
   SM_CHECK(!started_);
   started_ = true;
-
-  if (health_scorer_ != nullptr) {
-    health_scorer_->Start();
-  }
 
   // Create jobs and application servers in every region.
   for (auto& cm : cluster_managers_) {
@@ -309,9 +299,6 @@ std::unique_ptr<ServiceRouter> Testbed::CreateRouter(RegionId region, RouterConf
   // Round-robin stripes across routers: concurrent writers (future parallel sim workers) land
   // on distinct cache-line slabs.
   router->SetAccounting(&accountant_, next_stripe_++ % accountant_.options().stripes);
-  if (health_scorer_ != nullptr) {
-    router->SetDemotionView(health_scorer_->gray_flags(), health_scorer_->gray_flags_size());
-  }
   return router;
 }
 

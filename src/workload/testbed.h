@@ -26,7 +26,6 @@
 #include "src/coord/coord_store.h"
 #include "src/core/sm_library.h"
 #include "src/obs/request_accounting.h"
-#include "src/routing/gray_health.h"
 #include "src/routing/service_router.h"
 #include "src/sim/network.h"
 #include "src/sim/sharded_simulator.h"
@@ -93,23 +92,15 @@ struct TestbedConfig {
   // per-shard signal is exact only while live shards <= buckets, so hotspot experiments
   // raise this to their max_shards.
   int accounting_shard_buckets = 32;
-  // Gray-failure health scoring + router demotion. Opt-in: once a replica is flagged the
-  // router's pick stream changes, so determinism baselines that predate the scorer stay
-  // byte-identical unless a test asks for it.
-  bool health_scoring = false;
-  GrayHealthConfig health;
 
   // Sharded-simulation substrate (DESIGN.md §13). The testbed runs on a ShardedSimulator;
   // every existing component schedules on shard 0 (the control shard), so with the default
   // sim_shards == 1 behavior is bit-identical to the historical single Simulator. Raising
   // sim_shards gives workload drivers (FleetSim, chaos soaks) spare shards synchronized by
   // conservative windows; sim_threads bounds the threads that run them (shard 0 always runs
-  // on the thread that calls RunUntil).
+  // on the thread that calls RunUntil). The conservative window is 90% of wide_latency.
   int sim_shards = 1;
   int sim_threads = 1;
-  // Conservative window width. 0 = auto: 90% of wide_latency (the worst-case downward jitter
-  // at the default 0.1 jitter fraction). Only consulted when sim_shards > 1.
-  TimeMicros sim_lookahead = 0;
 
   uint64_t seed = 42;
 };
@@ -188,8 +179,6 @@ class Testbed {
 
   // The testbed-wide RED accountant.
   obs::RequestAccountant& accounting() { return accountant_; }
-  // Null unless health_scoring is on.
-  GrayHealthScorer* health_scorer() { return health_scorer_.get(); }
 
  private:
   struct ServerSlot {
@@ -214,10 +203,8 @@ class Testbed {
   std::unordered_map<int32_t, ServerSlot> server_slots_;
   ReplicaPeerDirectory peer_directory_;
   DataBus data_bus_;
-  // Declared after sim_ so the scorer (whose destructor cancels its tick on sim_) and the
-  // accountant (whose cells routers reference) are destroyed first.
+  // Declared after sim_ so the accountant (whose cells routers reference) is destroyed first.
   obs::RequestAccountant accountant_;
-  std::unique_ptr<GrayHealthScorer> health_scorer_;
   int next_stripe_ = 0;
   Rng rng_;
   bool started_ = false;
