@@ -1,8 +1,9 @@
 // Chaos availability curve: client-observed request success rate and tail latency as a
 // function of fault intensity (mean fault interarrival), produced by the seeded FaultInjector
-// against a three-region primary-secondary deployment.
+// against a three-region primary-secondary deployment. Client traffic is a 40 rps open-loop
+// Poisson source; every number about it comes from the source's SLO recorder.
 //
-// Each intensity level runs the identical testbed + probe with only the chaos clock changed;
+// Each intensity level runs the identical testbed + source with only the chaos clock changed;
 // level 0 injects no faults (the availability ceiling). Output ends with a single-line JSON
 // document for plotting/CI ingestion.
 
@@ -16,6 +17,7 @@
 #include "src/chaos/fault_injector.h"
 #include "src/chaos/invariant_checker.h"
 #include "src/obs/obs.h"
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 using namespace shardman;
@@ -25,9 +27,8 @@ namespace {
 
 struct CurvePoint {
   double mean_fault_interval_s = 0.0;  // 0 = no faults
-  double success_rate = 1.0;
-  double worst_p99_ms = 0.0;
-  int64_t requests = 0;
+  SloAccount clients;                  // the whole run
+  double worst_p99_ms = 0.0;           // over 10 s intervals
   int64_t faults = 0;
   int64_t violations = 0;
 };
@@ -54,14 +55,14 @@ CurvePoint RunLevel(double mean_fault_interval_s, TimeMicros churn) {
   Testbed bed(config);
   bed.Start();
   SM_CHECK(bed.RunUntilAllReady(Minutes(5)));
-  bed.sim().RunFor(Minutes(1));
+  bed.sharded_sim().RunFor(Minutes(1));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 40;
-  probe_config.interval = Seconds(10);
-  probe_config.seed = 405;
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 40;
+  traffic.interval = Seconds(10);
+  traffic.seed = 405;
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
 
   InvariantChecker checker(&bed);
   checker.Start();
@@ -76,27 +77,23 @@ CurvePoint RunLevel(double mean_fault_interval_s, TimeMicros churn) {
     chaos.seed = 406;
     FaultInjector injector(&bed, chaos, &checker);
     injector.Start();
-    bed.sim().RunFor(churn);
+    bed.sharded_sim().RunFor(churn);
     injector.Stop();
-    bed.sim().RunFor(Minutes(2));  // active faults heal before measurement closes
+    bed.sharded_sim().RunFor(Minutes(2));  // active faults heal before measurement closes
   } else {
-    bed.sim().RunFor(churn + Minutes(2));
+    bed.sharded_sim().RunFor(churn + Minutes(2));
   }
   checker.Stop();
-  probe.Stop();
+  SM_CHECK(source.Drain(Minutes(1)));
 
-  // All reported numbers come from the telemetry registry; the component accessors
+  // Fault and violation counts come from the telemetry registry; the component accessors
   // (injector.faults_injected() etc.) remain for tests and must agree by construction.
   obs::MetricsSnapshot snapshot = obs::DefaultMetrics().Snapshot();
   point.faults = snapshot.CounterValue("sm.chaos.faults_injected");
   point.violations = snapshot.CounterValue("sm.chaos.invariant_violations");
-  point.requests = snapshot.CounterValue("sm.probe.sent");
-  int64_t ok = snapshot.CounterValue("sm.probe.succeeded");
-  int64_t failed = snapshot.CounterValue("sm.probe.failed");
-  point.success_rate =
-      ok + failed > 0 ? static_cast<double>(ok) / static_cast<double>(ok + failed) : 1.0;
-  for (const ProbePoint& p : probe.series()) {
-    point.worst_p99_ms = std::max(point.worst_p99_ms, p.p99_latency_ms);
+  point.clients = source.totals();
+  for (const SloAccount& interval : source.recorder().series()) {
+    point.worst_p99_ms = std::max(point.worst_p99_ms, interval.PercentileMs(0.99));
   }
   return point;
 }
@@ -121,27 +118,34 @@ int main() {
   }
 
   std::vector<CurvePoint> curve;
-  TablePrinter table(
-      {"mean_fault_interval_s", "success_rate", "worst_p99_ms", "requests", "faults",
-       "violations"});
+  TablePrinter table({"mean_fault_interval_s", "success_rate", "worst_p99_ms", "p99.9_ms",
+                      "slo_attainment", "requests", "failed", "faults", "violations"});
   for (double level : levels) {
     CurvePoint point = RunLevel(level, churn);
     curve.push_back(point);
+    const SloAccount& clients = point.clients;
     table.AddRowValues(level == 0.0 ? std::string("none") : FormatDouble(level, 0),
-                       FormatDouble(point.success_rate, 4), FormatDouble(point.worst_p99_ms, 1),
-                       point.requests, point.faults, point.violations);
+                       FormatDouble(clients.success_rate(), 4),
+                       FormatDouble(point.worst_p99_ms, 1),
+                       FormatDouble(clients.PercentileMs(0.999), 1),
+                       FormatDouble(clients.slo_attainment(), 4), clients.sent, clients.failed(),
+                       point.faults, point.violations);
   }
   table.Print(std::cout);
 
   std::cout << "\nJSON: {\"experiment\":\"chaos_availability\",\"points\":[";
   for (size_t i = 0; i < curve.size(); ++i) {
     const CurvePoint& p = curve[i];
+    const SloAccount& clients = p.clients;
     std::cout << (i > 0 ? "," : "") << "{\"mean_fault_interval_s\":" << p.mean_fault_interval_s
               << ",\"intensity\":"
               << (p.mean_fault_interval_s > 0.0 ? 1.0 / p.mean_fault_interval_s : 0.0)
-              << ",\"success_rate\":" << p.success_rate << ",\"worst_p99_ms\":" << p.worst_p99_ms
-              << ",\"requests\":" << p.requests << ",\"faults\":" << p.faults
-              << ",\"violations\":" << p.violations << "}";
+              << ",\"success_rate\":" << clients.success_rate()
+              << ",\"worst_p99_ms\":" << p.worst_p99_ms
+              << ",\"p999_ms\":" << clients.PercentileMs(0.999)
+              << ",\"slo_attainment\":" << clients.slo_attainment()
+              << ",\"requests\":" << clients.sent << ",\"failed\":" << clients.failed()
+              << ",\"faults\":" << p.faults << ",\"violations\":" << p.violations << "}";
   }
   std::cout << "]}\n";
 

@@ -9,14 +9,16 @@
 //
 // This reproduction scales the shard count by SM_BENCH_SCALE (default 2,000 shards on 60
 // servers; the availability mechanics are per-container, so shard density only scales event
-// volume). The output is the success-rate time series per configuration (the Fig. 17 curves)
-// and a summary with upgrade durations — expect (3) to finish fastest but with the lowest
-// success rate, matching the paper's ordering.
+// volume). Client traffic is a 200 rps open-loop Poisson source, half writes. The output is the
+// success-rate time series per configuration (the Fig. 17 curves) and a summary with upgrade
+// durations, success-only p99.9 and SLO attainment — expect (3) to finish fastest but with the
+// lowest success rate, matching the paper's ordering.
 
 #include <iostream>
 
 #include "bench/bench_util.h"
 #include "src/obs/obs.h"
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 using namespace shardman;
@@ -25,8 +27,8 @@ using namespace shardman::bench;
 namespace {
 
 struct RunOutput {
-  std::vector<ProbePoint> series;
-  double overall_success = 1.0;
+  std::vector<SloAccount> series;
+  SloAccount totals;
   double upgrade_seconds = 0.0;
   int64_t graceful = 0;
   int64_t abrupt = 0;
@@ -52,35 +54,36 @@ RunOutput RunConfig(bool graceful_migration, bool task_controller, int shards) {
   Testbed bed(config);
   bed.Start();
   SM_CHECK(bed.RunUntilAllReady(Minutes(10)));
-  bed.sim().RunFor(Seconds(10));
+  ShardedSimulator& sim = bed.sharded_sim();
+  sim.RunFor(Seconds(10));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 200;
-  probe_config.write_fraction = 0.5;
-  probe_config.interval = Seconds(20);
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
-  bed.sim().RunFor(Seconds(60));  // steady state before the upgrade
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 200;
+  traffic.write_fraction = 0.5;
+  traffic.interval = Seconds(20);
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
+  sim.RunFor(Seconds(60));  // steady state before the upgrade
 
-  TimeMicros upgrade_start = bed.sim().Now();
+  TimeMicros upgrade_start = sim.Now();
   // CM-side parallelism: 6 concurrent restarts (the TaskController further gates them in (1)
   // and (2); in (3) the CM restarts 6 at a time unchecked).
   bed.StartRollingUpgradeEverywhere(/*max_concurrent_per_region=*/6,
                                     /*restart_downtime=*/Seconds(30));
   TimeMicros upgrade_end = upgrade_start;
   for (int i = 0; i < 2400; ++i) {
-    bed.sim().RunFor(Seconds(1));
+    sim.RunFor(Seconds(1));
     if (!bed.UpgradeInProgress()) {
-      upgrade_end = bed.sim().Now();
+      upgrade_end = sim.Now();
       break;
     }
   }
-  bed.sim().RunFor(Seconds(60));  // tail
-  probe.Stop();
+  sim.RunFor(Seconds(60));  // tail
+  SM_CHECK(source.Drain(Minutes(1)));
 
   RunOutput output;
-  output.series = probe.series();
-  output.overall_success = probe.overall_success_rate();
+  output.series = source.recorder().series();
+  output.totals = source.totals();
   output.upgrade_seconds = ToSeconds(upgrade_end - upgrade_start);
   // Reported migration counts come from the telemetry registry (the orchestrator accessors
   // remain and must agree; obs_test asserts the equivalence on a smaller run).
@@ -119,19 +122,18 @@ int main() {
   series.Print(std::cout);
 
   std::cout << "\nSummary:\n";
-  TablePrinter summary({"config", "overall_success_%", "failed_ops", "upgrade_duration_s",
-                        "graceful_migrations", "abrupt_migrations"});
-  summary.AddRowValues(std::string("SM (drain + graceful)"),
-                       FormatDouble(sm.overall_success * 100.0, 3), sm.failed_ops,
-                       FormatDouble(sm.upgrade_seconds, 0), sm.graceful, sm.abrupt);
-  summary.AddRowValues(std::string("no graceful migration"),
-                       FormatDouble(no_graceful.overall_success * 100.0, 3),
-                       no_graceful.failed_ops, FormatDouble(no_graceful.upgrade_seconds, 0),
-                       no_graceful.graceful, no_graceful.abrupt);
-  summary.AddRowValues(std::string("neither"),
-                       FormatDouble(neither.overall_success * 100.0, 3), neither.failed_ops,
-                       FormatDouble(neither.upgrade_seconds, 0), neither.graceful,
-                       neither.abrupt);
+  TablePrinter summary({"config", "requests", "overall_success_%", "p99.9_ms", "slo_attainment_%",
+                        "failed_ops", "upgrade_duration_s", "graceful_migrations",
+                        "abrupt_migrations"});
+  auto add = [&summary](const std::string& name, const RunOutput& run) {
+    summary.AddRowValues(name, run.totals.sent, FormatDouble(run.totals.success_rate() * 100.0, 3),
+                         FormatDouble(run.totals.PercentileMs(0.999), 1),
+                         FormatDouble(run.totals.slo_attainment() * 100.0, 3), run.failed_ops,
+                         FormatDouble(run.upgrade_seconds, 0), run.graceful, run.abrupt);
+  };
+  add("SM (drain + graceful)", sm);
+  add("no graceful migration", no_graceful);
+  add("neither", neither);
   summary.Print(std::cout);
   return 0;
 }

@@ -5,14 +5,15 @@
 // followed three hours later by the full-scale wave), and a client error-rate curve that
 // "hardly changes" despite the churn.
 //
-// This reproduction drives the in-order queue application with diurnally modulated probe
-// traffic for two simulated days, runs the canary + full upgrade each day, and reports the
-// three curves (request rate, shard moves, error rate) in 30-minute buckets.
+// This reproduction drives the application with diurnally modulated open-loop traffic (5 rps at
+// the 20:00 peak, 35% of that at the trough, 70% writes) for two simulated days, runs the
+// canary + full upgrade each day, and reports the three curves (request rate, shard moves,
+// error rate) in 30-minute buckets.
 
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/workload/load_gen.h"
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 using namespace shardman;
@@ -37,37 +38,16 @@ int main() {
   bed.Start();
   SM_CHECK(bed.RunUntilAllReady(Minutes(10)));
 
-  // Diurnally modulated probe: the send loop itself thins sends by the diurnal factor.
-  auto router = bed.CreateRouter(RegionId(0));
-  bed.sim().RunFor(Seconds(5));
-  Rng rng(7);
-  struct Bucket {
-    int64_t sent = 0;
-    int64_t failed = 0;
-    int64_t moves_at_end = 0;
-  };
   const TimeMicros bucket_width = Minutes(30);
-  std::vector<Bucket> buckets(static_cast<size_t>(2 * kMicrosPerDay / bucket_width));
-  TimeMicros t0 = bed.sim().Now();
-
-  bed.sim().SchedulePeriodic(Millis(200), Millis(200), [&]() {
-    TimeMicros now = bed.sim().Now();
-    double diurnal = DiurnalFactor(now, /*trough=*/0.35);
-    if (rng.Uniform() > diurnal) {
-      return;  // thinning: request rate follows the diurnal curve
-    }
-    size_t bucket = static_cast<size_t>((now - t0) / bucket_width);
-    if (bucket >= buckets.size()) {
-      return;
-    }
-    ++buckets[bucket].sent;
-    router->Route(rng.Next(), rng.Bernoulli(0.7) ? RequestType::kWrite : RequestType::kRead,
-                  [&, bucket](const RequestOutcome& outcome) {
-                    if (!outcome.success && bucket < buckets.size()) {
-                      ++buckets[bucket].failed;
-                    }
-                  });
-  });
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 5;
+  traffic.diurnal_trough = 0.35;
+  traffic.write_fraction = 0.7;
+  traffic.interval = bucket_width;
+  RequestSource source(&bed, RegionId(0), traffic);
+  bed.sim().RunFor(Seconds(5));
+  const TimeMicros t0 = bed.sim().Now();
+  source.Start();
 
   // Daily upgrades: canary at 09:00 (10% of containers via one CM wave), full at 12:00.
   for (int day = 0; day < 2; ++day) {
@@ -89,38 +69,29 @@ int main() {
   }
 
   // Run two days, recording cumulative move counts at bucket edges.
-  int64_t last_moves = 0;
-  for (size_t bucket = 0; bucket < buckets.size(); ++bucket) {
+  std::vector<int64_t> moves_at_end(static_cast<size_t>(2 * kMicrosPerDay / bucket_width));
+  for (size_t bucket = 0; bucket < moves_at_end.size(); ++bucket) {
     bed.sim().RunUntil(t0 + static_cast<TimeMicros>(bucket + 1) * bucket_width);
-    buckets[bucket].moves_at_end = bed.orchestrator().completed_moves();
+    moves_at_end[bucket] = bed.orchestrator().completed_moves();
   }
+  SM_CHECK(source.Drain(Minutes(1)));
 
   std::cout << "Two days in 30-minute buckets (paper: error rate flat through move spikes):\n";
   TablePrinter table({"hour", "requests", "shard_moves", "errors", "error_rate_%"});
-  for (size_t bucket = 0; bucket < buckets.size(); ++bucket) {
-    int64_t moves = buckets[bucket].moves_at_end - last_moves;
-    last_moves = buckets[bucket].moves_at_end;
-    double rate = buckets[bucket].sent > 0 ? 100.0 * static_cast<double>(buckets[bucket].failed) /
-                                                 static_cast<double>(buckets[bucket].sent)
-                                           : 0.0;
-    table.AddRowValues(FormatDouble(static_cast<double>(bucket + 1) * 0.5, 1),
-                       buckets[bucket].sent, moves, buckets[bucket].failed,
-                       FormatDouble(rate, 3));
+  const std::vector<SloAccount>& series = source.recorder().series();
+  int64_t last_moves = 0;
+  for (size_t bucket = 0; bucket < moves_at_end.size() && bucket < series.size(); ++bucket) {
+    const SloAccount& slice = series[bucket];
+    table.AddRowValues(FormatDouble(static_cast<double>(bucket + 1) * 0.5, 1), slice.sent,
+                       moves_at_end[bucket] - last_moves, slice.failed(),
+                       FormatDouble(slice.failure_rate() * 100.0, 3));
+    last_moves = moves_at_end[bucket];
   }
   table.Print(std::cout);
 
-  int64_t total_sent = 0;
-  int64_t total_failed = 0;
-  for (const Bucket& bucket : buckets) {
-    total_sent += bucket.sent;
-    total_failed += bucket.failed;
-  }
-  std::cout << "\nOverall error rate: "
-            << FormatDouble(total_sent > 0 ? 100.0 * static_cast<double>(total_failed) /
-                                                 static_cast<double>(total_sent)
-                                           : 0.0,
-                            4)
-            << "% across " << total_sent << " requests and "
+  const SloAccount& totals = source.totals();
+  std::cout << "\nOverall error rate: " << FormatDouble(totals.failure_rate() * 100.0, 4)
+            << "% across " << totals.sent << " requests and "
             << bed.orchestrator().completed_moves() << " shard moves (paper: no visible error "
             << "increase)\n";
   return 0;

@@ -11,14 +11,15 @@
 //   t=450s      FRC recovers — SM migrates one replica of each EC shard back, restoring low
 //               latency.
 //
-// Output: the client-observed latency time series (the Fig. 19 curve) plus replica-location
-// counts at key instants. Latencies mirror the paper's geography (FRC<->PRN 35ms, FRC<->ODN
-// 45ms one way).
+// Output: the client-observed latency time series (the Fig. 19 curve, from a 10 rps open-loop
+// Poisson source reading EC keys) plus replica-location counts at key instants, and the run's
+// success rate, success-only p99.9 and SLO attainment. The testbed has one wide-area latency,
+// 35 ms one way, between every region pair; the paper's FRC<->ODN link is longer.
 
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/common/stats.h"
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 using namespace shardman;
@@ -50,13 +51,10 @@ int main() {
   config.wide_latency = Millis(35);
   config.seed = 19;
   Testbed bed(config);
-  // Geography: FRC<->PRN 35ms, FRC<->ODN 45ms, PRN<->ODN 70ms (one-way).
-  // (The symmetric default set FRC<->PRN already; override the others.)
-  Testbed* b = &bed;
-  (void)b;
+  ShardedSimulator& sim = bed.sharded_sim();
   bed.Start();
   SM_CHECK(bed.RunUntilAllReady(Minutes(10)));
-  bed.sim().RunFor(Minutes(2));  // let periodic allocation satisfy preferences + spread
+  sim.RunFor(Minutes(2));  // let periodic allocation satisfy preferences + spread
   SM_CHECK(bed.RunUntilAllReady(Minutes(5)));
 
   auto ec_replicas_in_frc = [&]() {
@@ -76,60 +74,46 @@ int main() {
             << ec_shards << "\n\n";
 
   // FRC client reading EC keys only (low 40% of the key space).
-  Rng key_rng(99);
-  auto router = bed.CreateRouter(RegionId(0));
-  bed.sim().RunFor(Seconds(2));
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 10;
+  traffic.key_span = (~0ULL / static_cast<uint64_t>(shards)) * static_cast<uint64_t>(ec_shards);
+  traffic.write_fraction = 0.0;
+  traffic.interval = Seconds(10);
+  traffic.seed = 99;
+  RequestSource source(&bed, RegionId(0), traffic);
+  sim.RunFor(Seconds(2));
+  const TimeMicros t0 = sim.Now();
+  source.Start();
 
-  struct Bucket {
-    OnlineStats latency_ms;
-    int failed = 0;
-  };
-  std::vector<Bucket> buckets(60);  // 600s in 10s buckets
-  TimeMicros t0 = bed.sim().Now();
-
-  EventId probe = bed.sim().SchedulePeriodic(Millis(100), Millis(100), [&]() {
-    uint64_t ec_span = (~0ULL / static_cast<uint64_t>(shards)) * static_cast<uint64_t>(ec_shards);
-    uint64_t key = key_rng.Next() % ec_span;
-    TimeMicros now = bed.sim().Now();
-    size_t bucket = static_cast<size_t>((now - t0) / Seconds(10));
-    if (bucket >= buckets.size()) {
-      return;
-    }
-    router->Route(key, RequestType::kRead, [&, bucket](const RequestOutcome& outcome) {
-      if (bucket >= buckets.size()) {
-        return;
-      }
-      if (outcome.success) {
-        buckets[bucket].latency_ms.Add(ToMillis(outcome.latency));
-      } else {
-        ++buckets[bucket].failed;
-      }
-    });
-  });
-
-  bed.sim().RunUntil(t0 + Seconds(90));
+  sim.RunUntil(t0 + Seconds(90));
   std::cout << "t=90s: FRC fails\n";
   bed.FailRegion(RegionId(0));
 
-  bed.sim().RunUntil(t0 + Seconds(450));
+  sim.RunUntil(t0 + Seconds(450));
   std::cout << "t=450s: FRC recovers; EC replicas in FRC just before recovery: "
             << ec_replicas_in_frc() << "\n";
   bed.RecoverRegion(RegionId(0));
 
-  bed.sim().RunUntil(t0 + Seconds(600));
-  bed.sim().Cancel(probe);
+  sim.RunUntil(t0 + Seconds(600));
+  SM_CHECK(source.Drain(Minutes(1)));
   std::cout << "t=600s: EC replicas back in FRC: " << ec_replicas_in_frc() << " / " << ec_shards
             << "\n\n";
 
   std::cout << "Client latency over time (paper: low -> spike at failure -> cross-region "
                "plateau -> low again after shards move back):\n";
-  TablePrinter table({"t_s", "mean_latency_ms", "max_latency_ms", "requests", "failed"});
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    const Bucket& bucket = buckets[i];
-    table.AddRowValues((i + 1) * 10, FormatDouble(bucket.latency_ms.mean(), 2),
-                       FormatDouble(bucket.latency_ms.max(), 1), bucket.latency_ms.count(),
-                       bucket.failed);
+  TablePrinter table({"t_s", "mean_latency_ms", "p99_latency_ms", "requests", "failed"});
+  const std::vector<SloAccount>& series = source.recorder().series();
+  for (size_t i = 0; i < series.size() && i < 60; ++i) {  // 600s in 10s intervals
+    const SloAccount& slice = series[i];
+    table.AddRowValues((i + 1) * 10, FormatDouble(slice.mean_ms(), 2),
+                       FormatDouble(slice.PercentileMs(0.99), 1), slice.sent, slice.failed());
   }
   table.Print(std::cout);
+  const SloAccount& totals = source.totals();
+  std::cout << "\nWhole run: " << totals.sent << " requests, success "
+            << FormatDouble(totals.success_rate() * 100.0, 3) << "%, p99.9 "
+            << FormatDouble(totals.PercentileMs(0.999), 1) << " ms, SLO attainment ("
+            << FormatDouble(traffic.slo_ms, 0) << " ms) "
+            << FormatDouble(totals.slo_attainment() * 100.0, 3) << "%\n";
   return 0;
 }

@@ -74,18 +74,18 @@ HotspotSimConfig MakeConfig(double intensity, bool adaptive, int threads,
   // one server owning the flash shard (10x its capacity at peak). Each simulated request
   // stands for a batch of identical user requests, so this is the million-user regime at
   // 1/batch the event cost.
-  config.requests_per_second = 800.0;
+  config.traffic.requests_per_second = 800.0;
   config.server_service_rate = 900.0;
-  config.zipf_s = 1.2;
+  config.traffic.zipf_s = 1.2;
   // Flash class is flatter (s=0.9): a crowd hits a tight key *range*, not one key. With
   // s=1.2 the single hottest key alone would exceed one server's capacity at peak — an
   // unsolvable placement no amount of splitting could fix.
-  config.flash_zipf_s = 0.9;
-  config.flash_peak = intensity;
-  config.flash_start = times.flash_start;
-  config.flash_rise = times.flash_rise;
-  config.flash_hold = times.flash_hold;
-  config.flash_fall = times.flash_fall;
+  config.traffic.flash_zipf_s = 0.9;
+  config.traffic.flash_peak = intensity;
+  config.traffic.flash_start = times.flash_start;
+  config.traffic.flash_rise = times.flash_rise;
+  config.traffic.flash_hold = times.flash_hold;
+  config.traffic.flash_fall = times.flash_fall;
   config.adaptive = adaptive;
   // 500ms windows: a shard completing above ~500 rps (55% of one server) — or showing
   // queueing in its p99 — is hot; two hot windows trigger a split, and with one structural op
@@ -100,7 +100,7 @@ HotspotSimConfig MakeConfig(double intensity, bool adaptive, int threads,
   config.planner.merge_after_windows = 6;
   config.planner.cooldown_windows = 1;
   config.planner.max_shards = config.max_shards;
-  config.slo_ms = 100.0;
+  config.traffic.slo_ms = 100.0;
   config.measure_grace = Seconds(12);
   config.sim_shards = 4;
   config.sim_threads = threads;

@@ -1,9 +1,9 @@
 // Control-plane failover cost (DESIGN.md §11): client-observed availability and the
 // leaderless window as a function of leader-kill rate, measured against the replicated
-// orchestrator (ControlPlaneReplicaSet, 3 replicas over 3 regions) with continuous probe
-// traffic.
+// orchestrator (ControlPlaneReplicaSet, 3 replicas over 3 regions) with a 40 rps open-loop
+// Poisson client source.
 //
-// Each level runs the identical testbed + probe with only the kill clock changed; level 0
+// Each level runs the identical testbed + source with only the kill clock changed; level 0
 // kills no leaders (the ceiling). Every level runs TWICE with the same seed and the two
 // fingerprints must match byte-for-byte — the bench exits nonzero on divergence, making it a
 // determinism gate as well as a perf curve. Writes BENCH_smr_failover.json into the working
@@ -20,6 +20,7 @@
 #include "src/chaos/invariant_checker.h"
 #include "src/obs/obs.h"
 #include "src/smr/replica_set.h"
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 using namespace shardman;
@@ -68,12 +69,11 @@ LevelResult RunLevel(double kill_interval_s, TimeMicros churn) {
   SM_CHECK(bed.RunUntilAllReady(Minutes(5)));
   bed.sim().RunFor(Minutes(1));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 40;
-  probe_config.interval = Seconds(10);
-  probe_config.seed = 405;
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 40;
+  traffic.seed = 405;
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
 
   InvariantChecker checker(&bed);
   checker.Start();
@@ -110,7 +110,7 @@ LevelResult RunLevel(double kill_interval_s, TimeMicros churn) {
   }
   bed.sim().RunFor(Minutes(2));  // the last failover completes before measurement closes
   checker.Stop();
-  probe.Stop();
+  SM_CHECK(source.Drain(Minutes(1)));
 
   result.failovers = bed.replica_set()->failovers();
   result.final_epoch = bed.replica_set()->leadership_epoch();
@@ -122,9 +122,9 @@ LevelResult RunLevel(double kill_interval_s, TimeMicros churn) {
   if (!gaps.empty()) {
     result.mean_leaderless_ms /= static_cast<double>(gaps.size());
   }
-  result.requests = probe.total_sent();
-  result.requests_lost = probe.total_failed();
-  result.success_rate = probe.overall_success_rate();
+  result.requests = static_cast<int64_t>(source.totals().sent);
+  result.requests_lost = static_cast<int64_t>(source.totals().failed());
+  result.success_rate = source.totals().success_rate();
   result.violations = checker.total_violations();
   return result;
 }

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 using namespace shardman;
@@ -32,12 +33,12 @@ int main() {
     return 1;
   }
 
-  // Continuous enqueue traffic throughout.
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 100;
-  probe_config.write_fraction = 1.0;  // enqueues
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  // Continuous enqueue traffic throughout: 100 rps open-loop Poisson arrivals.
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 100;
+  traffic.write_fraction = 1.0;  // enqueues
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
   bed.sim().RunFor(Seconds(10));
 
   std::printf("starting rolling upgrade of 12 containers (30s restart each, <=3 concurrent)\n");
@@ -54,16 +55,20 @@ int main() {
     }
   }
   bed.sim().RunFor(Seconds(20));
-  probe.Stop();
+  const bool drained = source.Drain(Minutes(1));
+  const SloAccount& totals = source.totals();
 
   std::printf("\nupgrade finished in ~%ds\n", seconds);
-  std::printf("requests sent:      %lld\n", static_cast<long long>(probe.total_sent()));
-  std::printf("requests failed:    %lld\n", static_cast<long long>(probe.total_failed()));
-  std::printf("success rate:       %.4f%%\n", probe.overall_success_rate() * 100.0);
+  std::printf("requests sent:      %llu\n", static_cast<unsigned long long>(totals.sent));
+  std::printf("requests failed:    %llu\n", static_cast<unsigned long long>(totals.failed()));
+  std::printf("success rate:       %.4f%%\n", totals.success_rate() * 100.0);
   std::printf("graceful migrations: %lld (every primary moved off each container before its "
               "restart)\n",
               static_cast<long long>(bed.orchestrator().graceful_migrations()));
   std::printf("planned restarts:   %lld\n",
               static_cast<long long>(bed.cluster_manager(RegionId(0)).planned_restarts()));
-  return probe.total_failed() == 0 ? 0 : 1;
+  if (!drained) {
+    std::printf("some requests never finished\n");
+  }
+  return drained && totals.failed() == 0 ? 0 : 1;
 }

@@ -9,16 +9,6 @@
 
 namespace shardman {
 
-std::string_view ReplicaRoleName(ReplicaRole role) {
-  switch (role) {
-    case ReplicaRole::kPrimary:
-      return "primary";
-    case ReplicaRole::kSecondary:
-      return "secondary";
-  }
-  return "unknown";
-}
-
 SmAllocator::SmAllocator(AllocatorOptions options) : options_(options) {}
 
 void SmAllocator::BuildProblem(const PartitionSnapshot& snapshot, BuiltProblem* built) const {

@@ -6,7 +6,6 @@
 #define SRC_ALLOCATOR_TYPES_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -19,8 +18,6 @@ enum class ReplicaRole {
   kPrimary,
   kSecondary,
 };
-
-std::string_view ReplicaRoleName(ReplicaRole role);
 
 // §2.2.3 replication strategies.
 enum class ReplicationStrategy {

@@ -237,28 +237,6 @@ LeaderLease* ControlPlaneReplicaSet::lease(int index) {
   return replicas_[static_cast<size_t>(index)]->lease.get();
 }
 
-TimeMicros ControlPlaneReplicaSet::total_leaderless() const {
-  TimeMicros total = 0;
-  for (TimeMicros gap : gaps_) {
-    total += gap;
-  }
-  if (gap_open_) {
-    total += sim_->Now() - gap_start_;
-  }
-  return total;
-}
-
-TimeMicros ControlPlaneReplicaSet::max_leaderless() const {
-  TimeMicros max = 0;
-  for (TimeMicros gap : gaps_) {
-    max = std::max(max, gap);
-  }
-  if (gap_open_) {
-    max = std::max(max, sim_->Now() - gap_start_);
-  }
-  return max;
-}
-
 void ControlPlaneReplicaSet::KillLeader() {
   if (active_ == nullptr) {
     return;

@@ -98,8 +98,6 @@ class ControlPlaneReplicaSet {
 
   // Leaderless-gap accounting (the control-plane unavailability the bench reports).
   const std::vector<TimeMicros>& leaderless_gaps() const { return gaps_; }
-  TimeMicros total_leaderless() const;
-  TimeMicros max_leaderless() const;
 
   // Chaos hook: expire the current leader's store session, as a crash or a partition from the
   // store would. No-op without a leader.

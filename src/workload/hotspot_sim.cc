@@ -11,7 +11,6 @@ namespace {
 
 constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
 constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
-constexpr uint64_t kKeyspace = ~0ULL;  // exclusive end of the uniform app-spec key ranges
 
 void Mix(uint64_t& h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -26,8 +25,6 @@ HotspotSim::HotspotSim(HotspotSimConfig config) : config_(config) {
   SM_CHECK_GT(config_.regions, 0);
   SM_CHECK_GT(config_.initial_shards, 0);
   SM_CHECK_GE(config_.max_shards, config_.initial_shards);
-  SM_CHECK_GT(config_.requests_per_second, 0.0);
-  SM_CHECK_GE(config_.flash_peak, 1.0);
 
   TestbedConfig tb;
   tb.regions.clear();
@@ -54,25 +51,9 @@ HotspotSim::HotspotSim(HotspotSimConfig config) : config_(config) {
   tb.sim_threads = config_.sim_threads;
   tb.seed = config_.seed;
   testbed_ = std::make_unique<Testbed>(tb);
-
-  Rng master(config_.seed ^ 0x48'4F'54'53'50'4F'54ULL);  // "HOTSPOT"
-  for (int r = 0; r < config_.regions; ++r) {
-    traffic_.push_back(std::make_unique<RegionTraffic>(master.Next()));
-    slo_.push_back(std::make_unique<RegionSlo>());
-  }
 }
 
 HotspotSim::~HotspotSim() = default;
-
-double HotspotSim::RateFactorAt(TimeMicros t) const {
-  if (config_.flash_peak <= 1.0) {
-    return 1.0;
-  }
-  // The flash schedule is relative to traffic start — bringing the testbed to readiness
-  // consumes sim time, and the scenario must not depend on how much.
-  return FlashCrowdFactor(t - traffic_start_, config_.flash_start, config_.flash_rise,
-                          config_.flash_hold, config_.flash_fall, config_.flash_peak);
-}
 
 void HotspotSim::Run(TimeMicros duration) {
   SM_CHECK(!started_);
@@ -80,8 +61,11 @@ void HotspotSim::Run(TimeMicros duration) {
   testbed_->Start();
   SM_CHECK(testbed_->RunUntilAllReady(Minutes(5)));
 
+  Rng master(config_.seed ^ 0x48'4F'54'53'50'4F'54ULL);  // "HOTSPOT"
   for (int r = 0; r < config_.regions; ++r) {
-    routers_.push_back(testbed_->CreateRouter(RegionId(r)));
+    RequestSourceConfig traffic = config_.traffic;
+    traffic.seed = master.Next();
+    sources_.push_back(std::make_unique<RequestSource>(testbed_.get(), RegionId(r), traffic));
   }
   if (config_.adaptive) {
     SplitMergePlannerConfig pcfg = config_.planner;
@@ -92,128 +76,27 @@ void HotspotSim::Run(TimeMicros duration) {
     planner_->Start();
   }
 
+  // The flash schedule runs on time since traffic starts: bringing the testbed to readiness
+  // consumes sim time, and the scenario must not depend on how much.
   ShardedSimulator& ssim = testbed_->sharded_sim();
-  window_ = std::max<TimeMicros>(ssim.lookahead(), Millis(20));
-  traffic_start_ = ssim.Now();
-  traffic_end_ = traffic_start_ + duration;
-  measure_begin_ =
-      traffic_start_ + config_.flash_start + config_.flash_rise + config_.measure_grace;
-  measure_end_ = traffic_start_ + config_.flash_start + config_.flash_rise + config_.flash_hold;
-  for (int r = 0; r < config_.regions; ++r) {
-    // From the exclusive phase this schedules directly onto the feeder shard.
-    ssim.Send(feeder_shard(r), 0, [this, r]() { GenerateWindow(r); });
+  const TimeMicros start = ssim.Now();
+  const TimeMicros flash_held = start + config_.traffic.flash_start + config_.traffic.flash_rise;
+  measure_begin_ = flash_held + config_.measure_grace;
+  measure_end_ = flash_held + config_.traffic.flash_hold;
+  for (auto& source : sources_) {
+    source->recorder().AddSlice(measure_begin_, measure_end_);
+    source->set_key_observer(planner_.get());
+    source->Start();
+    source->StopAt(start + duration);
   }
   ssim.RunFor(duration);
 }
 
-void HotspotSim::GenerateWindow(int region) {
-  ShardedSimulator& ssim = testbed_->sharded_sim();
-  Simulator& engine = ssim.shard(feeder_shard(region));
-  const TimeMicros now = engine.Now();
-  if (now >= traffic_end_) {
-    return;  // drained: in-flight requests finish, no new arrivals
-  }
-  RegionTraffic& traffic = *traffic_[static_cast<size_t>(region)];
-  // This batch covers [now + window_, now + 2*window_): one full conservative window ahead,
-  // so every cross-shard send below satisfies the lookahead bound.
-  const TimeMicros begin = now + window_;
-  const TimeMicros end = begin + window_;
-  // Thinning: candidate arrivals at the peak rate, each accepted with probability
-  // rate(t)/peak — an exact nonhomogeneous Poisson process, deterministic per seed.
-  const double peak_rate = config_.requests_per_second * config_.flash_peak;
-  const double mean_gap_us = 1e6 / peak_rate;
-  if (traffic.next_candidate < begin) {
-    traffic.next_candidate = begin;
-  }
-  while (traffic.next_candidate < end) {
-    const TimeMicros at = traffic.next_candidate;
-    traffic.next_candidate +=
-        std::max<TimeMicros>(1, static_cast<TimeMicros>(traffic.rng.Exponential(mean_gap_us)));
-    const double factor = RateFactorAt(at);
-    if (!traffic.rng.Bernoulli(factor / config_.flash_peak)) {
-      continue;
-    }
-    // The flash crowd is the rate above baseline, aimed at a tight key region half the
-    // keyspace from the (possibly drifting) baseline hot center.
-    uint64_t key;
-    if (factor > 1.0 && traffic.rng.Bernoulli((factor - 1.0) / factor)) {
-      ZipfKeyConfig flash;
-      flash.population = config_.flash_population;
-      flash.s = config_.flash_zipf_s > 0.0 ? config_.flash_zipf_s : config_.zipf_s;
-      flash.hot_center = kKeyspace / 2;
-      key = SampleZipfKey(traffic.rng, flash);
-    } else {
-      ZipfKeyConfig base;
-      base.population = config_.key_population;
-      base.s = config_.zipf_s;
-      base.scatter = config_.baseline_scatter;
-      base.hot_center = DiurnalHotCenter(at - traffic_start_, 0, config_.diurnal_period);
-      key = SampleZipfKey(traffic.rng, base);
-    }
-    ++traffic.generated;
-    ssim.Send(0, at - now, [this, region, key]() { OnArrival(region, key); });
-  }
-  engine.Schedule(window_, [this, region]() { GenerateWindow(region); });
-}
-
-void SloAccount::Record(const RequestOutcome& outcome, double slo_ms) {
-  if (!outcome.success) {
-    failures.Add(outcome.status.code());
-    ++slo_violations;  // whatever its wall time, fast rejections included
-    return;
-  }
-  ++ok;
-  latency_sum_us += static_cast<uint64_t>(outcome.latency);
-  latency.Add(static_cast<uint64_t>(outcome.latency));
-  if (ToMillis(outcome.latency) > slo_ms) {
-    ++slo_violations;
-  }
-}
-
-void SloAccount::Merge(const SloAccount& other) {
-  sent += other.sent;
-  ok += other.ok;
-  slo_violations += other.slo_violations;
-  latency_sum_us += other.latency_sum_us;
-  latency.Merge(other.latency);
-  failures.Merge(other.failures);
-}
-
-double SloAccount::failure_rate() const {
-  const uint64_t finished = ok + failed();
-  return finished == 0 ? 0.0 : static_cast<double>(failed()) / static_cast<double>(finished);
-}
-
-double SloAccount::mean_ms() const {
-  return ok == 0 ? 0.0 : static_cast<double>(latency_sum_us) / static_cast<double>(ok) / 1000.0;
-}
-
-void HotspotSim::OnArrival(int region, uint64_t key) {
-  RegionSlo& slo = *slo_[static_cast<size_t>(region)];
-  ++slo.run.sent;
-  if (planner_ != nullptr) {
-    planner_->ObserveKey(key);
-  }
-  const TimeMicros now = testbed_->sim().Now();
-  const bool measured = now >= measure_begin_ && now < measure_end_;
-  if (measured) {
-    ++slo.hold.sent;
-  }
-  routers_[static_cast<size_t>(region)]->Route(
-      key, RequestType::kRead, [this, region, measured](const RequestOutcome& outcome) {
-        RegionSlo& slo = *slo_[static_cast<size_t>(region)];
-        slo.run.Record(outcome, config_.slo_ms);
-        if (measured) {
-          slo.hold.Record(outcome, config_.slo_ms);
-        }
-      });
-}
-
 HotspotTotals HotspotSim::Totals() const {
   HotspotTotals totals;
-  for (const auto& slo : slo_) {
-    totals.run.Merge(slo->run);
-    totals.hold.Merge(slo->hold);
+  for (const auto& source : sources_) {
+    totals.run.Merge(source->recorder().total());
+    totals.hold.Merge(source->recorder().slice(0));
   }
   const double hold_s = static_cast<double>(measure_end_ - measure_begin_) / 1e6;
   totals.hold_goodput_per_s = hold_s > 0.0 ? static_cast<double>(totals.hold.ok) / hold_s : 0.0;
@@ -242,9 +125,10 @@ uint64_t HotspotSim::StateDigest() const {
   }
   Mix(h, static_cast<uint64_t>(orchestrator.splits()));
   Mix(h, static_cast<uint64_t>(orchestrator.merges()));
-  for (size_t r = 0; r < slo_.size(); ++r) {
-    Mix(h, traffic_[r]->generated);
-    for (const SloAccount* account : {&slo_[r]->run, &slo_[r]->hold}) {
+  for (const auto& source : sources_) {
+    Mix(h, source->generated());
+    const SloRecorder& recorder = source->recorder();
+    for (const SloAccount* account : {&recorder.total(), &recorder.slice(0)}) {
       Mix(h, account->sent);
       Mix(h, account->ok);
       Mix(h, account->slo_violations);
@@ -257,8 +141,9 @@ uint64_t HotspotSim::StateDigest() const {
       }
     }
   }
-  for (const auto& router : routers_) {
-    Mix(h, router->map() != nullptr ? static_cast<uint64_t>(router->map()->version) : 0);
+  for (const auto& source : sources_) {
+    const ShardMap* map = source->router().map();
+    Mix(h, map != nullptr ? static_cast<uint64_t>(map->version) : 0);
   }
   return h;
 }
@@ -275,10 +160,10 @@ std::string HotspotSim::DigestReport() const {
        << "[" << orchestrator.shard_range(shard).begin << ","
        << orchestrator.shard_range(shard).end << ")\n";
   }
-  for (size_t r = 0; r < slo_.size(); ++r) {
-    const SloAccount& run = slo_[r]->run;
-    const SloAccount& hold = slo_[r]->hold;
-    os << "  region " << r << " generated=" << traffic_[r]->generated
+  for (size_t r = 0; r < sources_.size(); ++r) {
+    const SloAccount& run = sources_[r]->recorder().total();
+    const SloAccount& hold = sources_[r]->recorder().slice(0);
+    os << "  region " << r << " generated=" << sources_[r]->generated()
        << " sent=" << run.sent << " ok=" << run.ok << " failed=" << run.failed()
        << " violations=" << run.slo_violations << " latency_sum=" << run.latency_sum_us
        << " measured=" << hold.sent << " measure_violations=" << hold.slo_violations << "\n";

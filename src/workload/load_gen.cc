@@ -44,14 +44,6 @@ double DiurnalFactor(TimeMicros t, double trough, double peak_hour) {
   return trough + (1.0 - trough) * normalized;
 }
 
-ResourceVector MakeLoadVector(double intensity, const std::vector<double>& metric_mix) {
-  ResourceVector load(static_cast<int>(metric_mix.size()));
-  for (size_t m = 0; m < metric_mix.size(); ++m) {
-    load[static_cast<int>(m)] = intensity * metric_mix[m];
-  }
-  return load;
-}
-
 uint64_t SampleZipfKey(Rng& rng, const ZipfKeyConfig& config) {
   SM_CHECK_GT(config.population, 0u);
   // The keyspace is [0, ~0ULL) — the uniform app specs end at ~0ULL, so the last key slot must

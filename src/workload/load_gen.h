@@ -7,7 +7,6 @@
 
 #include <vector>
 
-#include "src/common/resource.h"
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 
@@ -23,10 +22,6 @@ std::vector<double> SampleCapacities(int n, double base, double variation, Rng& 
 // Diurnal load factor at time t: sinusoid with a 24h period oscillating in [trough, 1.0],
 // peaking at `peak_hour` local time.
 double DiurnalFactor(TimeMicros t, double trough, double peak_hour = 20.0);
-
-// Builds a multi-metric load vector from a scalar intensity: each metric gets the scalar times
-// a per-metric mix factor (so metrics are correlated but not identical).
-ResourceVector MakeLoadVector(double intensity, const std::vector<double>& metric_mix);
 
 // -- Key-popularity sampling (DESIGN.md §15) ----------------------------------------------------
 //

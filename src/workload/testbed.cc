@@ -344,84 +344,4 @@ bool Testbed::UpgradeInProgress() const {
   return false;
 }
 
-// ---------------------------------------------------------------------------------------------
-// ProbeDriver
-// ---------------------------------------------------------------------------------------------
-
-ProbeDriver::ProbeDriver(Testbed* testbed, RegionId client_region, ProbeConfig config)
-    : testbed_(testbed), region_(client_region), config_(config), rng_(config.seed) {
-  SM_CHECK(testbed != nullptr);
-  SM_CHECK_GT(config_.requests_per_second, 0.0);
-  router_ = testbed_->CreateRouter(client_region, config_.router);
-}
-
-void ProbeDriver::Start() {
-  if (running_) {
-    return;
-  }
-  running_ = true;
-  current_ = ProbePoint{};
-  latency_sum_ms_ = 0.0;
-  TimeMicros gap = static_cast<TimeMicros>(1e6 / config_.requests_per_second);
-  send_timer_ = testbed_->sim().SchedulePeriodic(gap, gap, [this]() { SendOne(); });
-  roll_timer_ = testbed_->sim().SchedulePeriodic(config_.interval, config_.interval,
-                                                 [this]() { RollInterval(); });
-}
-
-void ProbeDriver::Stop() {
-  if (!running_) {
-    return;
-  }
-  running_ = false;
-  testbed_->sim().Cancel(send_timer_);
-  testbed_->sim().Cancel(roll_timer_);
-  RollInterval();
-}
-
-void ProbeDriver::SendOne() {
-  if (router_->map() == nullptr) {
-    return;  // A client cannot issue requests before its first shard-map resolution.
-  }
-  uint64_t key = rng_.Next();
-  double dice = rng_.Uniform();
-  RequestType type;
-  if (dice < config_.write_fraction) {
-    type = RequestType::kWrite;
-  } else if (dice < config_.write_fraction + config_.scan_fraction) {
-    type = RequestType::kScan;
-  } else {
-    type = RequestType::kRead;
-  }
-  ++current_.sent;
-  ++total_sent_;
-  SM_COUNTER_INC("sm.probe.sent");
-  router_->Route(key, type, key, [this](const RequestOutcome& outcome) {
-    if (!outcome.success) {
-      ++current_.failed;
-      ++total_failed_;
-      failures_.Add(outcome.status.code());
-      SM_COUNTER_INC("sm.probe.failed");
-      return;
-    }
-    ++current_.succeeded;
-    ++total_succeeded_;
-    SM_COUNTER_INC("sm.probe.succeeded");
-    double latency_ms = ToMillis(outcome.latency);
-    SM_HISTOGRAM_OBSERVE("sm.probe.latency_ms", latency_ms);
-    latency_sum_ms_ += latency_ms;
-    latency_hist_.Add(static_cast<uint64_t>(outcome.latency));
-  });
-}
-
-void ProbeDriver::RollInterval() {
-  current_.time = testbed_->sim().Now();
-  current_.mean_latency_ms =
-      current_.succeeded > 0 ? latency_sum_ms_ / static_cast<double>(current_.succeeded) : 0.0;
-  current_.p99_latency_ms = latency_hist_.Percentile(0.99) / 1000.0;
-  series_.push_back(current_);
-  current_ = ProbePoint{};
-  latency_sum_ms_ = 0.0;
-  latency_hist_.Reset();
-}
-
 }  // namespace shardman

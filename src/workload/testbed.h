@@ -1,8 +1,8 @@
 // Testbed: assembles the full simulated stack for one application deployment —
 // topology -> regional cluster managers -> application servers (with SM library glue) ->
 // coordination store / discovery -> mini-SM (a ControlPlaneReplicaSet, one replica by
-// default) — plus client-side probe drivers that measure request success rate and latency
-// through the real routing path.
+// default). Client traffic comes from RequestSource (request_source.h), which sends through
+// the real routing path and records success, latency and SLO violations.
 //
 // Every integration test, example and experiment builds on this.
 
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/apps/data_bus.h"
-#include "src/common/stats.h"
 #include "src/apps/kv_store_app.h"
 #include "src/apps/materialized_kv_app.h"
 #include "src/apps/queue_app.h"
@@ -211,74 +210,6 @@ class Testbed {
   // The global sim-time source installed for this testbed (SM_LOG prefixes, trace timestamps);
   // the previous source is restored on destruction so nested testbeds stay correct.
   TimeSource prev_time_source_;
-};
-
-// ProbeDriver: sampled client traffic through the real router, aggregated per interval — the
-// measurement harness behind Figs 17-19.
-struct ProbePoint {
-  TimeMicros time = 0;     // end of the interval
-  int64_t sent = 0;
-  int64_t succeeded = 0;
-  int64_t failed = 0;
-  double mean_latency_ms = 0.0;  // successful requests only
-  double p99_latency_ms = 0.0;   // successful requests only
-  double success_rate() const {
-    int64_t finished = succeeded + failed;
-    return finished > 0 ? static_cast<double>(succeeded) / static_cast<double>(finished) : 1.0;
-  }
-};
-
-struct ProbeConfig {
-  double requests_per_second = 100.0;
-  double write_fraction = 0.5;
-  double scan_fraction = 0.0;
-  TimeMicros interval = Seconds(10);  // aggregation bucket
-  RouterConfig router;
-  uint64_t seed = 7;
-};
-
-class ProbeDriver {
- public:
-  ProbeDriver(Testbed* testbed, RegionId client_region, ProbeConfig config);
-
-  void Start();
-  void Stop();
-
-  // Completed aggregation intervals so far.
-  const std::vector<ProbePoint>& series() const { return series_; }
-  // Totals across the whole run.
-  int64_t total_sent() const { return total_sent_; }
-  int64_t total_succeeded() const { return total_succeeded_; }
-  int64_t total_failed() const { return total_failed_; }
-  double overall_success_rate() const {
-    int64_t finished = total_succeeded_ + total_failed_;
-    return finished > 0 ? static_cast<double>(total_succeeded_) / static_cast<double>(finished)
-                        : 1.0;
-  }
-  // Failures by terminal status code; sums to total_failed().
-  const StatusCounts& failures() const { return failures_; }
-
- private:
-  void SendOne();
-  void RollInterval();
-
-  Testbed* testbed_;
-  RegionId region_;
-  ProbeConfig config_;
-  std::unique_ptr<ServiceRouter> router_;
-  Rng rng_;
-  EventId send_timer_;
-  EventId roll_timer_;
-  bool running_ = false;
-
-  ProbePoint current_;
-  std::vector<ProbePoint> series_;
-  double latency_sum_ms_ = 0.0;
-  LatencyHistogram latency_hist_;  // successful requests in the current interval
-  int64_t total_sent_ = 0;
-  int64_t total_succeeded_ = 0;
-  int64_t total_failed_ = 0;
-  StatusCounts failures_;
 };
 
 }  // namespace shardman

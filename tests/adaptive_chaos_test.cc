@@ -26,6 +26,7 @@
 #include "src/common/rng.h"
 #include "src/discovery/shard_map.h"
 #include "src/smr/replica_set.h"
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 namespace shardman {
@@ -101,11 +102,11 @@ TEST(AdaptiveChaos, SplitMergeSequenceSurvivesFaultMatrix) {
   checker.set_context_fn([&injector]() { return injector.JournalDump(); });
   injector.Start();
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 30;
-  probe_config.seed = 607;
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 30;
+  traffic.seed = 607;
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
 
   // Boundary ops on a fixed cadence, racing whatever the injector has active. Failures are
   // expected (non-quiescent shards refuse); closure must hold regardless of which ops landed.
@@ -154,7 +155,7 @@ TEST(AdaptiveChaos, SplitMergeSequenceSurvivesFaultMatrix) {
   injector.Stop();
   bed.sim().RunFor(Minutes(2));  // all faults heal
   EXPECT_TRUE(checker.AwaitReconvergence(Minutes(5))) << checker.Report();
-  probe.Stop();
+  source.Stop();
   checker.Stop();
 
   EXPECT_GT(injector.faults_injected(), 0);
@@ -162,7 +163,7 @@ TEST(AdaptiveChaos, SplitMergeSequenceSurvivesFaultMatrix) {
   EXPECT_GT(landed, 0) << "every boundary op was refused; the matrix never tested a commit";
   EXPECT_TRUE(checker.ok()) << checker.Report();
   ExpectClosure(bed.orchestrator(), "after chaos");
-  EXPECT_GT(probe.overall_success_rate(), 0.9);
+  EXPECT_GT(source.totals().success_rate(), 0.9);
 }
 
 // -- 2. Leader loss mid-split -----------------------------------------------------------------

@@ -11,6 +11,7 @@
 
 #include <tuple>
 
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 namespace shardman {
@@ -42,21 +43,21 @@ SweepResult RunUpgrade(ReplicationStrategy strategy, int replication, bool drain
   SM_CHECK(bed.RunUntilAllReady(Minutes(5)));
   bed.sim().RunFor(Seconds(10));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 60;
-  probe_config.write_fraction = 0.5;
-  probe_config.seed = seed + 1;
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 60;
+  traffic.write_fraction = 0.5;
+  traffic.seed = seed + 1;
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
   bed.sim().RunFor(Seconds(20));
   bed.StartRollingUpgradeEverywhere(/*max_concurrent_per_region=*/2, Seconds(20));
   bed.sim().RunFor(Minutes(20));
   SM_CHECK(!bed.UpgradeInProgress());
   bed.sim().RunFor(Seconds(30));
-  probe.Stop();
+  source.Stop();
 
   SweepResult result;
-  result.success = probe.overall_success_rate();
+  result.success = source.totals().success_rate();
   result.graceful = bed.orchestrator().graceful_migrations();
   result.abrupt = bed.orchestrator().abrupt_migrations();
   return result;

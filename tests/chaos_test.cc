@@ -9,6 +9,7 @@
 
 #include "src/chaos/fault_injector.h"
 #include "src/chaos/invariant_checker.h"
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 namespace shardman {
@@ -55,23 +56,23 @@ ChaosRunFingerprint RunChaosOnce(uint64_t seed) {
   bed.Start();
   EXPECT_TRUE(bed.RunUntilAllReady(Minutes(5)));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 20;
-  probe_config.seed = seed + 1;
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 20;
+  traffic.seed = seed + 1;
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
 
   FaultInjector injector(&bed, DefaultChaosConfig(seed));
   injector.Start();
   bed.sim().RunFor(Minutes(2));
   injector.Stop();
   bed.sim().RunFor(Minutes(2));  // all faults heal, the system settles
-  probe.Stop();
+  source.Stop();
 
   ChaosRunFingerprint fp;
   fp.journal = injector.JournalDump();
   fp.map_version = bed.orchestrator().published_versions();
-  fp.probe_succeeded = probe.total_succeeded();
+  fp.probe_succeeded = source.totals().ok;
   fp.faults = injector.faults_injected();
   return fp;
 }
@@ -104,11 +105,11 @@ TEST_P(ChaosSweep, InvariantsHoldUnderComposedFaults) {
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(5)));
   bed.sim().RunFor(Minutes(1));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 20;
-  probe_config.seed = seed * 7 + 1;
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 20;
+  traffic.seed = seed * 7 + 1;
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
 
   InvariantChecker checker(&bed);
   FaultInjector injector(&bed, DefaultChaosConfig(seed * 31 + 5), &checker);
@@ -125,14 +126,14 @@ TEST_P(ChaosSweep, InvariantsHoldUnderComposedFaults) {
       << "seed " << seed << "\n"
       << checker.Report();
   checker.Stop();
-  probe.Stop();
+  source.Stop();
 
   EXPECT_GT(injector.faults_injected(), 0);
   EXPECT_GT(checker.samples(), 100);
   EXPECT_TRUE(checker.ok()) << "seed " << seed << "\n" << checker.Report();
   // Composed unplanned faults legitimately fail requests; the run must not collapse though.
-  EXPECT_GT(probe.total_sent(), 1000);
-  EXPECT_GT(probe.overall_success_rate(), 0.5) << "seed " << seed;
+  EXPECT_GT(source.totals().sent, 1000);
+  EXPECT_GT(source.totals().success_rate(), 0.5) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -217,32 +218,33 @@ TEST(AsymmetricPartition, RouterDegradesAndRecovers) {
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(5)));
   bed.sim().RunFor(Minutes(1));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 50;
-  probe_config.seed = 3;
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 50;
+  traffic.seed = 3;
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
   bed.sim().RunFor(Seconds(30));
-  int64_t failed_before = probe.total_failed();
+  int64_t failed_before = source.totals().failed();
 
   bed.network().BlockLink(RegionId(0), RegionId(1));
   bed.sim().RunFor(Seconds(30));
   // Requests owned by region-1 primaries time out; everything else keeps completing.
-  EXPECT_GT(probe.total_failed(), failed_before);
-  EXPECT_GT(probe.total_succeeded(), 0);
+  EXPECT_GT(source.totals().failed(), failed_before);
+  EXPECT_GT(source.totals().ok, 0);
   uint64_t dropped = bed.network().region_stats(RegionId(1)).dropped_in;
   EXPECT_GT(dropped, 0u);
 
   bed.network().UnblockLink(RegionId(0), RegionId(1));
   bed.sim().RunFor(Minutes(2));
-  int64_t failed_at_heal = probe.total_failed();
+  int64_t failed_at_heal = source.totals().failed();
   bed.sim().RunFor(Minutes(1));
-  probe.Stop();
+  ASSERT_TRUE(source.Drain(Minutes(1)));
   // After heal the failure counter flattens out (in-flight timeouts may still land briefly).
-  int64_t late_failures = probe.total_failed() - failed_at_heal;
+  int64_t late_failures = source.totals().failed() - failed_at_heal;
   EXPECT_LT(late_failures, 30) << "router did not recover after one-way loss healed";
-  EXPECT_GT(probe.overall_success_rate(), 0.5);
-  EXPECT_EQ(probe.failures().total(), static_cast<uint64_t>(probe.total_failed()));
+  EXPECT_GT(source.totals().success_rate(), 0.5);
+  // Every request sent, the blackholed ones included, ended as a success or a failure.
+  EXPECT_EQ(source.totals().sent, source.totals().ok + source.totals().failed());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/obs/obs.h"
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 // Binary-wide allocation counter: every operator new in this test process bumps it, so a
@@ -448,19 +449,19 @@ DeterminismRun RunSeededScenario(uint64_t seed, int solver_threads) {
     bed.Start();
     EXPECT_TRUE(bed.RunUntilAllReady(Minutes(5)));
 
-    ProbeConfig probe_config;
-    probe_config.requests_per_second = 50;
-    probe_config.write_fraction = 0.4;
-    probe_config.seed = seed + 1;
-    ProbeDriver probe(&bed, RegionId(1), probe_config);
-    probe.Start();
+    RequestSourceConfig traffic;
+    traffic.requests_per_second = 50;
+    traffic.write_fraction = 0.4;
+    traffic.seed = seed + 1;
+    RequestSource source(&bed, RegionId(1), traffic);
+    source.Start();
     bed.sim().RunFor(Seconds(20));
 
     // Failover: drain one primary-heavy server so maps republish under load.
     bed.orchestrator().DrainServer(bed.servers().front(), true, true, []() {});
     bed.sim().RunFor(Minutes(2));
-    probe.Stop();
-    result.probe_succeeded = probe.total_succeeded();
+    source.Stop();
+    result.probe_succeeded = source.totals().ok;
   }
   std::ostringstream metrics;
   obs::DefaultMetrics().WriteJsonl(metrics);

@@ -22,15 +22,15 @@ HotspotSimConfig SmallFlashConfig(int threads) {
   config.servers_per_region = 4;
   config.initial_shards = 6;
   config.max_shards = 32;
-  config.requests_per_second = 250.0;
+  config.traffic.requests_per_second = 250.0;
   config.server_service_rate = 400.0;
-  config.zipf_s = 1.2;
-  config.flash_zipf_s = 0.9;
-  config.flash_peak = 4.0;
-  config.flash_start = Seconds(6);
-  config.flash_rise = Seconds(2);
-  config.flash_hold = Seconds(10);
-  config.flash_fall = Seconds(3);
+  config.traffic.zipf_s = 1.2;
+  config.traffic.flash_zipf_s = 0.9;
+  config.traffic.flash_peak = 4.0;
+  config.traffic.flash_start = Seconds(6);
+  config.traffic.flash_rise = Seconds(2);
+  config.traffic.flash_hold = Seconds(10);
+  config.traffic.flash_fall = Seconds(3);
   config.measure_grace = Seconds(4);
   config.planner.window = Millis(500);
   config.planner.hot_requests_per_window = 120;

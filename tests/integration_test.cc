@@ -6,6 +6,7 @@
 
 #include "src/common/stats.h"
 #include "src/workload/load_gen.h"
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 namespace shardman {
@@ -23,19 +24,19 @@ TEST(IntegrationTest, UpgradeWithSmKeepsAvailabilityNear100) {
   bed.Start();
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(3)));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 50;
-  probe_config.write_fraction = 0.5;
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 50;
+  traffic.write_fraction = 0.5;
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
   bed.sim().RunFor(Seconds(30));  // steady state
 
   bed.StartRollingUpgradeEverywhere(/*max_concurrent_per_region=*/10, Seconds(20));
   bed.sim().RunFor(Minutes(30));
   EXPECT_FALSE(bed.UpgradeInProgress());
-  probe.Stop();
+  source.Stop();
   // With drain + graceful migration, success stays essentially perfect.
-  EXPECT_GT(probe.overall_success_rate(), 0.999);
+  EXPECT_GT(source.totals().success_rate(), 0.999);
   EXPECT_GT(bed.orchestrator().graceful_migrations(), 50);
 }
 
@@ -53,17 +54,17 @@ TEST(IntegrationTest, UpgradeWithoutSmDropsRequests) {
   bed.Start();
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(3)));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 50;
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 50;
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
   bed.sim().RunFor(Seconds(10));
   bed.StartRollingUpgradeEverywhere(/*max_concurrent_per_region=*/2, Seconds(20));
   bed.sim().RunFor(Minutes(10));
-  probe.Stop();
+  source.Stop();
   EXPECT_FALSE(bed.UpgradeInProgress());
   // Shards were simply down during restarts: success visibly below the SM case.
-  EXPECT_LT(probe.overall_success_rate(), 0.995);
+  EXPECT_LT(source.totals().success_rate(), 0.995);
 }
 
 TEST(IntegrationTest, GeoFailoverRestoresLatencyAfterRecovery) {

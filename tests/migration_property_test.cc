@@ -9,6 +9,7 @@
 #include <map>
 #include <tuple>
 
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 namespace shardman {
@@ -27,12 +28,12 @@ TEST_P(MigrationSeedSweep, NoRequestDroppedDuringContinuousDrains) {
   bed.Start();
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(3)));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 40;
-  probe_config.write_fraction = 0.7;
-  probe_config.seed = GetParam() * 3 + 1;
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 40;
+  traffic.write_fraction = 0.7;
+  traffic.seed = GetParam() * 3 + 1;
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
   bed.sim().RunFor(Seconds(5));
 
   // Drain every server in sequence (forcing every shard to migrate at least once) while probe
@@ -48,9 +49,9 @@ TEST_P(MigrationSeedSweep, NoRequestDroppedDuringContinuousDrains) {
     bed.sim().RunFor(Seconds(2));
   }
   bed.sim().RunFor(Seconds(10));
-  probe.Stop();
-  EXPECT_GT(probe.total_sent(), 0);
-  EXPECT_EQ(probe.total_failed(), 0)
+  source.Stop();
+  EXPECT_GT(source.totals().sent, 0);
+  EXPECT_EQ(source.totals().failed(), 0)
       << "graceful migrations dropped requests (seed " << GetParam() << ")";
   EXPECT_GT(bed.orchestrator().graceful_migrations(), 25);
 }

@@ -13,6 +13,7 @@
 #include "src/chaos/fault_injector.h"
 #include "src/chaos/invariant_checker.h"
 #include "src/obs/obs.h"
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 namespace shardman {
@@ -329,11 +330,11 @@ ObsRunResult RunInstrumentedChaos(uint64_t seed) {
     bed.Start();
     EXPECT_TRUE(bed.RunUntilAllReady(Minutes(5)));
 
-    ProbeConfig probe_config;
-    probe_config.requests_per_second = 20;
-    probe_config.seed = seed + 1;
-    ProbeDriver probe(&bed, RegionId(0), probe_config);
-    probe.Start();
+    RequestSourceConfig traffic;
+    traffic.requests_per_second = 20;
+    traffic.seed = seed + 1;
+    RequestSource source(&bed, RegionId(0), traffic);
+    source.Start();
 
     ChaosConfig chaos;
     chaos.mean_fault_interval = Seconds(10);
@@ -345,15 +346,15 @@ ObsRunResult RunInstrumentedChaos(uint64_t seed) {
     bed.sim().RunFor(Minutes(2));
     injector.Stop();
     bed.sim().RunFor(Minutes(2));  // faults heal, failovers complete
-    probe.Stop();
+    source.Stop();
 
     result.orch_graceful = bed.orchestrator().graceful_migrations();
     result.orch_abrupt = bed.orchestrator().abrupt_migrations();
     result.orch_moves = bed.orchestrator().completed_moves();
     result.injector_faults = injector.faults_injected();
-    result.probe_sent = probe.total_sent();
-    result.probe_succeeded = probe.total_succeeded();
-    result.probe_failed = probe.total_failed();
+    result.probe_sent = source.totals().sent;
+    result.probe_succeeded = source.totals().ok;
+    result.probe_failed = source.totals().failed();
   }
   result.trace_json = obs::DefaultTracer().ChromeTraceJson();
   result.events = obs::DefaultTracer().events();
@@ -463,11 +464,11 @@ ObsRunResult RunInstrumentedUpgrade(uint64_t seed) {
     bed.Start();
     EXPECT_TRUE(bed.RunUntilAllReady(Minutes(5)));
 
-    ProbeConfig probe_config;
-    probe_config.requests_per_second = 20;
-    probe_config.seed = seed + 1;
-    ProbeDriver probe(&bed, RegionId(0), probe_config);
-    probe.Start();
+    RequestSourceConfig traffic;
+    traffic.requests_per_second = 20;
+    traffic.seed = seed + 1;
+    RequestSource source(&bed, RegionId(0), traffic);
+    source.Start();
     bed.sim().RunFor(Seconds(30));
 
     bed.StartRollingUpgradeEverywhere(/*max_concurrent_per_region=*/3,
@@ -477,14 +478,14 @@ ObsRunResult RunInstrumentedUpgrade(uint64_t seed) {
     }
     EXPECT_FALSE(bed.UpgradeInProgress());
     bed.sim().RunFor(Seconds(30));  // tail: in-flight ops drain
-    probe.Stop();
+    EXPECT_TRUE(source.Drain(Minutes(1)));
 
     result.orch_graceful = bed.orchestrator().graceful_migrations();
     result.orch_abrupt = bed.orchestrator().abrupt_migrations();
     result.orch_moves = bed.orchestrator().completed_moves();
-    result.probe_sent = probe.total_sent();
-    result.probe_succeeded = probe.total_succeeded();
-    result.probe_failed = probe.total_failed();
+    result.probe_sent = source.totals().sent;
+    result.probe_succeeded = source.totals().ok;
+    result.probe_failed = source.totals().failed();
   }
   result.trace_json = obs::DefaultTracer().ChromeTraceJson();
   result.events = obs::DefaultTracer().events();
@@ -525,9 +526,12 @@ TEST(BenchEquivalence, RegistryCountersMatchComponentAccessors) {
             run.orch_graceful);
   EXPECT_EQ(run.snapshot.CounterValue("sm.orchestrator.migrations_abrupt"), run.orch_abrupt);
   EXPECT_EQ(run.snapshot.CounterValue("sm.orchestrator.moves_completed"), run.orch_moves);
-  EXPECT_EQ(run.snapshot.CounterValue("sm.probe.sent"), run.probe_sent);
-  EXPECT_EQ(run.snapshot.CounterValue("sm.probe.succeeded"), run.probe_succeeded);
-  EXPECT_EQ(run.snapshot.CounterValue("sm.probe.failed"), run.probe_failed);
+  // The source's router is the bed's only router, so its outcome counters match the source's
+  // recorder request for request.
+  EXPECT_GT(run.probe_sent, 0);
+  EXPECT_EQ(run.probe_sent, run.probe_succeeded + run.probe_failed);
+  EXPECT_EQ(run.snapshot.CounterValue("sm.router.requests_ok"), run.probe_succeeded);
+  EXPECT_EQ(run.snapshot.CounterValue("sm.router.requests_failed"), run.probe_failed);
 
   // The op ledger balances: everything started either completed or failed (in-flight ops
   // drained during the post-upgrade tail).
@@ -541,9 +545,9 @@ TEST(BenchEquivalence, RegistryCountersMatchComponentAccessors) {
   const obs::MetricSample* staleness = run.snapshot.Find("sm.discovery.staleness_ms");
   ASSERT_NE(staleness, nullptr);
   EXPECT_GT(staleness->hist_count, 0);
-  const obs::MetricSample* probe_lat = run.snapshot.Find("sm.probe.latency_ms");
-  ASSERT_NE(probe_lat, nullptr);
-  EXPECT_GT(probe_lat->hist_count, 0);
+  const obs::MetricSample* request_lat = run.snapshot.Find("sm.router.request_latency_ms");
+  ASSERT_NE(request_lat, nullptr);
+  EXPECT_EQ(request_lat->hist_count, run.probe_succeeded);
 }
 
 // -- Counter audit (ISSUE 7 satellite): PR 4-6 data-plane counters must move ------------------
@@ -561,11 +565,11 @@ TEST(CounterAudit, DeltaDataPlaneCountersAreExercised) {
     bed.Start();
     ASSERT_TRUE(bed.RunUntilAllReady(Minutes(5)));
 
-    ProbeConfig probe_config;
-    probe_config.requests_per_second = 20;
-    probe_config.seed = 9002;
-    ProbeDriver probe(&bed, RegionId(0), probe_config);
-    probe.Start();
+    RequestSourceConfig traffic;
+    traffic.requests_per_second = 20;
+    traffic.seed = 9002;
+    RequestSource source(&bed, RegionId(0), traffic);
+    source.Start();
 
     ChaosConfig chaos;
     chaos.mix = {{FaultKind::kServerCrash, 2.0},
@@ -591,7 +595,7 @@ TEST(CounterAudit, DeltaDataPlaneCountersAreExercised) {
     bed.discovery().SetDeliveryLoss(0.0, 0);
     bed.orchestrator().DrainServer(servers[1], true, true, []() {});
     bed.sim().RunFor(Seconds(10));
-    probe.Stop();
+    source.Stop();
   }
 
   MetricsSnapshot snapshot = obs::DefaultMetrics().Snapshot();

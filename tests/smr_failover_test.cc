@@ -12,6 +12,7 @@
 #include "src/chaos/fault_injector.h"
 #include "src/chaos/invariant_checker.h"
 #include "src/smr/replica_set.h"
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 namespace shardman {
@@ -161,11 +162,11 @@ FailoverRunFingerprint RunBackToBackKills(uint64_t seed, int solver_threads) {
   EXPECT_TRUE(bed.RunUntilAllReady(Minutes(5)));
   bed.sim().RunFor(Minutes(1));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 50;
-  probe_config.seed = seed + 1;
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 50;
+  traffic.seed = seed + 1;
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
 
   InvariantChecker checker(&bed);
   checker.Start();
@@ -183,17 +184,17 @@ FailoverRunFingerprint RunBackToBackKills(uint64_t seed, int solver_threads) {
 
   EXPECT_TRUE(checker.AwaitReconvergence(Minutes(10))) << checker.Report();
   checker.Stop();
-  probe.Stop();
+  source.Stop();
   EXPECT_TRUE(checker.ok()) << checker.Report();
   // Traffic kept flowing: the data plane does not depend on control-plane liveness.
-  EXPECT_GT(probe.overall_success_rate(), 0.9);
+  EXPECT_GT(source.totals().success_rate(), 0.9);
 
   FailoverRunFingerprint fp;
   fp.failovers = bed.replica_set()->failovers();
   fp.final_epoch = bed.replica_set()->leadership_epoch();
   fp.map_versions = bed.orchestrator().published_versions();
-  fp.probe_sent = probe.total_sent();
-  fp.probe_succeeded = probe.total_succeeded();
+  fp.probe_sent = source.totals().sent;
+  fp.probe_succeeded = source.totals().ok;
   fp.violations = checker.total_violations();
   return fp;
 }
@@ -303,11 +304,11 @@ std::string RunSmrChaosOnce(const SmrSweepParam& param, int64_t* failovers_out) 
   EXPECT_TRUE(bed.RunUntilAllReady(Minutes(5)));
   bed.sim().RunFor(Minutes(1));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 20;
-  probe_config.seed = param.seed * 7 + 1;
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 20;
+  traffic.seed = param.seed * 7 + 1;
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
 
   InvariantChecker checker(&bed);
   FaultInjector injector(&bed, SmrChaosConfig(param.mix, param.seed * 31 + 5), &checker);
@@ -323,11 +324,11 @@ std::string RunSmrChaosOnce(const SmrSweepParam& param, int64_t* failovers_out) 
       << "seed " << param.seed << "\n"
       << checker.Report();
   checker.Stop();
-  probe.Stop();
+  source.Stop();
 
   EXPECT_GT(injector.faults_injected(), 0);
   EXPECT_TRUE(checker.ok()) << "seed " << param.seed << "\n" << checker.Report();
-  EXPECT_GT(probe.overall_success_rate(), 0.5) << "seed " << param.seed;
+  EXPECT_GT(source.totals().success_rate(), 0.5) << "seed " << param.seed;
   if (failovers_out != nullptr) {
     *failovers_out = bed.replica_set()->failovers();
   }

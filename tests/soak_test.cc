@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 namespace shardman {
@@ -32,12 +33,12 @@ TEST_P(SoakSweep, InvariantsHoldUnderRandomChurn) {
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(5)));
   bed.sim().RunFor(Minutes(1));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 30;
-  probe_config.write_fraction = 0.5;
-  probe_config.seed = GetParam() * 7 + 1;
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 30;
+  traffic.write_fraction = 0.5;
+  traffic.seed = GetParam() * 7 + 1;
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
 
   Rng rng(GetParam() * 31 + 5);
   std::vector<ServerId> servers = bed.servers();
@@ -128,10 +129,10 @@ TEST_P(SoakSweep, InvariantsHoldUnderRandomChurn) {
   bed.sim().RunFor(Minutes(5));
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(10)));
   check_invariants();
-  probe.Stop();
-  EXPECT_GT(probe.total_sent(), 1000);
+  source.Stop();
+  EXPECT_GT(source.totals().sent, 1000);
   // Unplanned failures legitimately fail some requests; the vast majority must succeed.
-  EXPECT_GT(probe.overall_success_rate(), 0.97) << "seed " << GetParam();
+  EXPECT_GT(source.totals().success_rate(), 0.97) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SoakSweep, ::testing::Values(11u, 42u, 137u));

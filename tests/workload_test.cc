@@ -1,13 +1,15 @@
-// Tests for the workload module: load generators, the population model, probe drivers, and the
-// shard scaler end to end.
+// Tests for the workload module: load generators, the population model, the request source and
+// its SLO recorder, and the shard scaler end to end.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "src/core/control_plane.h"
 #include "src/workload/load_gen.h"
 #include "src/workload/population.h"
+#include "src/workload/request_source.h"
 #include "src/workload/testbed.h"
 
 namespace shardman {
@@ -82,7 +84,7 @@ TEST(PopulationTest, AnchorsRoughlyMatchPaper) {
   EXPECT_LT(pct_geo, 42.0);  // paper: 33%
 }
 
-TEST(ProbeDriverTest, AggregatesIntervalsAndCounts) {
+TEST(RequestSourceTest, AggregatesIntervalsAndCounts) {
   TestbedConfig config;
   config.regions = {"r0"};
   config.servers_per_region = 3;
@@ -90,24 +92,111 @@ TEST(ProbeDriverTest, AggregatesIntervalsAndCounts) {
   config.app.placement.metrics = MetricSet({"cpu"});
   Testbed bed(config);
   bed.Start();
+
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 50;
+  traffic.interval = Seconds(5);
+  RequestSource source(&bed, RegionId(0), traffic);
+  source.Start();
+  // Requests due before the router's first map wait for it, and count as sent.
+  uint64_t sent_before_map = 0;
+  while (source.router().map() == nullptr && bed.sim().Now() < Minutes(2)) {
+    sent_before_map = source.totals().sent;
+    bed.sim().RunFor(Millis(10));
+  }
+  ASSERT_NE(source.router().map(), nullptr);
+  EXPECT_GT(sent_before_map, 0u);
+  ASSERT_TRUE(bed.RunUntilAllReady(Minutes(2)));
+  bed.sim().RunFor(Seconds(21));
+  ASSERT_TRUE(source.Drain(Minutes(1)));
+
+  const SloAccount& totals = source.totals();
+  EXPECT_GT(totals.sent, 1000u);
+  EXPECT_EQ(totals.sent, source.generated());
+  EXPECT_EQ(totals.sent, totals.ok + totals.failed());
+  EXPECT_EQ(totals.failed(), 0u);
+  EXPECT_GT(totals.mean_ms(), 0.0);
+  // The series partitions the run by due time.
+  const std::vector<SloAccount>& series = source.recorder().series();
+  EXPECT_GE(series.size(), 4u);
+  SloAccount summed;
+  for (const SloAccount& interval : series) {
+    EXPECT_GT(interval.sent, 0u);
+    summed.Merge(interval);
+  }
+  EXPECT_EQ(summed.sent, totals.sent);
+  EXPECT_EQ(summed.ok, totals.ok);
+  EXPECT_EQ(summed.failed(), totals.failed());
+  EXPECT_EQ(summed.latency_sum_us, totals.latency_sum_us);
+}
+
+TEST(RequestSourceTest, SeedDrawsArrivalTimes) {
+  TestbedConfig config;
+  config.regions = {"r0"};
+  config.servers_per_region = 3;
+  config.app = MakeUniformAppSpec(AppId(1), "seeds", 6, ReplicationStrategy::kPrimaryOnly, 1);
+  config.app.placement.metrics = MetricSet({"cpu"});
+  Testbed bed(config);
+  bed.Start();
   ASSERT_TRUE(bed.RunUntilAllReady(Minutes(2)));
 
-  ProbeConfig probe_config;
-  probe_config.requests_per_second = 20;
-  probe_config.interval = Seconds(5);
-  ProbeDriver probe(&bed, RegionId(0), probe_config);
-  probe.Start();
-  bed.sim().RunFor(Seconds(21));
-  probe.Stop();
-  EXPECT_GE(probe.series().size(), 4u);
-  EXPECT_GT(probe.total_sent(), 50);
-  EXPECT_EQ(probe.total_failed(), 0);
-  EXPECT_DOUBLE_EQ(probe.overall_success_rate(), 1.0);
-  for (const ProbePoint& point : probe.series()) {
-    if (point.succeeded > 0) {
-      EXPECT_GT(point.mean_latency_ms, 0.0);
-    }
+  // Per-50ms arrival counts: equal for equal seeds, different for different seeds.
+  RequestSourceConfig traffic;
+  traffic.requests_per_second = 100;
+  traffic.interval = Millis(50);
+  std::vector<std::unique_ptr<RequestSource>> sources;
+  for (uint64_t seed : {7, 7, 8}) {
+    traffic.seed = seed;
+    sources.push_back(std::make_unique<RequestSource>(&bed, RegionId(0), traffic));
+    sources.back()->Start();
   }
+  bed.sim().RunFor(Seconds(10));
+  auto arrivals = [](const RequestSource& source) {
+    std::vector<uint64_t> counts;
+    for (const SloAccount& interval : source.recorder().series()) {
+      counts.push_back(interval.sent);
+    }
+    return counts;
+  };
+  EXPECT_EQ(arrivals(*sources[0]), arrivals(*sources[1]));
+  EXPECT_NE(arrivals(*sources[0]), arrivals(*sources[2]));
+}
+
+TEST(SloRecorderTest, BooksEachRequestByItsDueTime) {
+  SloRecorder recorder(/*slo_ms=*/100.0, /*interval=*/Seconds(5));
+  recorder.set_origin(Seconds(1));
+  const int hold = recorder.AddSlice(Seconds(4), Seconds(8));
+  RequestOutcome slow;
+  slow.success = true;
+  slow.latency = Seconds(3);  // finishes two intervals after it was due
+  RequestOutcome fast;
+  fast.success = true;
+  fast.latency = Millis(2);
+  RequestOutcome shed;
+  shed.status = Status(StatusCode::kResourceExhausted, "shed");
+
+  recorder.Sent(Seconds(5.5));
+  recorder.Record(Seconds(5.5), slow);
+  recorder.Sent(Seconds(6));
+  recorder.Record(Seconds(6), fast);
+  recorder.Sent(Seconds(12));
+  recorder.Record(Seconds(12), shed);
+
+  const std::vector<SloAccount>& series = recorder.series();
+  ASSERT_EQ(series.size(), 3u);
+  EXPECT_EQ(series[0].sent, 1u);  // due at 5.5 s, in [1 s, 6 s)
+  EXPECT_EQ(series[0].ok, 1u);
+  EXPECT_EQ(series[0].slo_violations, 1u);
+  EXPECT_EQ(series[1].sent, 1u);  // due at 6 s, in [6 s, 11 s)
+  EXPECT_EQ(series[1].slo_violations, 0u);
+  EXPECT_EQ(series[2].failures.count(StatusCode::kResourceExhausted), 1u);
+  EXPECT_EQ(series[2].ok, 0u);
+
+  EXPECT_EQ(recorder.slice(hold).sent, 2u);  // 5.5 s and 6 s
+  EXPECT_EQ(recorder.total().sent, 3u);
+  EXPECT_EQ(recorder.total().finished(), 3u);
+  EXPECT_DOUBLE_EQ(recorder.total().slo_attainment(), 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(recorder.total().success_rate(), 2.0 / 3.0);
 }
 
 TEST(ShardScalerTest, ScalesUpHotShardsAndDownColdOnes) {
