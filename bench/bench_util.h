@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -226,9 +225,17 @@ struct BenchGate {
   bool same_scale = false;
 };
 
+// The median of `samples` (at least one); the mean of the middle two for an even count.
+inline double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  return (samples[(n - 1) / 2] + samples[n / 2]) / 2.0;
+}
+
 // Builds one BENCH_<bench>.json in the shared schema: bench, scale, host, measured{},
-// projected{} and gates[]. Keys name their point ("kill_interval_s=15/success_rate"); a value
-// is a scalar or a {median,min,max,n} record over repeated runs.
+// projected{} (always empty: no bench projects anything) and gates[]. Keys name their point
+// ("kill_interval_s=15/success_rate"); a value is a scalar or a {median,min,max,n} record over
+// repeated runs.
 class BenchJson {
  public:
   BenchJson(std::string bench, double scale) : bench_(std::move(bench)), scale_(scale) {}
@@ -242,14 +249,11 @@ class BenchJson {
   }
   // A {median,min,max,n} record of `samples` (at least one).
   void MeasureSpread(const std::string& key, std::vector<double> samples) {
-    std::sort(samples.begin(), samples.end());
-    const size_t n = samples.size();
-    const double median = (samples[(n - 1) / 2] + samples[n / 2]) / 2.0;
-    measured_.emplace_back(key, "{\"median\": " + Num(median) + ", \"min\": " +
-                                    Num(samples.front()) + ", \"max\": " + Num(samples.back()) +
-                                    ", \"n\": " + std::to_string(n) + "}");
+    const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+    measured_.emplace_back(key, "{\"median\": " + Num(Median(samples)) + ", \"min\": " +
+                                    Num(*lo) + ", \"max\": " + Num(*hi) +
+                                    ", \"n\": " + std::to_string(samples.size()) + "}");
   }
-  void Project(const std::string& key, double value) { projected_.emplace_back(key, Num(value)); }
   void Gate(BenchGate gate) { gates_.push_back(std::move(gate)); }
   // A hard gate: the measured flag `key` must be true (a determinism or equivalence contract).
   void Require(const std::string& key) {
@@ -260,8 +264,7 @@ class BenchJson {
   void Write() const {
     std::string json = "{\n  \"bench\": \"" + bench_ + "\",\n  \"scale\": " + Num(scale_) +
                        ",\n  \"host\": " + HostJson() + ",\n  \"measured\": " +
-                       Object(measured_) + ",\n  \"projected\": " + Object(projected_) +
-                       ",\n  \"gates\": [";
+                       Object(measured_) + ",\n  \"projected\": {},\n  \"gates\": [";
     for (size_t i = 0; i < gates_.size(); ++i) {
       const BenchGate& g = gates_[i];
       json += std::string(i > 0 ? "," : "") + "\n    {\"metric\": \"" + g.metric +
@@ -305,7 +308,6 @@ class BenchJson {
   std::string bench_;
   double scale_;
   std::vector<std::pair<std::string, std::string>> measured_;
-  std::vector<std::pair<std::string, std::string>> projected_;
   std::vector<BenchGate> gates_;
 };
 
@@ -323,27 +325,6 @@ inline int EnvInt(const char* name, int fallback) {
 // defaults keep every bench on the classic single-shard path, byte-identical to before.
 inline int SimShardsFromEnv(int fallback = 1) { return EnvInt("SM_SIM_SHARDS", fallback); }
 inline int SimThreadsFromEnv(int fallback = 1) { return EnvInt("SM_SIM_THREADS", fallback); }
-
-// Longest-processing-time packing of `weights` into `bins`; returns the makespan (heaviest
-// bin). Used both to project parallel-sim speedup from per-shard busy time (the critical path
-// of one conservative window) and to report the speedup ceiling a fleet partition admits.
-inline double LptMakespan(std::vector<double> weights, int bins) {
-  double total = 0.0;
-  double heaviest = 0.0;
-  for (double w : weights) {
-    total += w;
-    heaviest = std::max(heaviest, w);
-  }
-  if (bins <= 1) {
-    return total;
-  }
-  std::sort(weights.begin(), weights.end(), std::greater<double>());
-  std::vector<double> load(static_cast<size_t>(bins), 0.0);
-  for (double w : weights) {
-    *std::min_element(load.begin(), load.end()) += w;
-  }
-  return *std::max_element(load.begin(), load.end());
-}
 
 }  // namespace bench
 }  // namespace shardman

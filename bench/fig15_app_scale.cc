@@ -152,24 +152,5 @@ int main() {
     }
   }
 
-  // Parallel-simulation partition (DESIGN.md §13): simulating this population fleet-wide means
-  // sharding the event loop by machine group. LPT-pack the deployments onto K sim shards by
-  // server count; the speedup ceiling at K threads is total work over the heaviest shard
-  // (bench/sim_parallel measures the realized curve on a live fleet).
-  {
-    std::vector<double> weights;
-    for (const AppDeploymentSample& sample : sorted) {
-      weights.push_back(static_cast<double>(sample.servers));
-    }
-    const double total = static_cast<double>(total_servers);
-    std::cout << "\nSharded-sim partition of the population (LPT by server count):\n";
-    TablePrinter shard_table({"sim_shards", "heaviest_shard_servers", "speedup_ceiling"});
-    for (int k : {2, 4, 8, 16}) {
-      const double makespan = LptMakespan(weights, k);
-      shard_table.AddRowValues(k, static_cast<int64_t>(makespan),
-                               FormatDouble(total / makespan, 2) + "x");
-    }
-    shard_table.Print(std::cout);
-  }
   return 0;
 }

@@ -65,23 +65,5 @@ int main() {
                        std::string("-"));
   summary.Print(std::cout);
 
-  // Parallel-simulation partition (DESIGN.md §13): mini-SMs are the natural machine-group
-  // shards for a fleet-scale simulation — each already bounds a disjoint set of servers. LPT
-  // by server count gives the speedup ceiling a K-shard event loop admits over this fleet
-  // (bench/sim_parallel measures the realized curve on a live fleet).
-  std::vector<double> weights;
-  int64_t total_servers = 0;
-  for (const MiniSmInfo& info : partitions.mini_sms()) {
-    weights.push_back(static_cast<double>(info.servers));
-    total_servers += info.servers;
-  }
-  std::cout << "\nSharded-sim partition (one shard group per mini-SM set, LPT by servers):\n";
-  TablePrinter shard_table({"sim_shards", "heaviest_shard_servers", "speedup_ceiling"});
-  for (int k : {2, 4, 8, 16}) {
-    const double makespan = LptMakespan(weights, k);
-    shard_table.AddRowValues(k, static_cast<int64_t>(makespan),
-                             FormatDouble(static_cast<double>(total_servers) / makespan, 2) + "x");
-  }
-  shard_table.Print(std::cout);
   return 0;
 }

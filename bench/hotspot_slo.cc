@@ -11,9 +11,12 @@
 //      reports its shard economy (splits, merges, active shards). A failed request is never a
 //      latency sample. The flash crowd's popular keys all land inside one shard, so
 //      whole-shard rebalancing cannot help — only splitting can.
-//   2. Determinism gate: the peak-intensity adaptive scenario re-runs at sim_threads in
-//      {1, 2, 8} plus a same-seed repeat; the full-state digests and line-by-line reports
-//      must match byte-for-byte. Any divergence prints both reports and exits nonzero.
+//   2. Determinism gate and thread scaling: the peak-intensity adaptive scenario re-runs 5
+//      times at each sim_threads in {1, 2, 4, 8}; every full-state digest and line-by-line
+//      report must match the sweep's run byte-for-byte. Any divergence prints both reports and
+//      exits nonzero. The walls of these runs, of the same scenario on one sim shard, and one
+//      profiled run's shard balance and barrier time are the measured parallel-sim curve of
+//      the full SM stack on the host that runs the bench.
 //   3. Peak comparison: adaptive vs static failure rate and goodput at the highest intensity.
 //
 // Output: tables on stdout plus BENCH_hotspot.json in the working directory (shared schema,
@@ -21,9 +24,11 @@
 //
 // Gate mode: with SM_SIM_THREADS set, runs the peak-intensity adaptive scenario once at that
 // thread count, prints the digest, and writes SM_METRICS_OUT (flat JSONL metrics including
-// the digest gauges). The CI hotspot-determinism lane runs this at 1/2/8 threads and diffs
+// the digest gauges). The CI sim-determinism lane runs this at 1/2/3/8 threads and diffs
 // the dumps byte-for-byte.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -112,15 +117,41 @@ struct ScenarioRun {
   HotspotTotals totals;
   uint64_t digest = 0;
   std::string report;
+  double wall_ms = 0.0;  // host wall time from construction through teardown
+  // Profiled runs only: shard 0's share of the summed shard busy time, and the barrier time.
+  double shard0_busy_share = 0.0;
+  double barrier_ms = 0.0;
 };
 
-ScenarioRun RunScenario(const HotspotSimConfig& config, TimeMicros duration) {
-  HotspotSim sim(config);
-  sim.Run(duration);
+ScenarioRun RunScenario(const HotspotSimConfig& config, TimeMicros duration,
+                        bool profile = false) {
+  const auto start = std::chrono::steady_clock::now();
   ScenarioRun run;
-  run.totals = sim.Totals();
-  run.digest = sim.StateDigest();
-  run.report = sim.DigestReport();
+  {
+    HotspotSim sim(config);
+    ShardedSimulator& ssim = sim.testbed().sharded_sim();
+    ssim.set_profiling(profile);
+    sim.Run(duration);
+    run.totals = sim.Totals();
+    run.digest = sim.StateDigest();
+    run.report = sim.DigestReport();
+    int64_t shard0_ns = 0;
+    int64_t busy_ns = 0;
+    int64_t barrier_ns = 0;
+    for (const WindowProfile& window : ssim.window_profiles()) {
+      shard0_ns += window.shard_busy_ns.front();
+      for (int64_t ns : window.shard_busy_ns) {
+        busy_ns += ns;
+      }
+      barrier_ns += window.barrier_ns;
+    }
+    run.shard0_busy_share =
+        busy_ns > 0 ? static_cast<double>(shard0_ns) / static_cast<double>(busy_ns) : 0.0;
+    run.barrier_ms = static_cast<double>(barrier_ns) / 1e6;
+  }
+  run.wall_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                          start)
+                    .count();
   return run;
 }
 
@@ -242,30 +273,61 @@ int main() {
   }
   table.Print(std::cout);
 
-  // Phase 2: determinism gate — the peak adaptive scenario across thread counts plus a
-  // same-seed repeat, all compared to the sweep's threads=1 run.
+  // Phase 2: determinism gate and thread scaling. Every run of the peak adaptive scenario is
+  // compared to the sweep's threads=1 run; the repetitions interleave the thread counts (and
+  // the one-shard serial loop, whose digest differs by construction) so host drift spreads
+  // over all of them alike.
   const ScenarioRun& reference = sweep.back().adaptive_run;
+  const HotspotSimConfig peak_config =
+      MakeConfig(peak_intensity, /*adaptive=*/true, /*threads=*/1, times);
+  constexpr int kWallRuns = 5;
+  const std::vector<int> kSimThreads = {1, 2, 4, 8};
+  std::vector<std::vector<double>> walls(kSimThreads.size());
+  std::vector<double> serial_walls;
   bool deterministic = true;
-  struct GateCase {
-    const char* label;
-    int threads;
-  };
-  for (const GateCase gate : {GateCase{"repeat@1", 1}, GateCase{"threads=2", 2},
-                              GateCase{"threads=8", 8}}) {
-    const ScenarioRun run = RunScenario(
-        MakeConfig(peak_intensity, /*adaptive=*/true, gate.threads, times), times.duration());
-    if (run.digest != reference.digest || run.report != reference.report) {
-      deterministic = false;
-      std::cerr << "FATAL: " << gate.label << " diverged from the reference run\n"
-                << "--- reference (threads=1) ---\n"
-                << reference.report << "--- " << gate.label << " ---\n"
-                << run.report;
+  for (int rep = 0; rep < kWallRuns; ++rep) {
+    for (size_t i = 0; i < kSimThreads.size(); ++i) {
+      HotspotSimConfig config = peak_config;
+      config.sim_threads = kSimThreads[i];
+      const ScenarioRun run = RunScenario(config, times.duration());
+      walls[i].push_back(run.wall_ms);
+      if (run.digest != reference.digest || run.report != reference.report) {
+        deterministic = false;
+        std::cerr << "FATAL: threads=" << kSimThreads[i] << " run " << rep
+                  << " diverged from the reference run\n--- reference (threads=1) ---\n"
+                  << reference.report << "--- threads=" << kSimThreads[i] << " ---\n"
+                  << run.report;
+      }
     }
+    HotspotSimConfig serial = peak_config;
+    serial.sim_shards = 1;
+    serial_walls.push_back(RunScenario(serial, times.duration()).wall_ms);
   }
+  const ScenarioRun profiled = RunScenario(peak_config, times.duration(), /*profile=*/true);
   std::cout << "\ndigest " << HexDigest(reference.digest)
-            << (deterministic
-                    ? " — byte-identical across same-seed repeat and sim_threads {1,2,8}\n"
-                    : " — DIVERGED, see stderr\n");
+            << (deterministic ? " — byte-identical over " + std::to_string(kWallRuns) +
+                                    " runs at each sim_threads {1,2,4,8}\n"
+                              : std::string(" — DIVERGED, see stderr\n"));
+
+  // Measured walls; the "vs threads=1" column divides medians and projects nothing.
+  TablePrinter walls_table({"sim", "wall_ms_median", "min", "max", "vs_threads=1"});
+  const double one_thread_ms = Median(walls[0]);
+  auto add_wall_row = [&walls_table, one_thread_ms](const std::string& label,
+                                                    const std::vector<double>& samples) {
+    const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+    const double median = Median(samples);
+    walls_table.AddRowValues(label, FormatDouble(median, 1), FormatDouble(*lo, 1),
+                             FormatDouble(*hi, 1), FormatDouble(one_thread_ms / median, 2) + "x");
+  };
+  for (size_t i = 0; i < kSimThreads.size(); ++i) {
+    add_wall_row("threads=" + std::to_string(kSimThreads[i]), walls[i]);
+  }
+  add_wall_row("serial (1 shard)", serial_walls);
+  std::cout << "\nthread scaling, peak adaptive scenario (" << kWallRuns << " runs each):\n";
+  walls_table.Print(std::cout);
+  std::cout << "profiled threads=1 run: shard 0 busy share "
+            << FormatDouble(profiled.shard0_busy_share, 3) << ", barrier "
+            << FormatDouble(profiled.barrier_ms, 1) << " ms\n";
 
   // Phase 3: the peak comparison, gated in the JSON.
   const HotspotTotals& peak_static = sweep.back().static_run.totals;
@@ -282,6 +344,13 @@ int main() {
   json.MeasureFlag("deterministic", deterministic);
   json.MeasureText("digest", HexDigest(reference.digest));
   json.Require("deterministic");
+  // Single-host walls: measured, never gated.
+  for (size_t i = 0; i < kSimThreads.size(); ++i) {
+    json.MeasureSpread("threads=" + std::to_string(kSimThreads[i]) + "/wall_ms", walls[i]);
+  }
+  json.MeasureSpread("serial_wall_ms", serial_walls);
+  json.Measure("shard0_busy_share", profiled.shard0_busy_share);
+  json.Measure("barrier_ms", profiled.barrier_ms);
   for (const SweepPoint& point : sweep) {
     const HotspotTotals& adaptive = point.adaptive_run.totals;
     const std::string prefix = "intensity=" + FormatDouble(point.intensity, 0) + "/";

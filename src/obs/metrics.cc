@@ -35,7 +35,7 @@ void HistogramMetric::Observe(double value_ms) {
   hist_.Add(static_cast<uint64_t>(std::llround(value_ms * 1000.0)));
 }
 
-const MetricSample* MetricsSnapshot::Find(const std::string& name) const {
+const MetricSample* MetricsSnapshot::Find(const std::string& name) const& {
   auto it = std::lower_bound(
       samples.begin(), samples.end(), name,
       [](const MetricSample& sample, const std::string& key) { return sample.name < key; });

@@ -89,7 +89,9 @@ struct MetricSample {
 struct MetricsSnapshot {
   std::vector<MetricSample> samples;  // sorted by name
 
-  const MetricSample* Find(const std::string& name) const;
+  // The pointer aims into `samples`, so a temporary snapshot cannot be searched.
+  const MetricSample* Find(const std::string& name) const&;
+  const MetricSample* Find(const std::string& name) const&& = delete;
   // Value of a counter metric, or 0 when absent (absent == never incremented).
   int64_t CounterValue(const std::string& name) const;
   double GaugeValue(const std::string& name) const;

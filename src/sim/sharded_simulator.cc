@@ -44,9 +44,6 @@ ShardedSimulator::ShardedSimulator(int num_shards, int threads, TimeMicros looka
   }
   // Slot num_shards_ belongs to code running outside the parallel phase (setup, barrier tasks).
   outboxes_.resize(static_cast<size_t>(num_shards_) + 1);
-  next_ticket_.assign(static_cast<size_t>(num_shards_) + 1, 0);
-  pending_.resize(static_cast<size_t>(num_shards_));
-  early_cancels_.resize(static_cast<size_t>(num_shards_));
   barrier_outboxes_.resize(static_cast<size_t>(num_shards_));
   workers_.reserve(static_cast<size_t>(num_workers_));
   for (int w = 0; w < num_workers_; ++w) {
@@ -70,12 +67,6 @@ int ShardedSimulator::current_shard() const {
   return g_current_shard.owner == this ? g_current_shard.shard : -1;
 }
 
-uint64_t ShardedSimulator::NextTicket(int slot) {
-  // High bits carry the issuing slot so tickets are unique across shards without any shared
-  // counter; the per-slot counter is touched only by that slot's executing thread.
-  return (static_cast<uint64_t>(slot) + 1) << 48 | ++next_ticket_[static_cast<size_t>(slot)];
-}
-
 EventId ShardedSimulator::Schedule(TimeMicros delay, SmallFunction cb) {
   const int src = current_shard();
   Simulator& engine = *shards_[static_cast<size_t>(src < 0 ? 0 : src)];
@@ -96,73 +87,8 @@ void ShardedSimulator::Send(int to, TimeMicros delay, SmallFunction cb) {
   // The conservative bound: a cross-shard send landing inside the current window would let the
   // destination observe this shard mid-window and break window independence.
   SM_CHECK_GE(delay, lookahead_);
-  outboxes_[static_cast<size_t>(src)].push_back(
-      MailboxRecord{shards_[static_cast<size_t>(src)]->Now() + delay, /*ticket=*/0,
-                    static_cast<int32_t>(to), /*cancel=*/false, std::move(cb)});
-}
-
-CrossShardEventId ShardedSimulator::SendTracked(int to, TimeMicros delay, SmallFunction cb) {
-  SM_CHECK(to >= 0 && to < num_shards_);
-  SM_CHECK_GE(delay, 0);
-  const int src = current_shard();
-  const int slot = src < 0 ? num_shards_ : src;
-  const uint64_t ticket = NextTicket(slot);
-  const TimeMicros when =
-      (src < 0 ? Now() : shards_[static_cast<size_t>(src)]->Now()) + delay;
-  if (src < 0 || src == to) {
-    // The destination table is safe to touch here: its own thread (same-shard send) or the
-    // exclusive phase.
-    EventId ev = shards_[static_cast<size_t>(to)]->ScheduleAt(
-        when, [this, to, ticket]() { FireTracked(to, ticket); });
-    pending_[static_cast<size_t>(to)].emplace(ticket, PendingRemote{ev, std::move(cb)});
-    return CrossShardEventId{ticket, static_cast<int32_t>(to)};
-  }
-  SM_CHECK_GE(delay, lookahead_);
   outboxes_[static_cast<size_t>(src)].push_back(MailboxRecord{
-      when, ticket, static_cast<int32_t>(to), /*cancel=*/false, std::move(cb)});
-  return CrossShardEventId{ticket, static_cast<int32_t>(to)};
-}
-
-void ShardedSimulator::Cancel(CrossShardEventId id) {
-  if (!id.valid()) {
-    return;
-  }
-  SM_CHECK(id.dest >= 0 && id.dest < num_shards_);
-  const int src = current_shard();
-  if (src < 0 || src == id.dest) {
-    ApplyCancel(id.dest, id.ticket, /*draining=*/false);
-    return;
-  }
-  // Travels as a control record in the canceller's outbox; applied at the next barrier, where
-  // it races nothing — whether it beats the event is a pure function of virtual time.
-  outboxes_[static_cast<size_t>(src)].push_back(
-      MailboxRecord{0, id.ticket, id.dest, /*cancel=*/true, SmallFunction()});
-}
-
-void ShardedSimulator::FireTracked(int dest, uint64_t ticket) {
-  auto& pending = pending_[static_cast<size_t>(dest)];
-  auto it = pending.find(ticket);
-  if (it == pending.end()) {
-    return;  // cancelled (ApplyCancel removes the trampoline event along with the entry)
-  }
-  SmallFunction cb = std::move(it->second.cb);
-  pending.erase(it);
-  cb();
-}
-
-void ShardedSimulator::ApplyCancel(int dest, uint64_t ticket, bool draining) {
-  auto& pending = pending_[static_cast<size_t>(dest)];
-  auto it = pending.find(ticket);
-  if (it != pending.end()) {
-    shards_[static_cast<size_t>(dest)]->Cancel(it->second.event);
-    pending.erase(it);
-    return;
-  }
-  if (draining) {
-    // The data record may still be sitting in a later outbox of this same drain; retry once
-    // every mailbox has been folded in. Unmatched after that = stale, a deterministic no-op.
-    early_cancels_[static_cast<size_t>(dest)].push_back(ticket);
-  }
+      shards_[static_cast<size_t>(src)]->Now() + delay, static_cast<int32_t>(to), std::move(cb)});
 }
 
 void ShardedSimulator::ScheduleBarrierAt(TimeMicros when, SmallFunction cb) {
@@ -320,32 +246,11 @@ void ShardedSimulator::DrainMailboxes() {
   // (and so same-instant tie-breaks) regardless of which threads ran the window.
   for (auto& outbox : outboxes_) {
     for (MailboxRecord& rec : outbox) {
-      const size_t dest = static_cast<size_t>(rec.dest);
-      if (rec.cancel) {
-        ++cross_shard_cancels_;
-        ApplyCancel(rec.dest, rec.ticket, /*draining=*/true);
-        continue;
-      }
       ++cross_shard_messages_;
       SM_CHECK_GE(rec.when, now_);  // conservative bound: arrival is on or after the barrier
-      if (rec.ticket != 0) {
-        const int d = rec.dest;
-        const uint64_t ticket = rec.ticket;
-        EventId ev = shards_[dest]->ScheduleAt(
-            rec.when, [this, d, ticket]() { FireTracked(d, ticket); });
-        pending_[dest].emplace(ticket, PendingRemote{ev, std::move(rec.cb)});
-      } else {
-        shards_[dest]->ScheduleAt(rec.when, std::move(rec.cb));
-      }
+      shards_[static_cast<size_t>(rec.dest)]->ScheduleAt(rec.when, std::move(rec.cb));
     }
     outbox.clear();
-  }
-  for (int d = 0; d < num_shards_; ++d) {
-    auto& early = early_cancels_[static_cast<size_t>(d)];
-    for (uint64_t ticket : early) {
-      ApplyCancel(d, ticket, /*draining=*/false);  // unmatched now means stale: no-op
-    }
-    early.clear();
   }
   for (auto& outbox : barrier_outboxes_) {
     for (BarrierTask& task : outbox) {

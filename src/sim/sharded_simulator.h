@@ -45,7 +45,6 @@
 #include <exception>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/check.h"
@@ -55,17 +54,10 @@
 
 namespace shardman {
 
-// Handle for cancelling a tracked (possibly in-flight, possibly cross-shard) event. Stale
-// cancels — after the event fired or was already cancelled — are deterministic no-ops.
-struct CrossShardEventId {
-  uint64_t ticket = 0;
-  int32_t dest = -1;
-  bool valid() const { return ticket != 0; }
-};
-
 // Per-window profile, recorded when profiling is enabled (bench-only): how long each shard's
 // window took on the wall clock, and how much exclusive barrier work followed. Wall times feed
-// the critical-path speedup model in bench/sim_parallel; they never influence simulation state.
+// the shard-balance and barrier figures of bench/hotspot_slo and smperf; they never influence
+// simulation state.
 struct WindowProfile {
   TimeMicros window_end = 0;
   std::vector<int64_t> shard_busy_ns;  // one entry per shard
@@ -110,14 +102,6 @@ class ShardedSimulator {
   // at the next barrier; same-shard and exclusive-phase sends schedule directly.
   void Send(int to, TimeMicros delay, SmallFunction cb);
 
-  // Like Send, but returns a handle that can later cancel the event from any shard: from the
-  // destination shard (or exclusive phase) the cancel applies immediately; from another shard
-  // it travels as a mailbox control record and applies at the next barrier. Cancelling an
-  // event that already fired is a no-op; whether the cancel wins is a pure function of
-  // deterministic virtual time, never of thread scheduling.
-  CrossShardEventId SendTracked(int to, TimeMicros delay, SmallFunction cb);
-  void Cancel(CrossShardEventId id);
-
   // Runs `cb` once in the exclusive phase at the first barrier at-or-after `when` (absolute
   // virtual time). Barrier tasks observe every shard quiesced at a common time: the only safe
   // place to mutate cross-shard shared state (network partitions, chaos faults). Tasks run in
@@ -136,7 +120,6 @@ class ShardedSimulator {
   uint64_t ExecutedEvents() const;             // summed over shards
   uint64_t ExecutedEventsOnShard(int i) const; // deterministic per (shards, seed)
   uint64_t cross_shard_messages() const { return cross_shard_messages_; }
-  uint64_t cross_shard_cancels() const { return cross_shard_cancels_; }
   uint64_t windows_run() const { return windows_run_; }
 
   // Wall-clock window profiling for the parallel bench. Off by default.
@@ -145,23 +128,11 @@ class ShardedSimulator {
 
  private:
   struct MailboxRecord {
-    TimeMicros when = 0;       // absolute arrival time (data records)
-    uint64_t ticket = 0;       // data: this record's ticket; cancel: the target ticket
+    TimeMicros when = 0;  // absolute arrival time
     int32_t dest = -1;
-    bool cancel = false;
-    SmallFunction cb;
-  };
-  struct PendingRemote {
-    EventId event;
     SmallFunction cb;
   };
 
-  uint64_t NextTicket(int slot);
-  void FireTracked(int dest, uint64_t ticket);
-  // Applies a cancel against the pending-remote table; `draining` routes unmatched tickets to
-  // the barrier-scoped early-cancel set (a cancel can precede its data record within one
-  // drain when issued by a lower-indexed shard).
-  void ApplyCancel(int dest, uint64_t ticket, bool draining);
   void RunDueBarrierTasks();
   TimeMicros NextBarrierTaskTime() const;
   TimeMicros NextActionTime() const;
@@ -196,12 +167,6 @@ class ShardedSimulator {
   // Single-writer outboxes: slot i is appended only by the thread executing shard i during a
   // window (slot num_shards_ belongs to the exclusive phase) and drained only at barriers.
   std::vector<std::vector<MailboxRecord>> outboxes_;
-  std::vector<uint64_t> next_ticket_;  // per-slot, so ticket issue order is per-shard
-  // Tracked events scheduled into a destination shard, keyed by ticket. Touched only by that
-  // shard's executing thread (fire) and the exclusive phase (drain/cancel) — never both.
-  std::vector<std::unordered_map<uint64_t, PendingRemote>> pending_;
-  // Cancels seen before their data record within the current drain. Cleared every barrier.
-  std::vector<std::vector<uint64_t>> early_cancels_;
 
   struct BarrierTask {
     TimeMicros when = 0;
@@ -213,7 +178,6 @@ class ShardedSimulator {
   uint64_t next_barrier_seq_ = 1;
 
   uint64_t cross_shard_messages_ = 0;
-  uint64_t cross_shard_cancels_ = 0;
   uint64_t windows_run_ = 0;
   bool running_ = false;  // RunUntil re-entrancy guard (barrier tasks must not call RunUntil)
   bool profiling_ = false;

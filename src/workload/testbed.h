@@ -95,9 +95,10 @@ struct TestbedConfig {
   // Sharded-simulation substrate (DESIGN.md §13). The testbed runs on a ShardedSimulator;
   // every existing component schedules on shard 0 (the control shard), so with the default
   // sim_shards == 1 behavior is bit-identical to the historical single Simulator. Raising
-  // sim_shards gives workload drivers (FleetSim, chaos soaks) spare shards synchronized by
-  // conservative windows; sim_threads bounds the threads that run them (shard 0 always runs
-  // on the thread that calls RunUntil). The conservative window is 90% of wide_latency.
+  // sim_shards gives workload drivers (RequestSource generators, smperf's traffic feeders)
+  // spare shards synchronized by conservative windows; sim_threads bounds the threads that run
+  // them (shard 0 always runs on the thread that calls RunUntil). The conservative window is
+  // 90% of wide_latency.
   int sim_shards = 1;
   int sim_threads = 1;
 

@@ -149,8 +149,8 @@ TEST(MetricsRegistry, DeltaPercentilesCoverOnlyTheWindow) {
   MetricsSnapshot after = registry.Snapshot();
   EXPECT_NEAR(after.Find("sm.test.hist_ms")->p50, 1.0, 0.0625);  // cumulative: half at 1 ms
 
-  const obs::MetricSample* window =
-      MetricsRegistry::Delta(before, after).Find("sm.test.hist_ms");
+  const MetricsSnapshot delta = MetricsRegistry::Delta(before, after);
+  const obs::MetricSample* window = delta.Find("sm.test.hist_ms");
   ASSERT_NE(window, nullptr);
   EXPECT_EQ(window->hist_count, 100);
   EXPECT_DOUBLE_EQ(window->hist_sum, 10000.0);

@@ -1,11 +1,13 @@
 // ShardedSimulator unit + determinism tests (DESIGN.md §13): conservative windows, mailbox
-// delivery, barrier tasks, cross-shard cancel, and byte-identity across thread counts.
+// delivery, barrier tasks, and byte-identity across thread counts, on the bare engine and on a
+// sharded Network.
 
 #include "src/sim/sharded_simulator.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -187,50 +189,6 @@ TEST(ShardedSim, ArrivalExactlyOnWindowBarrier) {
   EXPECT_EQ(delivered_at, kLookahead);
 }
 
-TEST(ShardedSim, CrossShardCancelStopsInFlightMailboxEvent) {
-  constexpr TimeMicros kLookahead = 1000;
-  ShardedSimulator sim(2, 1, kLookahead);
-  int fired = 0;
-  CrossShardEventId id;
-  sim.shard(0).ScheduleAt(10, [&]() {
-    id = sim.SendTracked(1, 2 * kLookahead, [&]() { ++fired; });
-  });
-  // Cancelled from the issuing shard in the following window, while the event is queued on the
-  // destination: the cancel travels as a mailbox control record and wins.
-  sim.shard(0).ScheduleAt(kLookahead + 5, [&]() { sim.Cancel(id); });
-  sim.RunUntil(10 * kLookahead);
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(sim.cross_shard_cancels(), 1u);
-  EXPECT_EQ(sim.cross_shard_messages(), 1u);
-}
-
-TEST(ShardedSim, StaleCrossShardCancelIsNoOp) {
-  constexpr TimeMicros kLookahead = 1000;
-  ShardedSimulator sim(2, 1, kLookahead);
-  int fired = 0;
-  CrossShardEventId id;
-  sim.shard(0).ScheduleAt(10, [&]() {
-    id = sim.SendTracked(1, 2 * kLookahead, [&]() { ++fired; });
-  });
-  // Cancel issued after the event already fired: deterministic no-op.
-  sim.shard(0).ScheduleAt(3 * kLookahead, [&]() { sim.Cancel(id); });
-  sim.RunUntil(10 * kLookahead);
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(ShardedSim, SameShardTrackedCancelBeforeFire) {
-  constexpr TimeMicros kLookahead = 1000;
-  ShardedSimulator sim(2, 1, kLookahead);
-  int fired = 0;
-  CrossShardEventId id;
-  sim.shard(0).ScheduleAt(10, [&]() {
-    id = sim.SendTracked(0, 500, [&]() { ++fired; });  // same-shard tracked send
-    sim.Cancel(id);                                    // cancelled immediately, same event
-  });
-  sim.RunUntil(5 * kLookahead);
-  EXPECT_EQ(fired, 0);
-}
-
 TEST(ShardedSim, BarrierTasksRunExclusivelyAtRequestedTime) {
   constexpr TimeMicros kLookahead = 1000;
   ShardedSimulator sim(3, 1, kLookahead);
@@ -339,18 +297,71 @@ PingPongResult RunPingPong(int threads, int shards = 4) {
   return result;
 }
 
+// Three regions on three shards behind a sharded Network: the per-shard send lanes run from
+// concurrently executing windows. Each region keeps a chain of cross-region sends going (every
+// delivery sends the next hop onward), and a barrier task partitions region 1 and heals it
+// again, so some hops drop and their chains restart from the region's periodic kick. The
+// trace ends with every region's RegionNetStats.
+PingPongResult RunNetworkChains(int threads) {
+  constexpr int kRegions = 3;
+  ShardedSimulator sim(kRegions, threads, Millis(20));
+  Network net(&sim.shard(0), LatencyModel(kRegions, Millis(1), Millis(30)), /*seed=*/11);
+  net.EnableShardedMode(&sim, {0, 1, 2});
+  std::vector<std::vector<std::string>> logs(kRegions);
+  std::function<void(int, int, int)> hop = [&](int origin, int at, int n) {
+    logs[static_cast<size_t>(at)].push_back(std::to_string(origin) + ">" + std::to_string(at) +
+                                            "#" + std::to_string(n) + "@" +
+                                            std::to_string(sim.shard(at).Now()));
+    const int to = (at + 1 + n % 2) % kRegions;
+    net.Send(RegionId(at), RegionId(to), [&hop, origin, to, n]() { hop(origin, to, n + 1); });
+  };
+  for (int r = 0; r < kRegions; ++r) {
+    sim.shard(r).SchedulePeriodic(Millis(5 + r), Millis(50), [&hop, &sim, r]() {
+      hop(r, r, static_cast<int>(sim.shard(r).Now() / Millis(50)) * 1000);
+    });
+  }
+  sim.ScheduleBarrierAt(Millis(400), [&net]() { net.PartitionRegion(RegionId(1)); });
+  sim.ScheduleBarrierAt(Millis(700), [&net]() { net.HealRegion(RegionId(1)); });
+  sim.RunUntil(Seconds(1));
+  PingPongResult result;
+  for (const auto& region_log : logs) {
+    for (const std::string& line : region_log) {
+      result.trace += line;
+      result.trace += '\n';
+    }
+  }
+  for (int r = 0; r < kRegions; ++r) {
+    const RegionNetStats stats = net.region_stats(RegionId(r));
+    result.trace += "region" + std::to_string(r) + " sent=" + std::to_string(stats.sent) +
+                    " delivered_in=" + std::to_string(stats.delivered_in) +
+                    " dropped_out=" + std::to_string(stats.dropped_out) +
+                    " dropped_in=" + std::to_string(stats.dropped_in) + "\n";
+  }
+  EXPECT_GT(net.messages_dropped(), 0u) << "the partition dropped nothing";
+  result.executed = sim.ExecutedEvents();
+  result.windows = sim.windows_run();
+  result.cross_messages = sim.cross_shard_messages();
+  return result;
+}
+
 TEST(ShardedSimDeterminism, ByteIdenticalTraceAcrossThreads) {
-  const PingPongResult t1 = RunPingPong(1);
-  const PingPongResult t2 = RunPingPong(2);
-  const PingPongResult t8 = RunPingPong(8);
-  EXPECT_GT(t1.cross_messages, 0u);
-  EXPECT_FALSE(t1.trace.empty());
-  EXPECT_EQ(t1.trace, t2.trace);
-  EXPECT_EQ(t1.trace, t8.trace);
-  EXPECT_EQ(t1.executed, t2.executed);
-  EXPECT_EQ(t1.executed, t8.executed);
-  EXPECT_EQ(t1.windows, t2.windows);
-  EXPECT_EQ(t1.windows, t8.windows);
+  struct Scenario {
+    const char* name;
+    PingPongResult (*run)(int threads);
+  };
+  for (const auto& [name, run] :
+       {Scenario{"ping-pong", [](int threads) { return RunPingPong(threads); }},
+        Scenario{"network chains", &RunNetworkChains}}) {
+    const PingPongResult t1 = run(1);
+    EXPECT_GT(t1.cross_messages, 0u) << name;
+    EXPECT_FALSE(t1.trace.empty()) << name;
+    for (int threads : {2, 8}) {
+      const PingPongResult tn = run(threads);
+      EXPECT_EQ(t1.trace, tn.trace) << name << " at " << threads << " threads";
+      EXPECT_EQ(t1.executed, tn.executed) << name << " at " << threads << " threads";
+      EXPECT_EQ(t1.windows, tn.windows) << name << " at " << threads << " threads";
+    }
+  }
 }
 
 TEST(ShardedSimDeterminism, UnevenHomesAndSurplusThreadsAreByteIdentical) {
